@@ -46,7 +46,6 @@ from .model import (
     SymmetricPrior,
     TruncatedSimplex,
     predictive_density,
-    si_term,
     truncated_predictive_density,
 )
 from .moments import (
@@ -61,12 +60,10 @@ from .moments import (
 )
 from .numkernel import (
     DEFAULT_QUADRATURE,
-    LogDomainValue,
     QuadratureSettings,
     beta_segment,
     log_beta_segment,
     log_binomial,
-    log_gamma,
     log_multinomial,
     log_multivariate_beta,
     stable_sum,

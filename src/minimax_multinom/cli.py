@@ -91,6 +91,11 @@ def _jsonable(obj):
     return str(obj)
 
 
+def _dumps(value) -> str:
+    """Strict RFC 8259 JSON: a NaN or infinity raises ValueError."""
+    return json.dumps(value, default=_jsonable, allow_nan=False)
+
+
 def _parse_floats(text: str) -> list:
     return [float(v) for v in text.split(",") if v != ""]
 
@@ -169,14 +174,14 @@ def _write_output(config: RunConfig, columns, rows, risk_keys=(), extra_meta=Non
     if config.output == "json":
         payload = dict(meta)
         payload["results"] = rows
-        text = json.dumps(payload, default=_jsonable) + "\n"
+        text = _dumps(payload) + "\n"
     else:
         buf = io.StringIO()
         for key in ("seed", "version", "command", "units"):
             buf.write(f"# {key}={meta[key]}\r\n")
-        buf.write(f"# params={json.dumps(meta['params'], default=_jsonable)}\r\n")
+        buf.write(f"# params={_dumps(meta['params'])}\r\n")
         for key, value in (extra_meta or {}).items():
-            buf.write(f"# {key}={json.dumps(value, default=_jsonable)}\r\n")
+            buf.write(f"# {key}={_dumps(value)}\r\n")
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(columns)
         for row in rows:

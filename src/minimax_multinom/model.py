@@ -17,7 +17,12 @@ from dataclasses import dataclass
 
 from . import simplex
 from .errors import DomainError
-from .numkernel import DEFAULT_QUADRATURE, QuadratureSettings, stable_sum
+from .numkernel import (  # DEFAULT_SEED is re-exported as part of the model API
+    DEFAULT_QUADRATURE,
+    DEFAULT_SEED,
+    QuadratureSettings,
+    stable_sum,
+)
 
 SQRT6 = math.sqrt(6.0)
 
@@ -26,9 +31,6 @@ SQRT6 = math.sqrt(6.0)
 ALPHA_MINIMAX = 1.0 + 1.0 / SQRT6
 ALPHA_JEFFREYS = 0.5
 ALPHA_UNIFORM = 1.0
-
-#: Shared default seed for every randomized suite in the package.
-DEFAULT_SEED = 0x5EED
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,8 @@ class PriorSpec:
         a = tuple(float(v) for v in self.a)
         if len(a) < 2:
             raise DomainError("need at least two categories")
-        if any(v <= 0 for v in a):
-            raise DomainError("Dirichlet parameters must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in a):
+            raise DomainError("Dirichlet parameters must be positive and finite")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "A", stable_sum(a))
 
@@ -101,8 +103,8 @@ class SymmetricPrior:
     k: int
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise DomainError("concentration must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise DomainError("concentration must be positive and finite")
         if self.k < 2:
             raise DomainError("need at least two categories")
 
@@ -182,8 +184,8 @@ class EpsilonSchedule:
     mode: ScheduleMode = ScheduleMode.MINIMAX
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise DomainError("scale c must be positive")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise DomainError("scale c must be positive and finite")
         mode = self.mode
         if isinstance(mode, str):
             mode = ScheduleMode(mode)
@@ -290,16 +292,3 @@ def truncated_predictive_density(
         post, trunc.eps, quad
     )
     return base * math.exp(log_ratio)
-
-
-def si_term(prior: PriorSpec, model: ModelSpec, theta_i: float, i: int) -> float:
-    """Prior-shift coefficient s_i = (a_i - A theta_i) / ((N + A) theta_i).
-
-    Always > -1; vanishes exactly when theta_i equals the prior mean a_i/A.
-    """
-    if not 0.0 < theta_i < 1.0:
-        raise DomainError("theta_i must lie in (0, 1)")
-    if i < 0 or i >= prior.k:
-        raise DomainError("category index out of range")
-    a_i = prior.a[i]
-    return (a_i - prior.A * theta_i) / ((model.N + prior.A) * theta_i)

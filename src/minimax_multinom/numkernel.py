@@ -1,16 +1,19 @@
-"""Stable special functions and deterministic summation primitives.
+"""Stable special functions, count-vector enumeration and deterministic
+summation primitives, plus the package-wide default seed.
 
 Everything downstream (risk evaluation, simplex integrals, expansions) is
 built on the handful of functions in this module, so their contracts are
-deliberately narrow: plain floats in, plain floats out, errors raised for
-out-of-domain input instead of NaN propagation.
+deliberately narrow: plain numbers in, plain numbers (or one integer array)
+out, errors raised for out-of-domain input instead of NaN propagation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad as _quad
 from scipy.special import betainc as _betainc
 from scipy.special import betaincc as _betaincc
@@ -18,6 +21,9 @@ from scipy.special import betaln as _betaln
 from scipy.special import gammaln as _gammaln
 
 from .errors import DomainError, IntegrationError
+
+#: Shared default seed for every randomized suite in the package.
+DEFAULT_SEED = 0x5EED
 
 # Largest N for which binomial coefficients are taken exactly over the
 # integers before falling back to log-gamma differences.
@@ -47,59 +53,6 @@ class QuadratureSettings:
 DEFAULT_QUADRATURE = QuadratureSettings()
 
 
-@dataclass(frozen=True)
-class LogDomainValue:
-    """A signed real carried as (log |x|, sign) to avoid overflow.
-
-    sign is 0 exactly when the represented value is zero, in which case the
-    stored log magnitude is -inf by convention.
-    """
-
-    log_magnitude: float
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise DomainError("sign must be -1, 0 or +1")
-        if self.sign == 0 and self.log_magnitude != -math.inf:
-            raise DomainError("zero must carry log_magnitude = -inf")
-
-    @classmethod
-    def zero(cls) -> "LogDomainValue":
-        return cls(-math.inf, 0)
-
-    @classmethod
-    def from_real(cls, x: float) -> "LogDomainValue":
-        if x == 0.0:
-            return cls.zero()
-        return cls(math.log(abs(x)), 1 if x > 0 else -1)
-
-    @classmethod
-    def from_log(cls, log_magnitude: float, sign: int = 1) -> "LogDomainValue":
-        if sign == 0:
-            return cls.zero()
-        return cls(log_magnitude, sign)
-
-    def __mul__(self, other: "LogDomainValue") -> "LogDomainValue":
-        sign = self.sign * other.sign
-        if sign == 0:
-            return LogDomainValue.zero()
-        return LogDomainValue(self.log_magnitude + other.log_magnitude, sign)
-
-    def to_real(self) -> float:
-        return self.sign * math.exp(self.log_magnitude)
-
-    def __float__(self) -> float:
-        return self.to_real()
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    return float(_gammaln(x))
-
-
 def log_multivariate_beta(a) -> float:
     """ln B(a_1, ..., a_k) = ln[Gamma(a_1)...Gamma(a_k) / Gamma(sum a_i)].
 
@@ -111,6 +64,22 @@ def log_multivariate_beta(a) -> float:
     if any(v <= 0 for v in a):
         raise DomainError("all parameters must be positive")
     return stable_sum([_gammaln(v) for v in a]) - float(_gammaln(stable_sum(a)))
+
+
+def compositions(N: int, k: int) -> np.ndarray:
+    """All count vectors of length k summing to N, lexicographically ordered,
+    as an (n, k) integer array.
+
+    Stars and bars: the counts are the gaps between k - 1 bars placed among
+    N + k - 1 slots, and bar positions taken in lexicographic order give the
+    count vectors in lexicographic order.
+    """
+    n = math.comb(N + k - 1, k - 1)
+    bars = np.array(
+        list(itertools.combinations(range(N + k - 1), k - 1)), dtype=np.int64
+    ).reshape(n, k - 1)
+    edges = np.hstack([np.full((n, 1), -1), bars, np.full((n, 1), N + k - 1)])
+    return np.diff(edges, axis=1) - 1
 
 
 def log_binomial(N: int, x: int) -> float:

@@ -35,7 +35,6 @@ from .errors import (
     StatisticalPrecisionError,
 )
 from .model import (
-    DEFAULT_SEED,
     ModelSpec,
     PriorSpec,
     SymmetricPrior,
@@ -43,10 +42,13 @@ from .model import (
 )
 from .numkernel import (
     DEFAULT_QUADRATURE,
+    DEFAULT_SEED,
     QuadratureSettings,
+    compositions,
+    log_multivariate_beta,
     stable_sum,
 )
-from .simplex import log_i_trunc
+from .simplex import b_trunc, log_i_trunc
 
 #: default cap on the number of count vectors risk_enumeration will visit
 ENUMERATION_CAP = 2_000_000
@@ -67,8 +69,8 @@ class ThetaPoint:
         theta = tuple(float(v) for v in self.theta)
         if len(theta) < 2:
             raise DomainError("need at least two coordinates")
-        if any(v <= 0.0 for v in theta):
-            raise DomainError("theta must be strictly positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in theta):
+            raise DomainError("theta must be strictly positive and finite")
         if abs(stable_sum(theta) - 1.0) > 1e-14:
             raise DomainError(f"theta must sum to 1, got {stable_sum(theta)!r}")
         object.__setattr__(self, "theta", theta)
@@ -134,21 +136,6 @@ class MonteCarloSettings:
     def __post_init__(self):
         if self.n_draws < 1 or self.batch_size < 1:
             raise DomainError("draw counts must be positive")
-
-
-def compositions(N: int, k: int) -> np.ndarray:
-    """All count vectors of length k summing to N, lexicographically ordered,
-    as an (n, k) integer array."""
-    if k == 1:
-        return np.array([[N]], dtype=np.int64)
-    rows = []
-    for first in range(N + 1):
-        rest = compositions(N - first, k - 1)
-        block = np.empty((rest.shape[0], k), dtype=np.int64)
-        block[:, 0] = first
-        block[:, 1:] = rest
-        rows.append(block)
-    return np.vstack(rows)
 
 
 def _log_multinomial_rows(N: int, comps: np.ndarray) -> np.ndarray:
@@ -582,6 +569,7 @@ class TruncatedPredictiveTable:
         self.model = model
         self.alpha = alpha.alpha
         self.eps = trunc.eps
+        self.quad = quad
         self.comps = compositions(model.N, model.k)
         self._memo: dict = {}
         n, k = self.comps.shape
@@ -598,7 +586,7 @@ class TruncatedPredictiveTable:
     def _log_i(self, alphas: tuple) -> float:
         key = tuple(sorted(alphas))
         if key not in self._memo:
-            self._memo[key] = log_i_trunc(key, self.eps)
+            self._memo[key] = log_i_trunc(key, self.eps, self.quad)
         return self._memo[key]
 
     def correction(self, theta: ThetaPoint) -> float:
@@ -628,134 +616,50 @@ def risk_truncated_predictive(
     return base - table.correction(theta)
 
 
-def _weight_logdensity_parts(weight: PriorSpec):
-    """Unnormalized Dirichlet kernel exponents for the weight prior."""
-    return np.asarray(weight.a) - 1.0
+def _bayes_numerator(a: tuple, eps: float, risk_fn, quad: QuadratureSettings,
+                     head: tuple = (), mass: float = 1.0) -> tuple:
+    """(integral, relative error estimate) of the Dirichlet kernel
+    prod theta_i^(a_i - 1) times the risk over the simplex floored at eps.
 
-
-def _bayes_quadrature_k2(
-    weight: PriorSpec,
-    lo: float,
-    hi: float,
-    risk_fn,
-    quad: QuadratureSettings,
-) -> float:
-    """Weighted average of risk_fn over theta_1 in [lo, hi], k = 2."""
-    e1, e2 = _weight_logdensity_parts(weight)
-
-    singular = (e1 < 0 and lo == 0.0) or (e2 < 0 and hi == 1.0)
-    if singular:
-        # integrate against the algebraic weight (QAWS handles the
-        # endpoint singularities of the Dirichlet kernel)
-        def against(f):
-            val, err = _quad(
-                f, 0.0, 1.0, weight="alg", wvar=(e1, e2),
-                epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-                limit=quad.max_subdivisions,
-            )
-            return val, err
-
-        num, nerr = against(lambda t: risk_fn(t))
-        den, derr = against(lambda t: 1.0)
-    else:
-        def kernel(t: float) -> float:
-            if t <= 0.0 or t >= 1.0:
-                return 0.0
-            return math.exp(e1 * math.log(t) + e2 * math.log1p(-t))
-
-        num, nerr = _quad(
-            lambda t: kernel(t) * risk_fn(t), lo, hi,
-            epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-            limit=quad.max_subdivisions,
-        )
-        den, derr = _quad(
-            kernel, lo, hi,
-            epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-            limit=quad.max_subdivisions,
-        )
-    if den <= 0:
-        raise IntegrationError("weight normalizer degenerated", achieved=derr)
-    rel = abs(nerr / max(abs(num), 1e-300)) + derr / den
-    if rel > 1e3 * quad.rel_tol:
-        raise IntegrationError(
-            "Bayes-risk quadrature did not converge", achieved=rel
-        )
-    return num / den
-
-
-def _bayes_quadrature_k3(
-    weight: PriorSpec,
-    eps: float,
-    risk_fn,
-    quad: QuadratureSettings,
-) -> float:
-    """Weighted average over the floored 3-simplex by nested quadrature.
-
-    eps = 0 integrates over the full simplex (QAWS against the algebraic
-    kernel on each level); otherwise plain adaptive quadrature is enough
-    because the floored region excludes the singular boundary.
+    Peels off the first coordinate by stick-breaking, like
+    simplex._recursive_b_log: with theta_1 = v, the remaining coordinates
+    are (1 - v) phi with phi on the (k-1)-simplex floored at eps/(1 - v), so
+    each level is one integral of v^(a_1 - 1) (1 - v)^(a_2 + ... + a_k - 1)
+    against the inner value.  head holds the coordinates the enclosing
+    levels fixed and mass the probability left to the rest; risk_fn takes
+    the first k - 1 coordinates.  The outermost level runs at quad.rel_tol,
+    inner levels at 10 quad.rel_tol.  With eps = 0 a kernel singular at an
+    endpoint is integrated as an algebraic weight (QAWS).
     """
-    e = _weight_logdensity_parts(weight)
-    _pair_cache: dict = {}
+    if len(a) == 1:
+        return risk_fn(head), 0.0
+    e1 = a[0] - 1.0
+    e2 = stable_sum(a[1:]) - 1.0
+    inner_err = 0.0
 
-    def inner_pair(t1: float) -> tuple:
-        if t1 in _pair_cache:
-            return _pair_cache[t1]
-        lo2 = eps if eps > 0 else 0.0
-        hi2 = 1.0 - t1 - lo2
-
-        def kern2(t2: float) -> float:
-            t3 = 1.0 - t1 - t2
-            return math.exp(e[1] * math.log(t2) + e[2] * math.log(t3))
-
-        if eps > 0:
-            num, _ = _quad(
-                lambda t2: kern2(t2) * risk_fn((t1, t2)), lo2, hi2,
-                epsabs=quad.abs_tol, epsrel=quad.rel_tol * 10,
-                limit=quad.max_subdivisions,
-            )
-            den, _ = _quad(
-                kern2, lo2, hi2,
-                epsabs=quad.abs_tol, epsrel=quad.rel_tol * 10,
-                limit=quad.max_subdivisions,
-            )
-        else:
-            scale = 1.0 - t1
-
-            def against(f):
-                val, _ = _quad(
-                    lambda u: f(u * scale),
-                    0.0, 1.0, weight="alg", wvar=(e[1], e[2]),
-                    epsabs=quad.abs_tol, epsrel=quad.rel_tol * 10,
-                    limit=quad.max_subdivisions,
-                )
-                return val * scale ** (e[1] + e[2] + 1)
-
-            num = against(lambda t2: risk_fn((t1, t2)))
-            den = against(lambda t2: 1.0)
-        _pair_cache[t1] = (num, den)
-        return num, den
-
-    lo1 = eps if eps > 0 else 0.0
-    hi1 = 1.0 - 2 * lo1
-
-    def outer(which: int):
-        def f(t1: float) -> float:
-            pair = inner_pair(t1)
-            return math.exp(e[0] * math.log(t1)) * pair[which]
-
-        val, err = _quad(
-            f, lo1, hi1,
-            epsabs=quad.abs_tol, epsrel=quad.rel_tol * 10,
-            limit=quad.max_subdivisions,
+    def inner(v: float) -> float:
+        nonlocal inner_err
+        # QAWS evaluates the endpoint v = 1 itself, but only when eps = 0
+        inner_eps = eps / (1.0 - v) if eps > 0.0 else 0.0
+        val, err = _bayes_numerator(
+            a[1:], inner_eps, risk_fn, quad, head + (mass * v,), mass * (1.0 - v)
         )
-        return val, err
+        inner_err = max(inner_err, err)
+        return val
 
-    num, nerr = outer(0)
-    den, derr = outer(1)
-    if den <= 0:
-        raise IntegrationError("weight normalizer degenerated", achieved=derr)
-    return num / den
+    opts = dict(
+        epsabs=quad.abs_tol,
+        epsrel=quad.rel_tol * (10 if head else 1),
+        limit=quad.max_subdivisions,
+    )
+    if eps == 0.0 and (e1 < 0 or e2 < 0):
+        val, err = _quad(inner, 0.0, 1.0, weight="alg", wvar=(e1, e2), **opts)
+    else:
+        val, err = _quad(
+            lambda v: math.exp(e1 * math.log(v) + e2 * math.log1p(-v)) * inner(v),
+            eps, 1.0 - (len(a) - 1) * eps, **opts,
+        )
+    return val, err / val + inner_err
 
 
 def bayes_risk(
@@ -781,14 +685,10 @@ def bayes_risk(
     """
     predictive = Predictive(predictive)
     if isinstance(weight, SymmetricPrior):
-        if trunc is None:
-            weight_prior = weight.expand()
-            weight_trunc = None
-        else:
-            if trunc.k != weight.k:
-                raise DomainError("weight and truncation disagree on k")
-            weight_prior = weight.expand()
-            weight_trunc = trunc
+        if trunc is not None and trunc.k != weight.k:
+            raise DomainError("weight and truncation disagree on k")
+        weight_prior = weight.expand()
+        weight_trunc = trunc
     elif isinstance(weight, PriorSpec):
         weight_prior = weight
         weight_trunc = None
@@ -825,24 +725,28 @@ def bayes_risk(
         # risk extends continuously; nudge into the open simplex
         tiny = 1e-13
 
-        if model.k == 2:
-            lo = weight_trunc.eps if weight_trunc else 0.0
-            hi = 1.0 - lo
+        def risk_of(head) -> float:
+            coords, rest = [], 1.0
+            for j, t in enumerate(head):
+                t = min(max(t, tiny), rest - (model.k - 1 - j) * tiny)
+                coords.append(t)
+                rest -= t
+            return risk_at(ThetaPoint.complete(coords))
 
-            def f1(t: float) -> float:
-                t = min(max(t, tiny), 1.0 - tiny)
-                return risk_at(ThetaPoint.complete([t]))
-
-            return _bayes_quadrature_k2(weight_prior, lo, hi, f1, quad)
+        a = weight_prior.a
         eps = weight_trunc.eps if weight_trunc else 0.0
-
-        def f2(t12) -> float:
-            t1, t2 = t12
-            t1 = min(max(t1, tiny), 1.0 - 2 * tiny)
-            t2 = min(max(t2, tiny), 1.0 - t1 - tiny)
-            return risk_at(ThetaPoint.complete([t1, t2]))
-
-        return _bayes_quadrature_k3(weight_prior, eps, f2, quad)
+        num, rel = _bayes_numerator(a, eps, risk_of, quad)
+        if eps > 0.0:
+            den = b_trunc(a, eps, quad)
+            log_den = den.value_log
+            rel += den.error_estimate
+        else:
+            log_den = log_multivariate_beta(a)
+        if rel > 1e3 * quad.rel_tol:
+            raise IntegrationError(
+                "Bayes-risk quadrature did not converge", achieved=rel
+            )
+        return num / math.exp(log_den)
 
     if mode != "mc":
         raise DomainError(f"unknown mode {mode!r}")

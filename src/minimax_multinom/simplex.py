@@ -31,14 +31,14 @@ from scipy.integrate import quad as _quad
 from .errors import DomainError, InfeasibleRegionError
 from .numkernel import (
     DEFAULT_QUADRATURE,
+    DEFAULT_SEED,
     QuadratureSettings,
+    compositions,
     log_beta_segment,
     log_multinomial,
     log_multivariate_beta,
     stable_sum,
 )
-
-_DEFAULT_SEED = 0x5EED
 
 
 class IntegrationMethod(enum.Enum):
@@ -141,7 +141,7 @@ def b_trunc(
     quad: QuadratureSettings = DEFAULT_QUADRATURE,
     method: IntegrationMethod | None = None,
     n_draws: int = 1_000_000,
-    seed: int = _DEFAULT_SEED,
+    seed: int = DEFAULT_SEED,
     batch_size: int = 65_536,
 ) -> TruncatedDirichletIntegral:
     """Dirichlet-kernel integral over the simplex floored at eps.
@@ -396,17 +396,6 @@ def lemma6_check(
     )
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of the given length summing to total,
-    in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def lemma7_check(alphas, N: int, x1: int) -> LemmaReport:
     """Aggregation identity for Dirichlet-multinomial marginals.
 
@@ -421,8 +410,8 @@ def lemma7_check(alphas, N: int, x1: int) -> LemmaReport:
         raise DomainError("x1 must lie in 0..N")
     log_b_a = log_multivariate_beta(alphas)
     terms = []
-    for rest in _compositions(N - x1, k - 1):
-        x = (x1,) + rest
+    for rest in compositions(N - x1, k - 1).tolist():
+        x = (x1, *rest)
         terms.append(
             math.exp(
                 log_multivariate_beta([xi + ai for xi, ai in zip(x, alphas)])
@@ -485,7 +474,7 @@ def lemma8_check(
 def run_lemma_suite(
     lemma: int,
     trials: int,
-    seed: int = _DEFAULT_SEED,
+    seed: int = DEFAULT_SEED,
     quad: QuadratureSettings = DEFAULT_QUADRATURE,
 ) -> LemmaReport:
     """Randomized stress suite for one numbered check.

@@ -182,6 +182,18 @@ class TestErrorHandling:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize("argv", [
+        ["risk", "--k", "2", "--N", "5", "--alpha", "1", "--theta", "nan,0.5"],
+        ["risk", "--k", "2", "--N", "5", "--alpha", "inf", "--theta", "0.5"],
+        ["sup-risk", "--k", "2", "--N", "16", "--alpha", "nan"],
+        ["compare-priors", "--k", "2", "--N", "16", "--c", "nan"],
+    ])
+    def test_non_finite_input_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "DomainError"
+
     def test_unknown_flag_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "risk", "--nope")
         assert code == 2

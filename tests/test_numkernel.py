@@ -8,43 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from minimax_multinom import (
     DomainError,
-    LogDomainValue,
     QuadratureSettings,
     beta_segment,
     log_beta_segment,
     log_binomial,
-    log_gamma,
     log_multinomial,
     log_multivariate_beta,
     stable_sum,
 )
 
 mpmath.mp.dps = 40
-
-
-class TestLogGamma:
-    def test_trivial_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-        assert log_gamma(10.0) == pytest.approx(math.log(362880), rel=1e-14)
-
-    def test_against_mpmath_over_wide_range(self):
-        """Relative error <= 1e-13 across [1e-6, 1e8]."""
-        for x in np.logspace(-6, 8, 57):
-            ref = float(mpmath.loggamma(mpmath.mpf(float(x))))
-            got = log_gamma(float(x))
-            if ref == 0.0:
-                assert abs(got) < 1e-13
-            else:
-                assert abs(got - ref) <= 1e-13 * abs(ref)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            log_gamma(bad)
 
 
 class TestLogMultivariateBeta:
@@ -61,7 +38,7 @@ class TestLogMultivariateBeta:
     def test_pairwise_identity(self, a, b):
         """B(a, b) decomposes into log-gamma differences."""
         lhs = log_multivariate_beta((a, b))
-        rhs = log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+        rhs = gammaln(a) + gammaln(b) - gammaln(a + b)
         assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
 
     def test_domain(self):
@@ -220,29 +197,3 @@ class TestQuadratureSettings:
     def test_validation(self, kw):
         with pytest.raises(DomainError):
             QuadratureSettings(**kw)
-
-
-class TestLogDomainValue:
-    def test_zero_invariant(self):
-        z = LogDomainValue.zero()
-        assert z.sign == 0 and z.log_magnitude == -math.inf
-        with pytest.raises(DomainError):
-            LogDomainValue(0.0, 0)
-
-    def test_round_trip(self):
-        for x in (3.5, -2.25, 0.0, 1e-300):
-            assert LogDomainValue.from_real(x).to_real() == pytest.approx(x, rel=1e-15)
-
-    @given(
-        st.floats(min_value=-1e6, max_value=1e6).filter(lambda v: abs(v) > 1e-6),
-        st.floats(min_value=-1e6, max_value=1e6).filter(lambda v: abs(v) > 1e-6),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_multiplication(self, x, y):
-        """Multiplication adds log magnitudes and multiplies signs."""
-        prod = LogDomainValue.from_real(x) * LogDomainValue.from_real(y)
-        assert prod.sign == int(math.copysign(1, x)) * int(math.copysign(1, y))
-        assert prod.to_real() == pytest.approx(x * y, rel=1e-12)
-
-    def test_multiplication_by_zero(self):
-        assert (LogDomainValue.from_real(5.0) * LogDomainValue.zero()).sign == 0

@@ -5,14 +5,17 @@ route in turn feeds every downstream experiment, so the identity between
 them is this suite's backbone.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import minimax_multinom.risk as risk_module
 from minimax_multinom import (
     ALPHA_MINIMAX,
+    DEFAULT_QUADRATURE,
     DomainError,
     ModelSpec,
     MonteCarloSettings,
@@ -20,6 +23,7 @@ from minimax_multinom import (
     OutcomeLabel,
     Predictive,
     PriorSpec,
+    QuadratureSettings,
     RiskMethod,
     SizeError,
     StatisticalPrecisionError,
@@ -54,6 +58,8 @@ class TestThetaPoint:
             ThetaPoint((0.5, 0.6))
         with pytest.raises(DomainError):
             ThetaPoint((1.0, 0.0))
+        with pytest.raises(DomainError):
+            ThetaPoint((math.nan, 0.5))  # NaN makes every comparison false
         ThetaPoint((0.25, 0.75))
 
     def test_complete_and_uniform(self):
@@ -68,6 +74,10 @@ class TestCompositions:
         comps = compositions(3, 2)
         assert comps.tolist() == [[0, 3], [1, 2], [2, 1], [3, 0]]
         assert len(compositions(8, 4)) == math.comb(11, 3)
+        for N, k in ((0, 1), (5, 1), (0, 3), (7, 4)):
+            ref = [list(c) for c in itertools.product(range(N + 1), repeat=k)
+                   if sum(c) == N]
+            assert compositions(N, k).tolist() == ref
 
     def test_rows_sum_to_n(self):
         comps = compositions(6, 3)
@@ -305,6 +315,23 @@ class TestBayesRisk:
                         mc=MonteCarloSettings(n_draws=150_000), mode="mc")
         assert val == pytest.approx(mc, abs=3e-4)
 
+    @pytest.mark.parametrize("alpha, k, N, floored, predictive, expected", [
+        (ALPHA_MINIMAX, 2, 14, True, "full", 0.026862818372937986),
+        (ALPHA_MINIMAX, 2, 14, True, "truncated", 0.023650372263742926),
+        (ALPHA_MINIMAX, 3, 22, True, "full", 0.03458902401221635),
+        (ALPHA_MINIMAX, 3, 22, True, "truncated", 0.029786137628711032),
+        (0.5, 2, 4, False, "full", 0.07985430661283156),  # singular kernel
+        (1.0, 2, 4, False, "full", 0.07345958697643606),
+    ])
+    def test_pinned_quadrature_values(self, alpha, k, N, floored, predictive,
+                                      expected):
+        """Regression pins: minimax weight floored at eps = N^-0.73 (the
+        sandwich's lower end), and the whole simplex (eps = 0)."""
+        trunc = TruncatedSimplex(k, N ** -0.73) if floored else None
+        val = bayes_risk(SymmetricPrior(alpha, k), ModelSpec(k, N),
+                         Predictive(predictive), trunc)
+        assert val == pytest.approx(expected, rel=1e-12 if floored else 1e-9)
+
     def test_truncated_predictive_needs_truncation(self):
         with pytest.raises(DomainError):
             bayes_risk(SymmetricPrior.uniform(2), ModelSpec(2, 4),
@@ -350,6 +377,20 @@ class TestTruncatedPredictiveRisk:
         a = risk_truncated_predictive(alpha, trunc, model, theta, table)
         b = risk_truncated_predictive(alpha, trunc, model, theta)
         assert a == b
+
+    def test_quadrature_settings_reach_log_i_trunc(self, monkeypatch):
+        seen = []
+        original = risk_module.log_i_trunc
+
+        def spy(alphas, eps, quad=DEFAULT_QUADRATURE):
+            seen.append(quad)
+            return original(alphas, eps, quad)
+
+        monkeypatch.setattr(risk_module, "log_i_trunc", spy)
+        quad = QuadratureSettings(rel_tol=1e-8)
+        TruncatedPredictiveTable(SymmetricPrior.uniform(3), TruncatedSimplex(3, 0.1),
+                                 ModelSpec(3, 2), quad)
+        assert seen and all(q is quad for q in seen)
 
 
 class TestTruncationBayesGap:
