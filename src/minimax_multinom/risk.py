@@ -10,7 +10,11 @@ Risks are in nats.  Two independent routes compute the same risk:
                            - theta_i E_{Bin(N, theta_i)} log(1 + w_i) ],
 
     with s_i = (a_i - A theta_i)/((N + A) theta_i) and
-    w_i = (x_i - N theta_i)/(N theta_i + a_i), which costs O(N k).
+    w_i = (x_i - N theta_i)/(N theta_i + a_i), which costs O(N k).  Each
+    binomial expectation is summed only over the counts within a Bernstein
+    tail window of N theta_i, O(sqrt(N theta_i (1 - theta_i)) + L) terms;
+    the dropped mass is at most 2 e^-L with L = 75, which moves a
+    coordinate's contribution by at most 2 e^-75 log1p(N / a_i).
 
 The two must agree to high accuracy; the enumeration route serves as the
 oracle for the fast one throughout the test suite.
@@ -57,6 +61,10 @@ ENUMERATION_CAP = 2_000_000
 TRUNCATED_PREDICTIVE_CAPS = {2: 64, 3: 24}
 
 _TIE_TOL = 1e-13
+
+#: nats of binomial tail the risk kernel drops: its summation window holds
+#: all but 2 e^-L of the mass (see CoordinateRiskEvaluator)
+_WINDOW_NATS = 75.0
 
 
 @dataclass(frozen=True)
@@ -184,6 +192,15 @@ class CoordinateRiskEvaluator:
     array of candidate values t of theta_i; the full risk at a point is the
     compensated sum of the k contributions.  Binomial mass terms are
     accumulated in increasing-x order with compensated summation.
+
+    E log(1+w_i) is summed over x in [ceil(N t - d), floor(N t + d)] within
+    [0, N] only, with d = L/3 + sqrt(L^2/9 + 2 L N t (1 - t)) and
+    L = 75 nats.  By Bernstein's inequality P(|X - N t| >= d) <= 2 e^-L for
+    X ~ Bin(N, t), and every dropped term has
+    |log(1+w_i)| = |log((x + a_i)/(N t + a_i))| <= log1p(N / a_i), so h_i
+    differs from the full-support sum by at most 2 e^-75 log1p(N / a_i)
+    (about 1e-31 at N = 1e4, a_i = 1e-6).  The window depends on (N, t)
+    alone; since d >= 2L/3 = 50, it is the whole support when N <= 50.
     """
 
     def __init__(self, prior: PriorSpec, model: ModelSpec):
@@ -199,12 +216,17 @@ class CoordinateRiskEvaluator:
         a_i = self.prior.a[i]
         A = self.prior.A
         N = self.model.N
+        L = _WINDOW_NATS
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any((t <= 0) | (t >= 1)):
+        # written so that NaN fails it
+        if not ((t > 0) & (t < 1)).all():
             raise DomainError("coordinate values must lie in (0, 1)")
         out = np.empty_like(t)
-        x, lg = self._x, self._lg
-        for j, tj in enumerate(t):
+        for j, tj in enumerate(t.tolist()):
+            d = L / 3 + math.sqrt(L * L / 9 + 2 * L * N * tj * (1 - tj))
+            lo = max(0, math.ceil(N * tj - d))
+            hi = min(N, math.floor(N * tj + d)) + 1
+            x, lg = self._x[lo:hi], self._lg[lo:hi]
             s = (a_i - A * tj) / ((N + A) * tj)
             logpmf = lg + x * math.log(tj) + (N - x) * math.log1p(-tj)
             w = (x - N * tj) / (N * tj + a_i)
@@ -438,7 +460,11 @@ class SeparableMaximizer:
     # -- driver ----------------------------------------------------------
 
     def maximize(self, grid_size: int = 256) -> tuple:
-        """Returns (value, ThetaPoint, trace)."""
+        """Returns (value, ThetaPoint, trace).
+
+        Raises DomainError, naming the candidate, if a candidate's value or
+        the value recomputed at the winner is not finite.
+        """
         if grid_size < 16:
             raise DomainError("grid_size must be at least 16")
         candidates: list[_Candidate] = []
@@ -471,6 +497,11 @@ class SeparableMaximizer:
 
         best = None
         for cand in candidates:
+            if not math.isfinite(cand.value):
+                raise DomainError(
+                    f"search candidate {cand.label} has non-finite value "
+                    f"{cand.value!r}"
+                )
             theta = _round_theta(cand.theta)
             if min(theta) < self.eps - 1e-12:
                 continue
@@ -485,6 +516,11 @@ class SeparableMaximizer:
         assert best is not None
         theta_pt = ThetaPoint(best[1])
         final_value = self._objective(theta_pt.theta)
+        if not math.isfinite(final_value):
+            raise DomainError(
+                f"non-finite value {final_value!r} at the winning candidate "
+                f"{best[2]}"
+            )
         trace = tuple((c.label, c.value) for c in candidates)
         return final_value, theta_pt, trace
 

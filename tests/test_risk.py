@@ -11,6 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
+from scipy.stats import binom
 
 import minimax_multinom.risk as risk_module
 from minimax_multinom import (
@@ -152,6 +156,93 @@ class TestRiskEngines:
                              ModelSpec(6, 200), ThetaPoint.uniform(6))
 
 
+def _full_support_coordinate(prior, model, i, t):
+    """h_i(t) summed over the whole binomial support: the kernel before
+    windowing, kept as the reference for the windowed one."""
+    a_i, A, N = prior.a[i], prior.A, model.N
+    x = np.arange(N + 1, dtype=float)
+    lg = gammaln(N + 1) - gammaln(x + 1) - gammaln(N - x + 1)
+    out = []
+    for tj in np.atleast_1d(np.asarray(t, dtype=float)).tolist():
+        s = (a_i - A * tj) / ((N + A) * tj)
+        logpmf = lg + x * math.log(tj) + (N - x) * math.log1p(-tj)
+        w = (x - N * tj) / (N * tj + a_i)
+        ew = math.fsum(np.exp(logpmf) * np.log1p(w))
+        out.append(-tj * math.log1p(s) - tj * ew)
+    return np.array(out)
+
+
+def _window(N, t):
+    """The kernel's summation window [lo, hi] for Bin(N, t), as documented."""
+    L = risk_module._WINDOW_NATS
+    d = L / 3 + math.sqrt(L * L / 9 + 2 * L * N * t * (1 - t))
+    return max(0, math.ceil(N * t - d)), min(N, math.floor(N * t + d))
+
+
+def _assert_window_agrees(N, t, a_i):
+    """|windowed - full| <= 2 e^-75 log1p(N / a_i) + 1 ulp(full)."""
+    prior, model = PriorSpec((a_i, 1.0)), ModelSpec(2, N)
+    windowed = risk_module.CoordinateRiskEvaluator(prior, model).coordinate(0, t)
+    full = _full_support_coordinate(prior, model, 0, t)
+    bound = 2 * math.exp(-75.0) * math.log1p(N / a_i) + np.spacing(np.abs(full))
+    assert np.isfinite(windowed).all()
+    assert (np.abs(windowed - full) <= bound).all(), (N, t, a_i, windowed, full)
+
+
+class TestWindowedKernel:
+    @pytest.mark.parametrize("a_i", [1e-6, 0.5, 1.4082, 1e6])
+    @pytest.mark.parametrize("N", [0, 1, 2, 24, 64, 1024, 4096, 20000])
+    def test_agrees_with_full_support(self, N, a_i):
+        ts = [1e-300, 0.5, 1 - 1e-12]
+        if N > 1:
+            ts.insert(1, N**-0.73)
+        _assert_window_agrees(N, np.array(ts), a_i)
+
+    @given(
+        st.integers(min_value=0, max_value=20000),
+        st.floats(min_value=1e-300, max_value=1 - 1e-12),
+        st.floats(min_value=1e-6, max_value=1e6),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_agrees_with_full_support_property(self, N, t, a_i):
+        _assert_window_agrees(N, t, a_i)
+
+    @pytest.mark.parametrize("N, t", [
+        (64, 0.5), (1024, 0.5), (1040, 1040**-0.73), (4096, 0.3),
+        (20000, 1e-3), (20000, 1 - 1e-6),
+    ])
+    def test_dropped_mass_within_bernstein_bound(self, N, t):
+        lo, hi = _window(N, t)
+        outside = binom.cdf(lo - 1, N, t) + binom.sf(hi, N, t)
+        assert outside <= 2 * math.exp(-risk_module._WINDOW_NATS)
+
+    def test_window_is_what_gets_summed(self, monkeypatch):
+        """Small supports are summed whole; large ones only over the window."""
+        lengths = []
+
+        def counting_sum(terms):
+            lengths.append(len(terms))
+            return math.fsum(terms)
+
+        monkeypatch.setattr(risk_module, "stable_sum", counting_sum)
+        prior = SymmetricPrior.minimax(2).expand()
+        for N, t in ((24, 0.3), (4096, 0.3), (4096, 1e-4)):
+            lengths.clear()
+            risk_module.CoordinateRiskEvaluator(prior, ModelSpec(2, N)).coordinate(0, t)
+            lo, hi = _window(N, t)
+            assert lengths == [hi - lo + 1]
+        assert _window(24, 0.3) == (0, 24)
+        assert _window(4096, 0.3)[1] - _window(4096, 0.3)[0] + 1 < 4097 // 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, 1.0])
+    def test_domain(self, bad):
+        ev = risk_module.CoordinateRiskEvaluator(
+            SymmetricPrior.minimax(2).expand(), ModelSpec(2, 10))
+        for t in (bad, [0.3, bad]):
+            with pytest.raises(DomainError):
+                ev.coordinate(0, t)
+
+
 class TestSupRisk:
     def test_dense_scan_oracle_k2(self):
         """The search must dominate a dense one-dimensional scan."""
@@ -232,6 +323,21 @@ class TestSupRisk:
         with pytest.raises(DomainError):
             sup_risk(SymmetricPrior.uniform(2).expand(), ModelSpec(2, 4),
                      TruncatedSimplex(2, 0.1), grid_size=8)
+
+    def test_non_finite_candidates_raise(self):
+        """A NaN from h is reported with the candidate it spoiled, not
+        passed over in favour of a finite candidate."""
+        def nan_near_03(i, t):
+            t = np.atleast_1d(np.asarray(t, dtype=float))
+            return np.where(np.abs(t - 0.3) < 0.02, np.nan, -(t - 0.4) ** 2)
+
+        def nan_everywhere(i, t):
+            return np.full(np.atleast_1d(t).shape, np.nan)
+
+        with pytest.raises(DomainError, match=r"candidate pin\[0\]@grid"):
+            risk_module.SeparableMaximizer(nan_near_03, 2, 0.05).maximize(64)
+        with pytest.raises(DomainError, match="candidate uniform"):
+            risk_module.SeparableMaximizer(nan_everywhere, 2, 0.05).maximize(64)
 
 
 class TestBayesRisk:
