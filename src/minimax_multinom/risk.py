@@ -302,8 +302,9 @@ class SeparableMaximizer:
     The search combines (a) configurations with j coordinates pinned at the
     floor and the remaining mass split evenly, (b) a one-dimensional
     tabulation-plus-refinement over the shared value of each pinned family,
-    and (c) multi-start projected coordinate ascent, exploiting that moving
-    mass between two coordinates only changes two terms of the sum.
+    and (c) multi-start projected coordinate ascent, for k >= 3, exploiting
+    that moving mass between two coordinates only changes two terms of the
+    sum; at k = 2 the pinned family covers the whole segment.
     """
 
     def __init__(
@@ -320,6 +321,8 @@ class SeparableMaximizer:
     ):
         if not (0.0 < eps < 1.0 / k):
             raise DomainError("floor must satisfy 0 < eps < 1/k")
+        if ascent_starts < 0:
+            raise DomainError("ascent_starts must be non-negative")
         self.h = h
         self.k = k
         self.eps = eps
@@ -490,10 +493,10 @@ class SeparableMaximizer:
         for res in family_results:
             candidates.extend(res)
 
-        ascent_results = ordered_map(
-            self._ascent, range(self.ascent_starts), self.threads
-        )
-        candidates.extend(ascent_results)
+        if self.k >= 3:
+            candidates.extend(
+                ordered_map(self._ascent, range(self.ascent_starts), self.threads)
+            )
 
         best = None
         for cand in candidates:
@@ -546,8 +549,9 @@ def sup_risk(
     """Maximize the prediction risk over the floored simplex.
 
     The risk is separable across coordinates, which the search exploits; the
-    returned trace lists every configuration family and ascent start with
-    the value it achieved, so a suspect supremum can be diagnosed.
+    returned trace lists every configuration family and, for k >= 3, every
+    ascent start with the value it achieved, so a suspect supremum can be
+    diagnosed.
     """
     if prior.k != model.k or trunc.k != model.k:
         raise DomainError("prior, model and truncation disagree on k")

@@ -226,3 +226,9 @@ class TestErrorProfile:
             expansion_error_profile(prior, sched, [32], variant="bogus")
         with pytest.raises(DomainError):
             expansion_error_profile(prior, sched, [32], truncation_order=5)
+
+    def test_negative_ascent_starts_rejected(self):
+        sched = EpsilonSchedule(1.0, 0.6, ScheduleMode.SECOND_ORDER)
+        prior = SymmetricPrior.uniform(2).expand()
+        with pytest.raises(DomainError, match="ascent_starts"):
+            expansion_error_profile(prior, sched, [32], ascent_starts=-5)

@@ -156,6 +156,54 @@ class TestRiskEngines:
                              ModelSpec(6, 200), ThetaPoint.uniform(6))
 
 
+@st.composite
+def _k34_cases(draw):
+    """(prior, model, theta) with k in {3, 4}, N in [0, 5000], Dirichlet
+    parameters log-uniform over [1e-6, 1e6] and theta coordinates down to
+    about 1e-300 (log weights in [-690, 0], largest pinned at 0)."""
+    k = draw(st.sampled_from([3, 4]))
+    N = draw(st.integers(min_value=0, max_value=5000))
+    log10_a = draw(st.lists(st.floats(min_value=-6.0, max_value=6.0),
+                            min_size=k, max_size=k))
+    log_w = draw(st.lists(st.floats(min_value=-690.0, max_value=0.0),
+                          min_size=k, max_size=k))
+    w = [math.exp(v - max(log_w)) for v in log_w]
+    total = math.fsum(w)
+    theta = ThetaPoint(tuple(v / total for v in w))
+    return PriorSpec(tuple(10.0**v for v in log10_a)), ModelSpec(k, N), theta
+
+
+def _risk_or_typed_error(prior, model, theta):
+    try:
+        return risk_coordinatewise(prior, model, theta).exact_risk
+    except (DomainError, SizeError) as exc:
+        return type(exc)
+
+
+class TestRiskProperties:
+    @given(_k34_cases(), st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_invariant_under_joint_permutation(self, case, data):
+        """Same risk to 1e-12 relative, or the same typed error (a
+        coordinate rounded to 1.0 lies outside the kernel's domain)."""
+        prior, model, theta = case
+        perm = data.draw(st.permutations(range(model.k)))
+        base = _risk_or_typed_error(prior, model, theta)
+        permuted = _risk_or_typed_error(prior.permuted(perm), model,
+                                        theta.permuted(perm))
+        if isinstance(base, type):
+            assert permuted is base
+        else:
+            assert permuted == pytest.approx(base, rel=1e-12, abs=0.0)
+
+    @given(_k34_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_finite_nonnegative_or_typed_error(self, case):
+        risk = _risk_or_typed_error(*case)
+        if not isinstance(risk, type):
+            assert math.isfinite(risk) and risk >= 0.0, (case, risk)
+
+
 def _full_support_coordinate(prior, model, i, t):
     """h_i(t) summed over the whole binomial support: the kernel before
     windowing, kept as the reference for the windowed one."""
@@ -243,6 +291,45 @@ class TestWindowedKernel:
                 ev.coordinate(0, t)
 
 
+_K2_PRIORS = {
+    "jeffreys": SymmetricPrior.jeffreys(2).expand(),
+    "uniform": SymmetricPrior.uniform(2).expand(),
+    "minimax": SymmetricPrior.minimax(2).expand(),
+    "a=1e-3": SymmetricPrior(1e-3, 2).expand(),
+    "a=50": SymmetricPrior(50.0, 2).expand(),
+    "a=(0.3,2.5)": PriorSpec((0.3, 2.5)),
+    "a=(3,0.7)": PriorSpec((3.0, 0.7)),
+}
+
+
+class TestK2SearchCoversAscent:
+    """At k = 2 the floored simplex is a segment that the pinned-family
+    grid and golden refine search whole, so maximize() runs no ascent.  Its
+    value must still reach every candidate of 32 multi-start ascent starts,
+    to the search's tie tolerance."""
+
+    @pytest.mark.parametrize("eps_rule", ["1e-4", "schedule", "0.2", "0.49"])
+    @pytest.mark.parametrize("N", [1, 2, 5, 16, 64, 257, 1024])
+    @pytest.mark.parametrize("prior", list(_K2_PRIORS))
+    def test_value_dominates_ascent_candidates(self, prior, N, eps_rule):
+        eps = {"1e-4": 1e-4, "schedule": min(N**-0.73, 0.45),
+               "0.2": 0.2, "0.49": 0.49}[eps_rule]
+        spec = _K2_PRIORS[prior]
+        h = risk_module.CoordinateRiskEvaluator(spec, ModelSpec(2, N)).coordinate
+        objectives = [{}]
+        if prior in ("minimax", "a=(0.3,2.5)"):
+            # |risk - 1/(2N)|: expansion_error_profile's order-1 residual
+            objectives.append({"constant": -0.5 / N, "transform": abs})
+        for kwargs in objectives:
+            m = risk_module.SeparableMaximizer(
+                h, 2, eps, symmetric=spec.is_symmetric, **kwargs)
+            best_ascent = max(m._ascent(s).value for s in range(32))
+            for grid_size in (16, 128, 512):
+                value = m.maximize(grid_size)[0]
+                assert value >= best_ascent - risk_module._TIE_TOL, (
+                    grid_size, kwargs, value, best_ascent)
+
+
 class TestSupRisk:
     def test_dense_scan_oracle_k2(self):
         """The search must dominate a dense one-dimensional scan."""
@@ -298,17 +385,29 @@ class TestSupRisk:
         assert rep.argmax_theta.theta[0] == pytest.approx(0.5, abs=1e-3)
 
     def test_trace_and_determinism(self):
-        prior = SymmetricPrior.uniform(2).expand()
-        model = ModelSpec(2, 16)
-        trunc = TruncatedSimplex(2, 0.1)
-        a = sup_risk(prior, model, trunc, grid_size=64, seed=7)
-        b = sup_risk(prior, model, trunc, grid_size=64, seed=7)
+        """At k = 2 the pinned family searches the whole segment, so no
+        ascent start runs or is traced."""
+        labels = self._deterministic_labels(2, 0.1)
+        assert not any("ascent[" in lab for lab in labels)
+
+    def test_trace_and_determinism_k3(self):
+        labels = self._deterministic_labels(3, 0.05)
+        assert any("ascent[" in lab for lab in labels)
+
+    @staticmethod
+    def _deterministic_labels(k, eps):
+        prior = SymmetricPrior.uniform(k).expand()
+        model = ModelSpec(k, 16)
+        trunc = TruncatedSimplex(k, eps)
+        a = sup_risk(prior, model, trunc, grid_size=64, seed=7, ascent_starts=4)
+        b = sup_risk(prior, model, trunc, grid_size=64, seed=7, ascent_starts=4)
         assert a.sup_value == b.sup_value
         assert a.argmax_theta.theta == b.argmax_theta.theta
+        assert a.search_trace == b.search_trace
         assert len(a.search_trace) >= 3
         labels = [lab for lab, _ in a.search_trace]
-        assert any("ascent" in lab for lab in labels)
         assert any("pin" in lab for lab in labels)
+        return labels
 
     def test_threads_do_not_change_result(self):
         prior = SymmetricPrior.minimax(3).expand()
@@ -318,6 +417,14 @@ class TestSupRisk:
         b = sup_risk(prior, model, trunc, grid_size=48, threads=4)
         assert a.sup_value == b.sup_value
         assert a.argmax_theta.theta == b.argmax_theta.theta
+
+    def test_negative_ascent_starts_rejected(self):
+        def h(i, t):
+            return np.zeros_like(np.atleast_1d(t), dtype=float)
+
+        with pytest.raises(DomainError, match="ascent_starts"):
+            risk_module.SeparableMaximizer(h, 3, 0.05, ascent_starts=-1)
+        risk_module.SeparableMaximizer(h, 3, 0.05, ascent_starts=0).maximize(32)
 
     def test_grid_size_validation(self):
         with pytest.raises(DomainError):
