@@ -61,9 +61,7 @@ from .moments import (
 from .numkernel import (
     DEFAULT_QUADRATURE,
     QuadratureSettings,
-    beta_segment,
     log_beta_segment,
-    log_binomial,
     log_multinomial,
     log_multivariate_beta,
     stable_sum,
@@ -90,7 +88,6 @@ from .simplex import (
     SLACK_FACTOR,
     TruncatedDirichletIntegral,
     b_trunc,
-    i_trunc,
     lemma1_check,
     lemma4_check,
     lemma5_check,

@@ -8,7 +8,7 @@ a number.  What is computable is the bracket
             truncated prior weight,
     upper = sup over the floored simplex of the full-prior predictive risk,
 
-whose interval provably contains the minimax value; the asymptotic theory
+whose interval provably holds the minimax value; the asymptotic theory
 says the N^2-scaled bracket width vanishes for floor schedules in the
 minimax window.
 """
@@ -211,5 +211,5 @@ def optimal_alpha_search(
     curve = ordered_map(one, alpha_grid, threads)
     alpha_star = min(curve, key=lambda av: (av[1], av[0]))[0]
     if any(not math.isfinite(v) for _, v in curve):
-        raise CheckFailure("sup risk curve contains non-finite values")
+        raise CheckFailure("sup risk curve has non-finite values")
     return alpha_star, curve

@@ -356,6 +356,9 @@ def _cmd_moments(args, config: RunConfig) -> int:
 
 def _cmd_optimal_alpha(args, config: RunConfig) -> int:
     lo, hi, step = (float(v) for v in args.alpha_grid.split(":"))
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)
+            and step > 0):
+        raise DomainError("--alpha-grid needs finite start:stop:step with step > 0")
     grid = []
     v = lo
     while v <= hi + 1e-12:
@@ -568,11 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(config: RunConfig, args) -> int:
-    """Dispatch a parsed configuration to its handler."""
-    return args.handler(args, config)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -596,7 +594,7 @@ def main(argv=None) -> int:
         bits=args.bits,
     )
     try:
-        return run(config, args)
+        return args.handler(args, config)
     except (DomainError, SizeError, ValueError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 2

@@ -66,11 +66,6 @@ class ExpansionTerms:
     t2: float
     t3: float
     t4: float
-    truncation_order: int = 4
-
-    def __post_init__(self):
-        if not 1 <= self.truncation_order <= 4:
-            raise DomainError("truncation_order must lie in 1..4")
 
     def upto(self, order: int) -> float:
         if not 1 <= order <= 4:
@@ -79,7 +74,7 @@ class ExpansionTerms:
 
     @property
     def total(self) -> float:
-        return self.upto(self.truncation_order)
+        return self.upto(4)
 
 
 def _poly(coeffs, x: float) -> float:
@@ -87,6 +82,31 @@ def _poly(coeffs, x: float) -> float:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def _kept_terms(prior: PriorSpec, truncation_order: int, variant: str):
+    """The tabulated terms kept at a truncation order and variant.
+
+    Returns (coord_terms, consts): coord_terms[i] lists coordinate i's
+    (order, p, poly(a_i), den) terms, each contributing
+    poly(a_i) / (den theta_i^p N^order), in table order (the profile's
+    residual adds them in this order, which fixes its last bits); consts
+    maps each order whose (A, k) constant is kept to that constant.
+    Variant "reduced" keeps, beyond order two, only the highest
+    inverse-theta power of each order and drops its constant.
+    """
+    coord_terms = [[] for _ in prior.a]
+    consts = {}
+    for order in range(2, truncation_order + 1):
+        pows = EXPANSION_TABLE[order]["theta_pows"]
+        if variant == "reduced" and order > 2:
+            pows = {max(pows): pows[max(pows)]}
+        else:
+            consts[order] = EXPANSION_TABLE[order]["const"](prior.A, prior.k)
+        for p, (coeffs, den) in pows.items():
+            for terms, a_i in zip(coord_terms, prior.a):
+                terms.append((order, p, _poly(coeffs, a_i), den))
+    return coord_terms, consts
 
 
 def risk_expansion(
@@ -97,17 +117,17 @@ def risk_expansion(
         raise DomainError("prior, model and theta disagree on k")
     if model.N < 1:
         raise DomainError("the expansion needs N >= 1")
-    k, N, A = model.k, float(model.N), prior.A
+    k, N = model.k, float(model.N)
+    coord_terms, consts = _kept_terms(prior, 4, "full")
     terms = [(k - 1) / (2.0 * N)]
     for order in (2, 3, 4):
-        spec = EXPANSION_TABLE[order]
-        parts = []
-        for p, (coeffs, den) in spec["theta_pows"].items():
-            parts.extend(
-                _poly(coeffs, a_i) / (den * t_i**p)
-                for a_i, t_i in zip(prior.a, theta.theta)
-            )
-        parts.append(spec["const"](A, k))
+        parts = [
+            poly / (den * t_i**p)
+            for coord, t_i in zip(coord_terms, theta.theta)
+            for o, p, poly, den in coord
+            if o == order
+        ]
+        parts.append(consts[order])
         terms.append(stable_sum(parts) / N**order)
     return ExpansionTerms(*terms)
 
@@ -172,10 +192,6 @@ def jeffreys_witness_theta(k: int, eps: float) -> ThetaPoint:
 @dataclass(frozen=True)
 class IdentityReport:
     rows: tuple  # (name, lhs, rhs, abs_diff)
-
-    @property
-    def max_abs_diff(self) -> float:
-        return max(r[3] for r in self.rows)
 
 
 def minimax_alpha_identities(rtol: float = 1e-13) -> IdentityReport:
@@ -257,37 +273,23 @@ def expansion_error_profile(
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise DomainError("N_list must be strictly increasing")
     k = prior.k
+    coord_terms, consts = _kept_terms(prior, truncation_order, variant)
 
     def one_row(N: int) -> ProfileRow:
         model = ModelSpec(k, N)
         eps = schedule.eps(N)
         ev = CoordinateRiskEvaluator(prior, model)
         Nf = float(N)
-
-        # per-coordinate expansion contribution and (A, k) constants
-        def expansion_coord(i: int, t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            acc = np.zeros_like(t)
-            for order in range(2, truncation_order + 1):
-                spec = EXPANSION_TABLE[order]
-                top_power = max(spec["theta_pows"])
-                for p, (coeffs, den) in spec["theta_pows"].items():
-                    if variant == "reduced" and order > 2 and p != top_power:
-                        continue
-                    acc += _poly(coeffs, prior.a[i]) / (den * t**p) / Nf**order
-            return acc
-
-        constant = (k - 1) / (2.0 * Nf) if truncation_order >= 1 else 0.0
-        consts = []
-        for order in range(2, truncation_order + 1):
-            if variant == "reduced" and order > 2:
-                continue
-            consts.append(EXPANSION_TABLE[order]["const"](prior.A, k) / Nf**order)
-        constant += stable_sum(consts)
+        constant = (k - 1) / (2.0 * Nf) + stable_sum(
+            c / Nf**order for order, c in consts.items()
+        )
 
         def residual_coord(i: int, t) -> np.ndarray:
             t = np.atleast_1d(np.asarray(t, dtype=float))
-            return ev.coordinate(i, t) - expansion_coord(i, t)
+            expansion = np.zeros_like(t)
+            for order, p, poly, den in coord_terms[i]:
+                expansion += poly / (den * t**p) / Nf**order
+            return ev.coordinate(i, t) - expansion
 
         maximizer = SeparableMaximizer(
             residual_coord,

@@ -48,13 +48,6 @@ class ModelSpec:
         if self.N < 0:
             raise DomainError("sample size must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {"k": self.k, "N": self.N}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(k=int(d["k"]), N=int(d["N"]))
-
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -87,13 +80,6 @@ class PriorSpec:
     def permuted(self, perm) -> "PriorSpec":
         return PriorSpec(tuple(self.a[p] for p in perm))
 
-    def to_dict(self) -> dict:
-        return {"a": list(self.a)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PriorSpec":
-        return cls(tuple(d["a"]))
-
 
 @dataclass(frozen=True)
 class SymmetricPrior:
@@ -123,13 +109,6 @@ class SymmetricPrior:
     def expand(self) -> PriorSpec:
         return PriorSpec((self.alpha,) * self.k)
 
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "k": self.k}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SymmetricPrior":
-        return cls(alpha=float(d["alpha"]), k=int(d["k"]))
-
 
 @dataclass(frozen=True)
 class TruncatedSimplex:
@@ -143,19 +122,6 @@ class TruncatedSimplex:
             raise DomainError("need at least two categories")
         if not (0.0 < self.eps < 1.0 / self.k):
             raise DomainError(f"need 0 < eps < 1/k, got eps={self.eps!r}, k={self.k}")
-
-    def contains(self, theta) -> bool:
-        theta = tuple(theta)
-        if len(theta) != self.k:
-            return False
-        return min(theta) >= self.eps
-
-    def to_dict(self) -> dict:
-        return {"k": self.k, "eps": self.eps}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TruncatedSimplex":
-        return cls(k=int(d["k"]), eps=float(d["eps"]))
 
 
 class ScheduleMode(enum.Enum):
@@ -202,18 +168,13 @@ class EpsilonSchedule:
                 )
 
     def eps(self, N: int) -> float:
+        if N < 1:
+            raise DomainError(f"the floor schedule needs N >= 1, got N={N}")
         return self.c * float(N) ** (-self.r)
 
     def truncation(self, N: int, k: int) -> TruncatedSimplex:
         """The floor region at sample size N; raises if eps_N >= 1/k."""
         return TruncatedSimplex(k, self.eps(N))
-
-    def to_dict(self) -> dict:
-        return {"c": self.c, "r": self.r, "mode": self.mode.value}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EpsilonSchedule":
-        return cls(c=float(d["c"]), r=float(d["r"]), mode=ScheduleMode(d["mode"]))
 
 
 @dataclass(frozen=True)

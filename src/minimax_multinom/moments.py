@@ -282,16 +282,6 @@ class BoundReport:
     passed: bool
     criterion: str = "final <= 1.05 * max(first half)"
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "rows": [
-                {"N": n, "eps": e, "sup": s} for (n, e, s) in self.rows
-            ],
-            "passed": self.passed,
-            "criterion": self.criterion,
-        }
-
 
 def _theta_grid(eps: float, points: int) -> np.ndarray:
     """Log-spaced grid on [eps, 1]: dense near the floor where the extremal

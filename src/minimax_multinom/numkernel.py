@@ -82,16 +82,6 @@ def compositions(N: int, k: int) -> np.ndarray:
     return np.diff(edges, axis=1) - 1
 
 
-def log_binomial(N: int, x: int) -> float:
-    """ln C(N, x), exact to double rounding for moderate N."""
-    if x < 0 or N < 0 or x > N:
-        raise DomainError(f"log_binomial requires 0 <= x <= N, got N={N}, x={x}")
-    if N <= _EXACT_COMB_LIMIT:
-        # math.log handles arbitrarily large ints without overflow
-        return math.log(math.comb(N, x))
-    return float(_gammaln(N + 1) - _gammaln(x + 1) - _gammaln(N - x + 1))
-
-
 def log_multinomial(N: int, x) -> float:
     """ln of the multinomial coefficient N! / (x_1! ... x_k!)."""
     x = tuple(int(v) for v in x)
@@ -184,17 +174,6 @@ def log_beta_segment(
             achieved=err / abs(val),
         )
     return scale + math.log(val)
-
-
-def beta_segment(
-    alpha: float,
-    beta: float,
-    s: float,
-    t: float,
-    quad: QuadratureSettings = DEFAULT_QUADRATURE,
-) -> float:
-    """int_s^t th^(alpha-1) (1-th)^(beta-1) dth on the linear scale."""
-    return math.exp(log_beta_segment(alpha, beta, s, t, quad))
 
 
 def stable_sum(terms) -> float:

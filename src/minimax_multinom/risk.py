@@ -77,8 +77,8 @@ class ThetaPoint:
         theta = tuple(float(v) for v in self.theta)
         if len(theta) < 2:
             raise DomainError("need at least two coordinates")
-        if not all(math.isfinite(v) and v > 0.0 for v in theta):
-            raise DomainError("theta must be strictly positive and finite")
+        if not all(0.0 < v < 1.0 for v in theta):  # False for NaN too
+            raise DomainError("every theta coordinate must lie in (0, 1)")
         if abs(stable_sum(theta) - 1.0) > 1e-14:
             raise DomainError(f"theta must sum to 1, got {stable_sum(theta)!r}")
         object.__setattr__(self, "theta", theta)

@@ -5,8 +5,8 @@ The central objects are
     b_trunc(alphas, eps)  = integral of the Dirichlet kernel
                             prod theta_i^(alpha_i - 1) over the simplex with
                             every coordinate floored at eps, and
-    i_trunc               = that integral divided by the full multivariate
-                            Beta value, i.e. the retained mass fraction.
+    log_i_trunc           = ln of that integral over the full multivariate
+                            Beta value, i.e. of the retained mass fraction.
 
 For k = 2 the integral is a Beta-kernel segment and is evaluated in closed
 form; for moderate k it is reduced recursively to nested one-dimensional
@@ -216,17 +216,6 @@ def log_i_trunc(
     """ln of the retained mass fraction; always <= 0."""
     b = b_trunc(alphas, eps, quad, method, **kw)
     return b.value_log - log_multivariate_beta(b.alphas)
-
-
-def i_trunc(
-    alphas,
-    eps: float,
-    quad: QuadratureSettings = DEFAULT_QUADRATURE,
-    method: IntegrationMethod | None = None,
-    **kw,
-) -> float:
-    """Fraction of Dirichlet mass retained after flooring, in (0, 1]."""
-    return math.exp(log_i_trunc(alphas, eps, quad, method, **kw))
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +472,8 @@ def run_lemma_suite(
     (seed, lemma number), so reports are reproducible and independent of
     any parallelism in the caller.
     """
+    if trials < 1:
+        raise DomainError(f"trials must be a positive integer, got {trials}")
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, lemma], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     report: LemmaReport | None = None
@@ -531,7 +522,6 @@ def run_lemma_suite(
         else:
             raise DomainError(f"no randomized suite for lemma {lemma}")
 
-    assert report is not None
     report.trials = trials
     report.seed = seed
     return report

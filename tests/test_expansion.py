@@ -65,7 +65,8 @@ class TestTermAgreement:
 class TestIdentities:
     def test_all_pass(self):
         report = minimax_alpha_identities()
-        assert report.max_abs_diff <= 1e-13 * 300  # scales with the lhs sizes
+        # scales with the lhs sizes
+        assert max(r[3] for r in report.rows) <= 1e-13 * 300
         names = [r[0] for r in report.rows]
         assert "quadratic(ah) = 0" in names
         assert any("k=8" in n for n in names)
@@ -216,6 +217,25 @@ class TestErrorProfile:
                                        ascent_starts=6)
         scaled = [r.scaled_residual for r in rows]
         assert scaled[-1] <= 1.05 * scaled[0]
+
+    @pytest.mark.parametrize("a", [(0.7, 1.9), (0.7, 1.9, 3.1)])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_residual_matches_risk_expansion(self, a, order):
+        """At its argmax the profile's residual equals |exact risk -
+        risk_expansion truncated at the same order| to 1e-14 of the risk:
+        both evaluate the same tabulated terms."""
+        sched = EpsilonSchedule(1.0, 0.6, ScheduleMode.SECOND_ORDER)
+        prior = PriorSpec(a)
+        rows = expansion_error_profile(prior, sched, [48, 96],
+                                       truncation_order=order, grid_size=32,
+                                       ascent_starts=2)
+        for row in rows:
+            model = ModelSpec(prior.k, row.N)
+            theta = ThetaPoint(row.argmax_theta)
+            exact = risk_coordinatewise(prior, model, theta).exact_risk
+            terms = risk_expansion(prior, model, theta)
+            residual = abs(exact - terms.upto(order))
+            assert abs(residual - row.sup_abs_residual) <= 1e-14 * exact
 
     def test_validation(self):
         sched = EpsilonSchedule(1.0, 0.6, ScheduleMode.SECOND_ORDER)

@@ -1,6 +1,5 @@
 """Model types, predictive densities, and their invariants."""
 
-import json
 import math
 
 import numpy as np
@@ -20,7 +19,7 @@ from minimax_multinom import (
     predictive_density,
     truncated_predictive_density,
 )
-from minimax_multinom.numkernel import beta_segment
+from minimax_multinom.numkernel import log_beta_segment
 
 
 class TestTypes:
@@ -52,9 +51,7 @@ class TestTypes:
         assert 1.0 / ALPHA_MINIMAX == pytest.approx(0.7101, abs=5e-5)
 
     def test_truncated_simplex(self):
-        t = TruncatedSimplex(3, 0.1)
-        assert t.contains((0.1, 0.4, 0.5))
-        assert not t.contains((0.05, 0.45, 0.5))
+        TruncatedSimplex(3, 0.1)
         with pytest.raises(DomainError):
             TruncatedSimplex(3, 0.34)
         with pytest.raises(DomainError):
@@ -73,6 +70,9 @@ class TestTypes:
                 EpsilonSchedule(bad, 0.73, ScheduleMode.MINIMAX)
         sched = EpsilonSchedule(2.0, 0.5, ScheduleMode.SECOND_ORDER)
         assert sched.eps(16) == pytest.approx(0.5)
+        for N in (0, -4):
+            with pytest.raises(DomainError):
+                sched.eps(N)
         with pytest.raises(DomainError):
             sched.truncation(16, 2)  # eps = 0.5 not < 1/2
 
@@ -88,33 +88,6 @@ class TestTypes:
         OutcomeLabel(2).check_against(ModelSpec(3, 1))
         with pytest.raises(DomainError):
             OutcomeLabel(3).check_against(ModelSpec(3, 1))
-
-
-class TestJsonRoundTrips:
-    """Serialized field names are part of the public contract."""
-
-    def test_field_names(self):
-        assert json.loads(json.dumps(ModelSpec(3, 7).to_dict())) == {"k": 3, "N": 7}
-        assert PriorSpec((1.0, 2.0)).to_dict() == {"a": [1.0, 2.0]}
-        assert SymmetricPrior(1.5, 4).to_dict() == {"alpha": 1.5, "k": 4}
-        assert TruncatedSimplex(2, 0.1).to_dict() == {"k": 2, "eps": 0.1}
-        assert EpsilonSchedule(1.0, 0.73).to_dict() == {
-            "c": 1.0, "r": 0.73, "mode": "minimax",
-        }
-
-    @pytest.mark.parametrize(
-        "obj",
-        [
-            ModelSpec(5, 12),
-            PriorSpec((0.5, 0.75, 3.0)),
-            SymmetricPrior(2.5, 3),
-            TruncatedSimplex(4, 0.05),
-            EpsilonSchedule(0.5, 0.6, ScheduleMode.SECOND_ORDER),
-        ],
-    )
-    def test_round_trip(self, obj):
-        restored = type(obj).from_dict(json.loads(json.dumps(obj.to_dict())))
-        assert restored == obj
 
 
 class TestPredictiveDensity:
@@ -215,7 +188,7 @@ class TestTruncatedPredictiveDensity:
         )
         assert val == pytest.approx(13.0 / 24.0, rel=1e-10)
         # same number assembled from raw segments
-        seg = lambda a, b: beta_segment(a, b, 0.25, 0.75)
+        seg = lambda a, b: math.exp(log_beta_segment(a, b, 0.25, 0.75))
         manual = (2.0 / 3.0) * (seg(3, 1) / (1 / 3)) / (seg(2, 1) / (1 / 2))
         assert val == pytest.approx(manual, rel=1e-10)
 

@@ -168,11 +168,6 @@ class TestRatioBounds:
         odd, even = moment_ratio_bound_check(3, SCHEDULE, DEEP_SWEEP, grid_points=512)
         assert odd.passed and even.passed
 
-    def test_report_serialization(self):
-        odd, _ = moment_ratio_bound_check(1, SCHEDULE, [512, 1024], grid_points=64)
-        d = odd.to_dict()
-        assert set(d) == {"label", "rows", "passed", "criterion"}
-
     def test_domain(self):
         with pytest.raises(DomainError):
             moment_ratio_bound_check(0, SCHEDULE, [16])

@@ -13,9 +13,7 @@ from scipy.special import gammaln
 from minimax_multinom import (
     DomainError,
     QuadratureSettings,
-    beta_segment,
     log_beta_segment,
-    log_binomial,
     log_multinomial,
     log_multivariate_beta,
     stable_sum,
@@ -48,36 +46,34 @@ class TestLogMultivariateBeta:
             log_multivariate_beta((1.0, 0.0))
 
 
-class TestLogBinomial:
-    def test_trivial_values(self):
-        assert log_binomial(5, 0) == 0.0
-        assert log_binomial(4, 2) == pytest.approx(math.log(6), rel=1e-15)
-
-    def test_exact_bigint_oracle(self):
-        """ln C(100, 50) against the exact integer binomial."""
-        exact = math.log(math.comb(100, 50))
-        assert log_binomial(100, 50) == pytest.approx(exact, rel=1e-14)
-        assert exact == pytest.approx(66.78384165201743, rel=1e-12)
-
-    def test_gammaln_path_matches_exact(self):
-        # N above the exact-integer cutoff
-        got = log_binomial(15000, 7500)
-        exact = math.log(math.comb(15000, 7500))
-        assert got == pytest.approx(exact, rel=1e-13)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_binomial(4, 5)
-        with pytest.raises(DomainError):
-            log_binomial(-1, 0)
-
-
 class TestLogMultinomial:
     def test_factorizes_into_binomials(self):
         # C(N; x1, x2, x3) = C(N, x1) * C(N - x1, x2)
         lhs = log_multinomial(10, (3, 5, 2))
-        rhs = log_binomial(10, 3) + log_binomial(7, 5)
+        rhs = math.log(math.comb(10, 3)) + math.log(math.comb(7, 5))
         assert lhs == pytest.approx(rhs, rel=1e-14)
+
+    def test_binomial_trivial_values(self):
+        assert log_multinomial(5, (0, 5)) == 0.0
+        assert log_multinomial(4, (2, 2)) == pytest.approx(math.log(6), rel=1e-15)
+
+    def test_binomial_exact_bigint_oracle(self):
+        """ln C(100, 50) against the exact integer binomial."""
+        exact = math.log(math.comb(100, 50))
+        assert log_multinomial(100, (50, 50)) == pytest.approx(exact, rel=1e-14)
+        assert exact == pytest.approx(66.78384165201743, rel=1e-12)
+
+    def test_binomial_gammaln_path_matches_exact(self):
+        # N above the exact-integer cutoff
+        got = log_multinomial(15000, (7500, 7500))
+        exact = math.log(math.comb(15000, 7500))
+        assert got == pytest.approx(exact, rel=1e-13)
+
+    def test_binomial_domain(self):
+        with pytest.raises(DomainError):
+            log_multinomial(4, (5, -1))
+        with pytest.raises(DomainError):
+            log_multinomial(-1, (0, -1))
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -86,13 +82,13 @@ class TestLogMultinomial:
 
 class TestBetaSegment:
     def test_uniform_full_interval(self):
-        assert beta_segment(1, 1, 0, 1) == pytest.approx(1.0, rel=1e-14)
+        assert math.exp(log_beta_segment(1, 1, 0, 1)) == pytest.approx(1.0, rel=1e-14)
 
     def test_full_interval_equals_beta(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             a, b = np.exp(rng.uniform(np.log(0.1), np.log(50.0), size=2))
-            full = beta_segment(a, b, 0.0, 1.0)
+            full = math.exp(log_beta_segment(a, b, 0.0, 1.0))
             assert full == pytest.approx(
                 math.exp(log_multivariate_beta((a, b))), rel=1e-12
             )
@@ -100,7 +96,8 @@ class TestBetaSegment:
     def test_polynomial_antiderivative_oracle(self):
         """theta (1-theta)^2 integrates to 11/192 over [1/4, 3/4]."""
         exact = Fraction(11, 192)
-        assert beta_segment(2, 3, 0.25, 0.75) == pytest.approx(float(exact), rel=1e-12)
+        got = math.exp(log_beta_segment(2, 3, 0.25, 0.75))
+        assert got == pytest.approx(float(exact), rel=1e-12)
 
     def test_tiny_upper_tail_against_mpmath(self):
         # mass ~ 2e-9: the naive incomplete-beta difference loses 8 digits
@@ -108,7 +105,8 @@ class TestBetaSegment:
         ref = float(mpmath.quad(
             lambda t: t ** (a - 1) * (1 - t) ** (b - 1), [mpmath.mpf(s), 1]
         ))
-        assert beta_segment(a, b, s, 1.0) == pytest.approx(ref, rel=1e-11)
+        got = math.exp(log_beta_segment(a, b, s, 1.0))
+        assert got == pytest.approx(ref, rel=1e-11)
 
     def test_interior_sliver_against_mpmath(self):
         a, b = 3.0, 40.0
@@ -116,7 +114,7 @@ class TestBetaSegment:
         ref = float(mpmath.quad(
             lambda u: u ** (a - 1) * (1 - u) ** (b - 1), [mpmath.mpf(s), mpmath.mpf(t)]
         ))
-        assert beta_segment(a, b, s, t) == pytest.approx(ref, rel=1e-9)
+        assert math.exp(log_beta_segment(a, b, s, t)) == pytest.approx(ref, rel=1e-9)
 
     @given(
         st.floats(min_value=0.2, max_value=5.0),
@@ -130,30 +128,27 @@ class TestBetaSegment:
         """Adjacent segments add up to the enclosing segment."""
         t = s + d1
         u = t + d2
-        left = beta_segment(a, b, s, t)
-        right = beta_segment(a, b, t, u)
-        whole = beta_segment(a, b, s, u)
+        left = math.exp(log_beta_segment(a, b, s, t))
+        right = math.exp(log_beta_segment(a, b, t, u))
+        whole = math.exp(log_beta_segment(a, b, s, u))
         assert left + right == pytest.approx(whole, rel=1e-10, abs=1e-14)
 
     def test_monotone_in_endpoints(self):
         a, b = 1.7, 2.3
-        vals_t = [beta_segment(a, b, 0.1, t) for t in (0.3, 0.5, 0.7, 0.9)]
+        vals_t = [math.exp(log_beta_segment(a, b, 0.1, t))
+                  for t in (0.3, 0.5, 0.7, 0.9)]
         assert all(x < y for x, y in zip(vals_t, vals_t[1:]))
-        vals_s = [beta_segment(a, b, s, 0.9) for s in (0.1, 0.3, 0.5, 0.7)]
+        vals_s = [math.exp(log_beta_segment(a, b, s, 0.9))
+                  for s in (0.1, 0.3, 0.5, 0.7)]
         assert all(x > y for x, y in zip(vals_s, vals_s[1:]))
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            beta_segment(1, 1, 0.5, 0.5)
+            log_beta_segment(1, 1, 0.5, 0.5)
         with pytest.raises(DomainError):
-            beta_segment(1, 1, 0.7, 0.2)
+            log_beta_segment(1, 1, 0.7, 0.2)
         with pytest.raises(DomainError):
-            beta_segment(0.0, 1, 0.0, 1.0)
-
-    def test_log_variant_consistency(self):
-        v = beta_segment(2.5, 3.5, 0.2, 0.8)
-        assert math.log(v) == pytest.approx(log_beta_segment(2.5, 3.5, 0.2, 0.8),
-                                            rel=1e-13)
+            log_beta_segment(0.0, 1, 0.0, 1.0)
 
 
 class TestStableSum:

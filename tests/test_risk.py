@@ -64,6 +64,9 @@ class TestThetaPoint:
             ThetaPoint((1.0, 0.0))
         with pytest.raises(DomainError):
             ThetaPoint((math.nan, 0.5))  # NaN makes every comparison false
+        with pytest.raises(DomainError):
+            # sums to 1 in double, but one coordinate has rounded up to 1
+            ThetaPoint((1.0, 8.5e-17, 1.15e-17))
         ThetaPoint((0.25, 0.75))
 
     def test_complete_and_uniform(self):
@@ -160,7 +163,9 @@ class TestRiskEngines:
 def _k34_cases(draw):
     """(prior, model, theta) with k in {3, 4}, N in [0, 5000], Dirichlet
     parameters log-uniform over [1e-6, 1e6] and theta coordinates down to
-    about 1e-300 (log weights in [-690, 0], largest pinned at 0)."""
+    about 1e-300 (log weights in [-690, 0], largest pinned at 0).  theta is
+    a plain tuple: a draw whose largest coordinate rounds to 1 is not a
+    ThetaPoint, so the point is built where typed errors are compared."""
     k = draw(st.sampled_from([3, 4]))
     N = draw(st.integers(min_value=0, max_value=5000))
     log10_a = draw(st.lists(st.floats(min_value=-6.0, max_value=6.0),
@@ -169,13 +174,13 @@ def _k34_cases(draw):
                           min_size=k, max_size=k))
     w = [math.exp(v - max(log_w)) for v in log_w]
     total = math.fsum(w)
-    theta = ThetaPoint(tuple(v / total for v in w))
+    theta = tuple(v / total for v in w)
     return PriorSpec(tuple(10.0**v for v in log10_a)), ModelSpec(k, N), theta
 
 
 def _risk_or_typed_error(prior, model, theta):
     try:
-        return risk_coordinatewise(prior, model, theta).exact_risk
+        return risk_coordinatewise(prior, model, ThetaPoint(theta)).exact_risk
     except (DomainError, SizeError) as exc:
         return type(exc)
 
@@ -185,12 +190,12 @@ class TestRiskProperties:
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_invariant_under_joint_permutation(self, case, data):
         """Same risk to 1e-12 relative, or the same typed error (a
-        coordinate rounded to 1.0 lies outside the kernel's domain)."""
+        coordinate rounded to 1.0 is not a ThetaPoint)."""
         prior, model, theta = case
         perm = data.draw(st.permutations(range(model.k)))
         base = _risk_or_typed_error(prior, model, theta)
         permuted = _risk_or_typed_error(prior.permuted(perm), model,
-                                        theta.permuted(perm))
+                                        tuple(theta[p] for p in perm))
         if isinstance(base, type):
             assert permuted is base
         else:

@@ -12,13 +12,13 @@ from minimax_multinom import (
     InfeasibleRegionError,
     IntegrationMethod,
     b_trunc,
-    i_trunc,
     lemma1_check,
     lemma4_check,
     lemma5_check,
     lemma6_check,
     lemma7_check,
     lemma8_check,
+    log_i_trunc,
     log_multivariate_beta,
     run_lemma_suite,
 )
@@ -39,7 +39,8 @@ class TestTruncatedIntegrals:
         for eps in (0.05, 0.2, 0.4):
             res = b_trunc((1.0, 1.0), eps)
             assert res.value == pytest.approx(1 - 2 * eps, rel=1e-12)
-            assert i_trunc((1.0, 1.0), eps) == pytest.approx(1 - 2 * eps, rel=1e-12)
+            frac = math.exp(log_i_trunc((1.0, 1.0), eps))
+            assert frac == pytest.approx(1 - 2 * eps, rel=1e-12)
 
     def test_uniform_k3_similar_simplex(self):
         """Flooring the uniform 3-simplex shrinks it by (1 - 3 eps)^2."""
@@ -58,14 +59,15 @@ class TestTruncatedIntegrals:
             k = int(rng.integers(2, 4))
             alphas = tuple(np.exp(rng.uniform(-1, 1.5, size=k)))
             eps = float(rng.uniform(1e-4, 0.9 / k))
-            frac = i_trunc(alphas, eps)
+            frac = math.exp(log_i_trunc(alphas, eps))
             assert 0.0 < frac <= 1.0
             if eps > 1e-3:
                 assert frac < 1.0
 
     def test_monotone_in_floor(self):
         alphas = (1.3, 0.8)
-        vals = [i_trunc(alphas, e) for e in (0.01, 0.05, 0.1, 0.2, 0.3)]
+        vals = [math.exp(log_i_trunc(alphas, e))
+                for e in (0.01, 0.05, 0.1, 0.2, 0.3)]
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
     def test_exact_vs_forced_quadrature_k2(self):
