@@ -59,15 +59,13 @@ from .moments import (
     moment_recurrence,
 )
 from .numkernel import (
-    DEFAULT_QUADRATURE,
-    QuadratureSettings,
+    MonteCarloSettings,
     log_beta_segment,
     log_multinomial,
     log_multivariate_beta,
     stable_sum,
 )
 from .risk import (
-    MonteCarloSettings,
     Predictive,
     RiskMethod,
     RiskReport,

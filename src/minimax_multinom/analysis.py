@@ -30,8 +30,7 @@ from .model import (
     ScheduleMode,
     SymmetricPrior,
 )
-from .numkernel import DEFAULT_QUADRATURE, QuadratureSettings
-from .risk import MonteCarloSettings, Predictive, bayes_risk, sup_risk
+from .risk import Predictive, bayes_risk, sup_risk
 
 
 def prior_label(alpha: float) -> str:
@@ -126,8 +125,6 @@ def minimax_sandwich(
     N_list,
     schedule: EpsilonSchedule,
     grid_size: int = 512,
-    quad: QuadratureSettings = DEFAULT_QUADRATURE,
-    mc: MonteCarloSettings | None = None,
     seed: int = DEFAULT_SEED,
     threads: int | None = 1,
 ) -> SandwichResult:
@@ -149,12 +146,8 @@ def minimax_sandwich(
             prior.expand(), model, trunc,
             grid_size=grid_size, seed=seed, threads=1,
         ).sup_value
-        lower = bayes_risk(
-            prior, model, Predictive.TRUNCATED, trunc, quad, mc, threads=1
-        )
-        bayes_full = bayes_risk(
-            prior, model, Predictive.FULL, trunc, quad, mc, threads=1
-        )
+        lower = bayes_risk(prior, model, Predictive.TRUNCATED, trunc)
+        bayes_full = bayes_risk(prior, model, Predictive.FULL, trunc)
         return upper, lower, bayes_full
 
     results = ordered_map(one, list(N_list), threads)

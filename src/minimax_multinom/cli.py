@@ -54,6 +54,13 @@ LN2 = math.log(2.0)
 
 _EPILOG = "Risks and Bayes risks are in nats; pass --bits to rescale by 1/ln 2."
 
+#: the symmetric priors known by name
+_NAMED_PRIORS = {
+    "jeffreys": SymmetricPrior.jeffreys,
+    "uniform": SymmetricPrior.uniform,
+    "minimax": SymmetricPrior.minimax,
+}
+
 
 @dataclass
 class RunConfig:
@@ -115,13 +122,8 @@ def _parse_theta(text: str, k: int) -> ThetaPoint:
 
 
 def _parse_prior(args, k: int) -> PriorSpec:
-    named = {
-        "jeffreys": SymmetricPrior.jeffreys,
-        "uniform": SymmetricPrior.uniform,
-        "minimax": SymmetricPrior.minimax,
-    }
     if getattr(args, "prior", None):
-        return named[args.prior](k).expand()
+        return _NAMED_PRIORS[args.prior](k).expand()
     if getattr(args, "a", None):
         return PriorSpec(tuple(_parse_floats(args.a)))
     if getattr(args, "alpha", None) is not None:
@@ -250,16 +252,11 @@ def _cmd_sup_risk(args, config: RunConfig) -> int:
 
 
 def _cmd_compare_priors(args, config: RunConfig) -> int:
-    named = {
-        "jeffreys": SymmetricPrior.jeffreys(args.k),
-        "uniform": SymmetricPrior.uniform(args.k),
-        "minimax": SymmetricPrior.minimax(args.k),
-    }
     priors = []
     for token in args.priors.split(","):
         token = token.strip()
-        if token in named:
-            priors.append(named[token])
+        if token in _NAMED_PRIORS:
+            priors.append(_NAMED_PRIORS[token](args.k))
         else:
             priors.append(SymmetricPrior(float(token), args.k))
     rows = compare_priors(
@@ -338,11 +335,13 @@ def _cmd_verify_lemmas(args, config: RunConfig) -> int:
 
 
 def _cmd_moments(args, config: RunConfig) -> int:
+    if (args.N is None) != (args.theta is None):
+        raise DomainError("--N and --theta must be given together")
     polys = moment_recurrence(args.m_max)
     rows = []
     for poly in polys:
         row = {"order": poly.order, "pretty": poly.pretty()}
-        if args.N is not None and args.theta is not None:
+        if args.N is not None:
             row["value"] = float(poly.evaluate(args.N, args.theta))
             if poly.order <= 8:
                 row["closed_form"] = moment_closed_form(poly.order, args.N, args.theta)
@@ -416,7 +415,7 @@ def _add_prior_args(sp):
     sp.add_argument("--alpha", type=float, default=None,
                     help="symmetric Dirichlet concentration")
     sp.add_argument("--a", default=None, help="comma-joined Dirichlet parameters")
-    sp.add_argument("--prior", choices=["jeffreys", "uniform", "minimax"],
+    sp.add_argument("--prior", choices=list(_NAMED_PRIORS),
                     default=None, help="named symmetric prior")
 
 
@@ -584,16 +583,16 @@ def main(argv=None) -> int:
                        "threads", "bits")
         and value is not None
     }
-    config = RunConfig(
-        command=args.command,
-        params=params,
-        seed=args.seed,
-        output=args.format,
-        out_path=args.out,
-        threads=resolve_threads(args.threads),
-        bits=args.bits,
-    )
     try:
+        config = RunConfig(
+            command=args.command,
+            params=params,
+            seed=args.seed,
+            output=args.format,
+            out_path=args.out,
+            threads=resolve_threads(args.threads),
+            bits=args.bits,
+        )
         return args.handler(args, config)
     except (DomainError, SizeError, ValueError) as exc:
         _emit_error(type(exc).__name__, str(exc))

@@ -17,12 +17,8 @@ from dataclasses import dataclass
 
 from . import simplex
 from .errors import DomainError
-from .numkernel import (  # DEFAULT_SEED is re-exported as part of the model API
-    DEFAULT_QUADRATURE,
-    DEFAULT_SEED,
-    QuadratureSettings,
-    stable_sum,
-)
+# DEFAULT_SEED is re-exported as part of the model API
+from .numkernel import DEFAULT_SEED, stable_sum
 
 SQRT6 = math.sqrt(6.0)
 
@@ -233,7 +229,6 @@ def truncated_predictive_density(
     model: ModelSpec,
     x: Observation,
     y: OutcomeLabel,
-    quad: QuadratureSettings = DEFAULT_QUADRATURE,
 ) -> float:
     """Predictive mass of category y under the prior restricted to the floor
     region, i.e. the full-prior predictive times the ratio of retained
@@ -249,7 +244,7 @@ def truncated_predictive_density(
     bumped = tuple(
         v + 1.0 if j == i else v for j, v in enumerate(post)
     )
-    log_ratio = simplex.log_i_trunc(bumped, trunc.eps, quad) - simplex.log_i_trunc(
-        post, trunc.eps, quad
+    log_ratio = simplex.log_i_trunc(bumped, trunc.eps) - simplex.log_i_trunc(
+        post, trunc.eps
     )
     return base * math.exp(log_ratio)

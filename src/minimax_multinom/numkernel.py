@@ -1,10 +1,11 @@
 """Stable special functions, count-vector enumeration and deterministic
-summation primitives, plus the package-wide default seed.
+summation primitives, plus the package-wide default seed, quadrature
+tolerances and Monte Carlo sampler.
 
 Everything downstream (risk evaluation, simplex integrals, expansions) is
 built on the handful of functions in this module, so their contracts are
-deliberately narrow: plain numbers in, plain numbers (or one integer array)
-out, errors raised for out-of-domain input instead of NaN propagation.
+deliberately narrow: plain numbers in, plain numbers (or one array) out,
+errors raised for out-of-domain input instead of NaN propagation.
 """
 
 from __future__ import annotations
@@ -30,27 +31,56 @@ DEFAULT_SEED = 0x5EED
 _EXACT_COMB_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Tolerances for the adaptive quadratures used throughout.
+#: Tolerances of every adaptive quadrature in the package: one to two
+#: orders tighter than the 1e-10 the check suites assert at, so integrator
+#: noise never decides an inequality check.
+QUAD_ABS_TOL = 1e-12
+QUAD_REL_TOL = 1e-10
+QUAD_MAX_SUBDIVISIONS = 60
 
-    Defaults are one to two orders tighter than the 1e-10 tolerances the
-    verification suites assert at, so integrator noise never decides an
-    inequality check.
+
+@dataclass(frozen=True)
+class MonteCarloSettings:
+    """Draw budget and stream seed for Monte Carlo integration.
+
+    n_draws counts proposals; batches are fixed-size and each owns a
+    counter-based stream keyed on (seed, batch index), so estimates do not
+    depend on worker scheduling.  If stderr_ceiling is set, estimates whose
+    standard error exceeds it raise StatisticalPrecisionError.
     """
 
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 60
+    n_draws: int = 200_000
+    batch_size: int = 16_384
+    seed: int = DEFAULT_SEED
+    stderr_ceiling: float | None = None
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
+        if self.n_draws < 1 or self.batch_size < 1:
+            raise DomainError("draw counts must be positive")
+
+    @property
+    def n_batches(self) -> int:
+        return (self.n_draws + self.batch_size - 1) // self.batch_size
 
 
-DEFAULT_QUADRATURE = QuadratureSettings()
+def seeded_stream(seed: int, index: int) -> np.random.Generator:
+    """The counter-based Philox stream keyed on (seed, index)."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def dirichlet_batch(a, eps: float, mc: MonteCarloSettings, b: int) -> tuple:
+    """(accepted rows, proposal count) of batch b of rejection sampling
+    from Dirichlet(a) onto the simplex floored at eps.
+
+    A row is accepted when its smallest coordinate is >= eps, or > 0 when
+    eps = 0 (a draw can underflow to an exact zero).
+    """
+    size = min(mc.batch_size, mc.n_draws - b * mc.batch_size)
+    rng = seeded_stream(mc.seed, b)
+    draws = rng.dirichlet(np.asarray(a, dtype=float), size=size)
+    low = draws.min(axis=1)
+    return draws[low >= eps if eps > 0.0 else low > 0.0], size
 
 
 def log_multivariate_beta(a) -> float:
@@ -123,7 +153,6 @@ def log_beta_segment(
     beta: float,
     s: float,
     t: float,
-    quad: QuadratureSettings = DEFAULT_QUADRATURE,
 ) -> float:
     """ln of the Beta-density-kernel integral over a subinterval of [0, 1].
 
@@ -161,14 +190,14 @@ def log_beta_segment(
         )
 
     val, err = _quad(
-        scaled, s, t, epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-        limit=quad.max_subdivisions,
+        scaled, s, t, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
+        limit=QUAD_MAX_SUBDIVISIONS,
     )
     if val <= 0.0:
         raise IntegrationError(
             f"beta segment integral underflowed on [{s}, {t}]", achieved=err
         )
-    if err > max(quad.abs_tol, 100 * quad.rel_tol * abs(val)):
+    if err > max(QUAD_ABS_TOL, 100 * QUAD_REL_TOL * abs(val)):
         raise IntegrationError(
             f"beta segment quadrature did not converge on [{s}, {t}]",
             achieved=err / abs(val),

@@ -45,11 +45,15 @@ from .model import (
     TruncatedSimplex,
 )
 from .numkernel import (
-    DEFAULT_QUADRATURE,
     DEFAULT_SEED,
-    QuadratureSettings,
+    QUAD_ABS_TOL,
+    QUAD_MAX_SUBDIVISIONS,
+    QUAD_REL_TOL,
+    MonteCarloSettings,
     compositions,
+    dirichlet_batch,
     log_multivariate_beta,
+    seeded_stream,
     stable_sum,
 )
 from .simplex import b_trunc, log_i_trunc
@@ -124,26 +128,6 @@ class SupRiskReport:
 class Predictive(enum.Enum):
     FULL = "full"
     TRUNCATED = "truncated"
-
-
-@dataclass(frozen=True)
-class MonteCarloSettings:
-    """Draw budget and stream seed for Monte Carlo integration.
-
-    n_draws counts proposals; batches are fixed-size and each owns a
-    counter-based stream keyed on (seed, batch index), so estimates do not
-    depend on worker scheduling.  If stderr_ceiling is set, estimates whose
-    standard error exceeds it raise StatisticalPrecisionError.
-    """
-
-    n_draws: int = 200_000
-    batch_size: int = 16_384
-    seed: int = DEFAULT_SEED
-    stderr_ceiling: float | None = None
-
-    def __post_init__(self):
-        if self.n_draws < 1 or self.batch_size < 1:
-            raise DomainError("draw counts must be positive")
 
 
 def _log_multinomial_rows(N: int, comps: np.ndarray) -> np.ndarray:
@@ -416,9 +400,7 @@ class SeparableMaximizer:
         return out
 
     def _ascent(self, start_index: int, sweeps: int = 60) -> _Candidate:
-        key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF, 1000 + start_index],
-                       dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
+        rng = seeded_stream(self.seed, 1000 + start_index)
         raw = rng.dirichlet(np.ones(self.k))
         theta = tuple(self.eps + (1.0 - self.k * self.eps) * raw)
         value = self._objective(theta)
@@ -601,7 +583,6 @@ class TruncatedPredictiveTable:
         alpha: SymmetricPrior,
         trunc: TruncatedSimplex,
         model: ModelSpec,
-        quad: QuadratureSettings = DEFAULT_QUADRATURE,
     ):
         if alpha.k != model.k or trunc.k != model.k:
             raise DomainError("prior, truncation and model disagree on k")
@@ -609,7 +590,6 @@ class TruncatedPredictiveTable:
         self.model = model
         self.alpha = alpha.alpha
         self.eps = trunc.eps
-        self.quad = quad
         self.comps = compositions(model.N, model.k)
         self._memo: dict = {}
         n, k = self.comps.shape
@@ -626,7 +606,7 @@ class TruncatedPredictiveTable:
     def _log_i(self, alphas: tuple) -> float:
         key = tuple(sorted(alphas))
         if key not in self._memo:
-            self._memo[key] = log_i_trunc(key, self.eps, self.quad)
+            self._memo[key] = log_i_trunc(key, self.eps)
         return self._memo[key]
 
     def correction(self, theta: ThetaPoint) -> float:
@@ -656,8 +636,8 @@ def risk_truncated_predictive(
     return base - table.correction(theta)
 
 
-def _bayes_numerator(a: tuple, eps: float, risk_fn, quad: QuadratureSettings,
-                     head: tuple = (), mass: float = 1.0) -> tuple:
+def _bayes_numerator(a: tuple, eps: float, risk_fn, head: tuple = (),
+                     mass: float = 1.0) -> tuple:
     """(integral, relative error estimate) of the Dirichlet kernel
     prod theta_i^(a_i - 1) times the risk over the simplex floored at eps.
 
@@ -667,8 +647,8 @@ def _bayes_numerator(a: tuple, eps: float, risk_fn, quad: QuadratureSettings,
     each level is one integral of v^(a_1 - 1) (1 - v)^(a_2 + ... + a_k - 1)
     against the inner value.  head holds the coordinates the enclosing
     levels fixed and mass the probability left to the rest; risk_fn takes
-    the first k - 1 coordinates.  The outermost level runs at quad.rel_tol,
-    inner levels at 10 quad.rel_tol.  With eps = 0 a kernel singular at an
+    the first k - 1 coordinates.  The outermost level runs at QUAD_REL_TOL,
+    inner levels at 10 QUAD_REL_TOL.  With eps = 0 a kernel singular at an
     endpoint is integrated as an algebraic weight (QAWS).
     """
     if len(a) == 1:
@@ -682,15 +662,15 @@ def _bayes_numerator(a: tuple, eps: float, risk_fn, quad: QuadratureSettings,
         # QAWS evaluates the endpoint v = 1 itself, but only when eps = 0
         inner_eps = eps / (1.0 - v) if eps > 0.0 else 0.0
         val, err = _bayes_numerator(
-            a[1:], inner_eps, risk_fn, quad, head + (mass * v,), mass * (1.0 - v)
+            a[1:], inner_eps, risk_fn, head + (mass * v,), mass * (1.0 - v)
         )
         inner_err = max(inner_err, err)
         return val
 
     opts = dict(
-        epsabs=quad.abs_tol,
-        epsrel=quad.rel_tol * (10 if head else 1),
-        limit=quad.max_subdivisions,
+        epsabs=QUAD_ABS_TOL,
+        epsrel=QUAD_REL_TOL * (10 if head else 1),
+        limit=QUAD_MAX_SUBDIVISIONS,
     )
     if eps == 0.0 and (e1 < 0 or e2 < 0):
         val, err = _quad(inner, 0.0, 1.0, weight="alg", wvar=(e1, e2), **opts)
@@ -707,33 +687,30 @@ def bayes_risk(
     model: ModelSpec,
     predictive: Predictive = Predictive.FULL,
     trunc: TruncatedSimplex | None = None,
-    quad: QuadratureSettings = DEFAULT_QUADRATURE,
     mc: MonteCarloSettings | None = None,
-    mode: str = "auto",
     threads: int | None = 1,
 ) -> float:
     """Average risk under a prior weight.
 
-    weight is either a PriorSpec (weight over the whole simplex) or a
-    SymmetricPrior together with trunc (the same prior renormalized over the
-    floored simplex).  predictive selects whose risk is averaged: the
-    full-prior predictive or the truncated-prior predictive (which requires
-    trunc and enumerates count vectors against a cached integral table).
+    weight is a PriorSpec or a SymmetricPrior; with trunc it is
+    renormalized over the floored simplex, without it it weighs the whole
+    simplex.  predictive selects whose risk is averaged: the full-prior
+    predictive or the truncated-prior predictive (which requires a
+    SymmetricPrior weight and trunc, and enumerates count vectors against a
+    cached integral table).
 
-    mode "quadrature" (k <= 3), "mc", or "auto" (quadrature when available,
-    Monte Carlo otherwise).
+    Monte Carlo runs when mc is passed or when k > 3; otherwise nested
+    quadrature runs.
     """
     predictive = Predictive(predictive)
     if isinstance(weight, SymmetricPrior):
-        if trunc is not None and trunc.k != weight.k:
-            raise DomainError("weight and truncation disagree on k")
         weight_prior = weight.expand()
-        weight_trunc = trunc
     elif isinstance(weight, PriorSpec):
         weight_prior = weight
-        weight_trunc = None
     else:
         raise DomainError(f"unsupported weight {weight!r}")
+    if trunc is not None and trunc.k != weight_prior.k:
+        raise DomainError("weight and truncation disagree on k")
     if weight_prior.k != model.k:
         raise DomainError("weight and model disagree on k")
 
@@ -743,7 +720,7 @@ def bayes_risk(
                 "the truncated predictive needs a SymmetricPrior weight and "
                 "a truncation region"
             )
-        table = TruncatedPredictiveTable(weight, trunc, model, quad)
+        table = TruncatedPredictiveTable(weight, trunc, model)
     else:
         table = None
 
@@ -755,68 +732,46 @@ def bayes_risk(
             base -= table.correction(theta)
         return base
 
-    if mode == "auto":
-        mode = "quadrature" if model.k <= 3 and mc is None else "mc"
+    eps = trunc.eps if trunc else 0.0
+    if mc is not None or model.k > 3:
+        return _bayes_mc(weight_prior.a, eps, risk_at, mc or MonteCarloSettings(),
+                         threads)
 
-    if mode == "quadrature":
-        if model.k > 3:
-            raise DomainError("quadrature mode supports k <= 3")
-        # endpoint-singular rules may probe the exact boundary, where the
-        # risk extends continuously; nudge into the open simplex
-        tiny = 1e-13
+    # endpoint-singular rules may probe the exact boundary, where the
+    # risk extends continuously; nudge into the open simplex
+    tiny = 1e-13
 
-        def risk_of(head) -> float:
-            coords, rest = [], 1.0
-            for j, t in enumerate(head):
-                t = min(max(t, tiny), rest - (model.k - 1 - j) * tiny)
-                coords.append(t)
-                rest -= t
-            return risk_at(ThetaPoint.complete(coords))
+    def risk_of(head) -> float:
+        coords, rest = [], 1.0
+        for j, t in enumerate(head):
+            t = min(max(t, tiny), rest - (model.k - 1 - j) * tiny)
+            coords.append(t)
+            rest -= t
+        return risk_at(ThetaPoint.complete(coords))
 
-        a = weight_prior.a
-        eps = weight_trunc.eps if weight_trunc else 0.0
-        num, rel = _bayes_numerator(a, eps, risk_of, quad)
-        if eps > 0.0:
-            den = b_trunc(a, eps, quad)
-            log_den = den.value_log
-            rel += den.error_estimate
-        else:
-            log_den = log_multivariate_beta(a)
-        if rel > 1e3 * quad.rel_tol:
-            raise IntegrationError(
-                "Bayes-risk quadrature did not converge", achieved=rel
-            )
-        return num / math.exp(log_den)
-
-    if mode != "mc":
-        raise DomainError(f"unknown mode {mode!r}")
-    mc = mc or MonteCarloSettings()
-    return _bayes_mc(weight_prior, weight_trunc, risk_at, mc, threads)
+    a = weight_prior.a
+    num, rel = _bayes_numerator(a, eps, risk_of)
+    if eps > 0.0:
+        den = b_trunc(a, eps)
+        log_den = den.value_log
+        rel += den.error_estimate
+    else:
+        log_den = log_multivariate_beta(a)
+    if rel > 1e3 * QUAD_REL_TOL:
+        raise IntegrationError(
+            "Bayes-risk quadrature did not converge", achieved=rel
+        )
+    return num / math.exp(log_den)
 
 
-def _bayes_mc(
-    weight_prior: PriorSpec,
-    weight_trunc: TruncatedSimplex | None,
-    risk_at,
-    mc: MonteCarloSettings,
-    threads: int | None,
-) -> float:
-    a = np.asarray(weight_prior.a)
-    n_batches = (mc.n_draws + mc.batch_size - 1) // mc.batch_size
-
+def _bayes_mc(a: tuple, eps: float, risk_at, mc: MonteCarloSettings,
+              threads: int | None) -> float:
     def one_batch(b: int) -> tuple:
-        size = min(mc.batch_size, mc.n_draws - b * mc.batch_size)
-        key = np.array([mc.seed & 0xFFFFFFFFFFFFFFFF, b], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        draws = rng.dirichlet(a, size=size)
-        if weight_trunc is not None:
-            draws = draws[draws.min(axis=1) >= weight_trunc.eps]
-        else:
-            draws = draws[draws.min(axis=1) > 0.0]
+        draws, _ = dirichlet_batch(a, eps, mc, b)
         vals = [risk_at(ThetaPoint(tuple(row))) for row in draws]
         return stable_sum(vals), stable_sum(v * v for v in vals), len(vals)
 
-    parts = ordered_map(one_batch, range(n_batches), threads)
+    parts = ordered_map(one_batch, range(mc.n_batches), threads)
     total = stable_sum(p[0] for p in parts)
     total_sq = stable_sum(p[1] for p in parts)
     n = sum(p[2] for p in parts)
@@ -837,9 +792,7 @@ def truncation_bayes_gap(
     alpha: SymmetricPrior,
     trunc: TruncatedSimplex,
     model: ModelSpec,
-    quad: QuadratureSettings = DEFAULT_QUADRATURE,
     mc: MonteCarloSettings | None = None,
-    mode: str = "auto",
     threads: int | None = 1,
 ) -> float:
     """Bayes-risk penalty for predicting with the untruncated prior.
@@ -852,10 +805,6 @@ def truncation_bayes_gap(
     is nonnegative; it measures how little is lost by ignoring the
     truncation when building the predictive.
     """
-    full = bayes_risk(
-        alpha, model, Predictive.FULL, trunc, quad, mc, mode, threads
-    )
-    truncated = bayes_risk(
-        alpha, model, Predictive.TRUNCATED, trunc, quad, mc, mode, threads
-    )
+    full = bayes_risk(alpha, model, Predictive.FULL, trunc, mc, threads)
+    truncated = bayes_risk(alpha, model, Predictive.TRUNCATED, trunc, mc, threads)
     return full - truncated

@@ -28,15 +28,19 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad as _quad
 
-from .errors import DomainError, InfeasibleRegionError
+from .errors import DomainError, InfeasibleRegionError, StatisticalPrecisionError
 from .numkernel import (
-    DEFAULT_QUADRATURE,
     DEFAULT_SEED,
-    QuadratureSettings,
+    QUAD_ABS_TOL,
+    QUAD_MAX_SUBDIVISIONS,
+    QUAD_REL_TOL,
+    MonteCarloSettings,
     compositions,
+    dirichlet_batch,
     log_beta_segment,
     log_multinomial,
     log_multivariate_beta,
+    seeded_stream,
     stable_sum,
 )
 
@@ -66,7 +70,7 @@ class TruncatedDirichletIntegral:
         return math.exp(self.value_log)
 
 
-def _recursive_b_log(alphas, eps: float, quad: QuadratureSettings) -> tuple:
+def _recursive_b_log(alphas, eps: float) -> tuple:
     """(log value, relative error estimate) by nested adaptive quadrature.
 
     Peels off the first coordinate: conditionally on theta_1, the remaining
@@ -76,7 +80,7 @@ def _recursive_b_log(alphas, eps: float, quad: QuadratureSettings) -> tuple:
     """
     k = len(alphas)
     if k == 2:
-        lv = log_beta_segment(alphas[0], alphas[1], eps, 1.0 - eps, quad)
+        lv = log_beta_segment(alphas[0], alphas[1], eps, 1.0 - eps)
         return lv, 1e-13
 
     rest = alphas[1:]
@@ -85,7 +89,7 @@ def _recursive_b_log(alphas, eps: float, quad: QuadratureSettings) -> tuple:
     # scale by the integrand magnitude at the midpoint to keep quad in a
     # comfortable floating range
     mid = 0.5 * (lo + hi)
-    mid_inner, _ = _recursive_b_log(rest, eps / (1.0 - mid), quad)
+    mid_inner, _ = _recursive_b_log(rest, eps / (1.0 - mid))
     scale = (alphas[0] - 1) * math.log(mid) + (rest_sum - 1) * math.log1p(-mid) + mid_inner
 
     inner_err = 0.0
@@ -95,7 +99,7 @@ def _recursive_b_log(alphas, eps: float, quad: QuadratureSettings) -> tuple:
         inner_eps = eps / (1.0 - t1)
         if inner_eps >= 1.0 / (k - 1):
             return 0.0
-        inner, ierr = _recursive_b_log(rest, inner_eps, quad)
+        inner, ierr = _recursive_b_log(rest, inner_eps)
         inner_err = max(inner_err, ierr)
         return math.exp(
             (alphas[0] - 1) * math.log(t1)
@@ -106,7 +110,7 @@ def _recursive_b_log(alphas, eps: float, quad: QuadratureSettings) -> tuple:
 
     val, err = _quad(
         integrand, lo, hi,
-        epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=quad.max_subdivisions,
+        epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_MAX_SUBDIVISIONS,
     )
     if val <= 0:
         raise DomainError(f"truncated simplex integral degenerated at eps={eps!r}")
@@ -114,41 +118,24 @@ def _recursive_b_log(alphas, eps: float, quad: QuadratureSettings) -> tuple:
     return scale + math.log(val), rel
 
 
-def _mc_acceptance(alphas, eps: float, n_draws: int, seed: int, batch_size: int) -> tuple:
-    """(acceptance fraction, n accepted, n proposed) by rejection sampling.
-
-    Each batch draws from its own counter-based stream keyed on
-    (seed, batch index), so the result is independent of how batches are
-    scheduled across workers.
-    """
-    a = np.asarray(alphas, dtype=float)
-    n_batches = (n_draws + batch_size - 1) // batch_size
-    accepted = 0
-    proposed = 0
-    for b in range(n_batches):
-        size = min(batch_size, n_draws - b * batch_size)
-        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, b], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        draws = rng.dirichlet(a, size=size)
-        accepted += int(np.count_nonzero(draws.min(axis=1) >= eps))
-        proposed += size
-    return accepted / proposed, accepted, proposed
+#: b_trunc's Monte Carlo budget when no settings are passed
+_B_TRUNC_MC = MonteCarloSettings(n_draws=1_000_000, batch_size=65_536)
 
 
 def b_trunc(
     alphas,
     eps: float,
-    quad: QuadratureSettings = DEFAULT_QUADRATURE,
     method: IntegrationMethod | None = None,
-    n_draws: int = 1_000_000,
-    seed: int = DEFAULT_SEED,
-    batch_size: int = 65_536,
+    mc: MonteCarloSettings | None = None,
 ) -> TruncatedDirichletIntegral:
     """Dirichlet-kernel integral over the simplex floored at eps.
 
     Method selection is automatic by dimension (closed form for k = 2,
     nested quadrature for k = 3, Monte Carlo beyond) and can be forced for
-    cross-validation.
+    cross-validation.  mc sets the Monte Carlo draws (default 1,000,000 in
+    batches of 65,536); passing it when the method is not Monte Carlo raises
+    DomainError, and its stderr_ceiling bounds the standard error of the
+    retained fraction.
     """
     alphas = tuple(float(v) for v in alphas)
     k = len(alphas)
@@ -166,13 +153,15 @@ def b_trunc(
             method = IntegrationMethod.RECURSIVE_QUAD
         else:
             method = IntegrationMethod.MONTE_CARLO
+    if mc is not None and method is not IntegrationMethod.MONTE_CARLO:
+        raise DomainError(f"Monte Carlo settings given for method {method.value}")
 
     log_full = log_multivariate_beta(alphas)
 
     if method is IntegrationMethod.EXACT_1D:
         if k != 2:
             raise DomainError("EXACT_1D applies to k = 2 only")
-        value_log = log_beta_segment(alphas[0], alphas[1], eps, 1.0 - eps, quad)
+        value_log = log_beta_segment(alphas[0], alphas[1], eps, 1.0 - eps)
         err = 1e-13
     elif method is IntegrationMethod.RECURSIVE_QUAD:
         if k == 2:
@@ -182,20 +171,31 @@ def b_trunc(
 
             val, aerr = _quad(
                 integrand, eps, 1 - eps,
-                epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-                limit=quad.max_subdivisions,
+                epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
+                limit=QUAD_MAX_SUBDIVISIONS,
             )
             value_log, err = math.log(val), aerr / val
         else:
-            value_log, err = _recursive_b_log(alphas, eps, quad)
+            value_log, err = _recursive_b_log(alphas, eps)
     elif method is IntegrationMethod.MONTE_CARLO:
-        frac, accepted, proposed = _mc_acceptance(alphas, eps, n_draws, seed, batch_size)
+        mc = mc or _B_TRUNC_MC
+        accepted = proposed = 0
+        for b in range(mc.n_batches):
+            rows, size = dirichlet_batch(alphas, eps, mc, b)
+            accepted += len(rows)
+            proposed += size
+        frac = accepted / proposed
         if frac < 1e-6:
             raise InfeasibleRegionError(
                 f"acceptance rate {frac:.2e} too low at eps={eps!r} "
                 f"({accepted}/{proposed} draws)"
             )
         se = math.sqrt(frac * (1 - frac) / proposed)
+        if mc.stderr_ceiling is not None and se > mc.stderr_ceiling:
+            raise StatisticalPrecisionError(
+                f"standard error {se:.3e} above ceiling {mc.stderr_ceiling:.3e}",
+                frac, se,
+            )
         value_log = math.log(frac) + log_full
         err = 3.0 * se / frac
     else:  # pragma: no cover
@@ -209,12 +209,11 @@ def b_trunc(
 def log_i_trunc(
     alphas,
     eps: float,
-    quad: QuadratureSettings = DEFAULT_QUADRATURE,
     method: IntegrationMethod | None = None,
-    **kw,
+    mc: MonteCarloSettings | None = None,
 ) -> float:
     """ln of the retained mass fraction; always <= 0."""
-    b = b_trunc(alphas, eps, quad, method, **kw)
+    b = b_trunc(alphas, eps, method, mc)
     return b.value_log - log_multivariate_beta(b.alphas)
 
 
@@ -295,9 +294,7 @@ def lemma1_check(m: int, x_grid) -> LemmaReport:
                        {"slack": "8*ulp*(|x|+|log1p(x)|+1)"})
 
 
-def lemma4_check(
-    alphas, eps: float, quad: QuadratureSettings = DEFAULT_QUADRATURE
-) -> LemmaReport:
+def lemma4_check(alphas, eps: float) -> LemmaReport:
     """Increment bound for the retained-mass fraction.
 
     Raising the first shape parameter by one changes the retained fraction
@@ -306,9 +303,9 @@ def lemma4_check(
     """
     alphas = tuple(float(v) for v in alphas)
     rest_sum = stable_sum(alphas[1:])
-    b0 = b_trunc(alphas, eps, quad)
+    b0 = b_trunc(alphas, eps)
     bumped = (alphas[0] + 1.0,) + alphas[1:]
-    b1 = b_trunc(bumped, eps, quad)
+    b1 = b_trunc(bumped, eps)
     i0 = math.exp(b0.value_log - log_multivariate_beta(alphas))
     i1 = math.exp(b1.value_log - log_multivariate_beta(bumped))
     lhs = i1 - i0
@@ -330,7 +327,6 @@ def lemma4_check(
 
 def lemma5_check(
     alpha: float, beta: float, s: float, t: float, u: float, v: float,
-    quad: QuadratureSettings = DEFAULT_QUADRATURE,
 ) -> LemmaReport:
     """Monotonicity of the Beta-segment mean ratio under interval shifts.
 
@@ -341,12 +337,12 @@ def lemma5_check(
     if not (0 <= s < t <= 1 and 0 <= u < v <= 1 and s <= u and t <= v):
         raise DomainError("need admissible ordered intervals")
     lhs = math.exp(
-        log_beta_segment(alpha + 1, beta, s, t, quad)
-        - log_beta_segment(alpha, beta, s, t, quad)
+        log_beta_segment(alpha + 1, beta, s, t)
+        - log_beta_segment(alpha, beta, s, t)
     )
     rhs = math.exp(
-        log_beta_segment(alpha + 1, beta, u, v, quad)
-        - log_beta_segment(alpha, beta, u, v, quad)
+        log_beta_segment(alpha + 1, beta, u, v)
+        - log_beta_segment(alpha, beta, u, v)
     )
     slack = SLACK_FACTOR * 1e-12 * (lhs + rhs)
     violation = lhs - rhs - slack
@@ -358,9 +354,7 @@ def lemma5_check(
     )
 
 
-def lemma6_check(
-    alphas, eps: float, quad: QuadratureSettings = DEFAULT_QUADRATURE
-) -> LemmaReport:
+def lemma6_check(alphas, eps: float) -> LemmaReport:
     """Simplex-to-interval domination of first-coordinate mean ratios.
 
     The ratio of floored-simplex integrals after bumping the first shape
@@ -369,12 +363,12 @@ def lemma6_check(
     """
     alphas = tuple(float(v) for v in alphas)
     rest_sum = stable_sum(alphas[1:])
-    b0 = b_trunc(alphas, eps, quad)
-    b1 = b_trunc((alphas[0] + 1.0,) + alphas[1:], eps, quad)
+    b0 = b_trunc(alphas, eps)
+    b1 = b_trunc((alphas[0] + 1.0,) + alphas[1:], eps)
     lhs = math.exp(b1.value_log - b0.value_log)
     rhs = math.exp(
-        log_beta_segment(alphas[0] + 1.0, rest_sum, eps, 1.0, quad)
-        - log_beta_segment(alphas[0], rest_sum, eps, 1.0, quad)
+        log_beta_segment(alphas[0] + 1.0, rest_sum, eps, 1.0)
+        - log_beta_segment(alphas[0], rest_sum, eps, 1.0)
     )
     slack = SLACK_FACTOR * (b0.error_estimate + b1.error_estimate + 2e-12) * (lhs + rhs)
     violation = lhs - rhs - slack
@@ -425,10 +419,7 @@ def lemma7_check(alphas, N: int, x1: int) -> LemmaReport:
     )
 
 
-def lemma8_check(
-    alpha: float, beta: float, eps: float,
-    quad: QuadratureSettings = DEFAULT_QUADRATURE,
-) -> LemmaReport:
+def lemma8_check(alpha: float, beta: float, eps: float) -> LemmaReport:
     """Exact mean-ratio identity on [eps, 1], plus its linear bound.
 
     The segment ratio equals alpha/(alpha+beta) plus an explicit boundary
@@ -439,8 +430,8 @@ def lemma8_check(
     """
     if not 0.0 <= eps < 1.0:
         raise DomainError("need eps in [0, 1)")
-    log_den = log_beta_segment(alpha, beta, eps, 1.0, quad)
-    ratio = math.exp(log_beta_segment(alpha + 1.0, beta, eps, 1.0, quad) - log_den)
+    log_den = log_beta_segment(alpha, beta, eps, 1.0)
+    ratio = math.exp(log_beta_segment(alpha + 1.0, beta, eps, 1.0) - log_den)
     if eps == 0.0:
         boundary = 0.0
     else:
@@ -464,7 +455,6 @@ def run_lemma_suite(
     lemma: int,
     trials: int,
     seed: int = DEFAULT_SEED,
-    quad: QuadratureSettings = DEFAULT_QUADRATURE,
 ) -> LemmaReport:
     """Randomized stress suite for one numbered check.
 
@@ -474,8 +464,7 @@ def run_lemma_suite(
     """
     if trials < 1:
         raise DomainError(f"trials must be a positive integer, got {trials}")
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, lemma], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = seeded_stream(seed, lemma)
     report: LemmaReport | None = None
 
     def fold(r: LemmaReport):
@@ -491,7 +480,7 @@ def run_lemma_suite(
             k = 2 if rng.random() < 0.7 else 3
             alphas = np.exp(rng.uniform(math.log(0.2), math.log(8.0), size=k))
             eps = float(rng.uniform(1e-3, 0.95 / k))
-            fold(lemma4_check(tuple(alphas), eps, quad))
+            fold(lemma4_check(tuple(alphas), eps))
         elif lemma == 5:
             alpha = float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
             beta = float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
@@ -499,12 +488,12 @@ def run_lemma_suite(
             u = float(rng.uniform(s, 0.9))
             t = float(rng.uniform(s + 0.01, 1.0))
             v = float(rng.uniform(max(t, u + 0.01), 1.0))
-            fold(lemma5_check(alpha, beta, s, t, u, v, quad))
+            fold(lemma5_check(alpha, beta, s, t, u, v))
         elif lemma == 6:
             k = 2 if rng.random() < 0.7 else 3
             alphas = np.exp(rng.uniform(math.log(0.2), math.log(8.0), size=k))
             eps = float(rng.uniform(1e-3, 0.95 / k))
-            fold(lemma6_check(tuple(alphas), eps, quad))
+            fold(lemma6_check(tuple(alphas), eps))
         elif lemma == 7:
             k = int(rng.integers(2, 5))
             N = int(rng.integers(1, 21))
@@ -518,7 +507,7 @@ def run_lemma_suite(
             alpha = float(np.exp(rng.uniform(0.0, math.log(20.0))))
             beta = float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
             eps = float(rng.uniform(0.0, 0.95))
-            fold(lemma8_check(alpha, beta, eps, quad))
+            fold(lemma8_check(alpha, beta, eps))
         else:
             raise DomainError(f"no randomized suite for lemma {lemma}")
 

@@ -194,27 +194,38 @@ class TestErrorHandling:
         assert out == ""
         assert json.loads(err)["error"]["type"] == "DomainError"
 
-    @pytest.mark.parametrize("argv", [
-        pytest.param(["verify-lemmas", "--lemma", "1", "--trials", "0"],
+    @pytest.mark.parametrize("argv, env", [
+        pytest.param(["verify-lemmas", "--lemma", "1", "--trials", "0"], {},
                      id="trials-0"),
-        pytest.param(["verify-lemmas", "--lemma", "1", "--trials", "-3"],
+        pytest.param(["verify-lemmas", "--lemma", "1", "--trials", "-3"], {},
                      id="trials-negative"),
         pytest.param(["sup-risk", "--k", "2", "--N", "0", "--prior", "minimax"],
-                     id="sup-risk-N0"),
-        pytest.param(["compare-priors", "--k", "2", "--N", "0"],
+                     {}, id="sup-risk-N0"),
+        pytest.param(["compare-priors", "--k", "2", "--N", "0"], {},
                      id="compare-priors-N0"),
         pytest.param(["expansion-error", "--k", "2", "--N", "0",
-                      "--prior", "minimax"], id="expansion-error-N0"),
-        pytest.param(["sandwich", "--k", "2", "--N", "0"], id="sandwich-N0"),
+                      "--prior", "minimax"], {}, id="expansion-error-N0"),
+        pytest.param(["sandwich", "--k", "2", "--N", "0"], {}, id="sandwich-N0"),
         # each grid below would grow without end if it were not rejected
         pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
-                      "--alpha-grid", "0.5:2.5:0"], id="alpha-step-0"),
+                      "--alpha-grid", "0.5:2.5:0"], {}, id="alpha-step-0"),
         pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
-                      "--alpha-grid", "0.5:2.5:-0.1"], id="alpha-step-negative"),
+                      "--alpha-grid", "0.5:2.5:-0.1"], {},
+                     id="alpha-step-negative"),
         pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
-                      "--alpha-grid", "0.5:inf:0.1"], id="alpha-stop-inf"),
+                      "--alpha-grid", "0.5:inf:0.1"], {}, id="alpha-stop-inf"),
+        pytest.param(["identities", "--threads", "0"], {}, id="threads-0"),
+        pytest.param(["identities", "--threads", "-3"], {},
+                     id="threads-negative"),
+        pytest.param(["identities"], {"MINIMAX_MULTINOM_THREADS": "abc"},
+                     id="threads-env-not-integer"),
+        pytest.param(["moments", "--N", "10"], {}, id="moments-N-without-theta"),
+        pytest.param(["moments", "--theta", "0.3"], {},
+                     id="moments-theta-without-N"),
     ])
-    def test_out_of_domain_input_exit_two(self, capsys, argv):
+    def test_out_of_domain_input_exit_two(self, capsys, monkeypatch, argv, env):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""

@@ -12,7 +12,6 @@ from scipy.special import gammaln
 
 from minimax_multinom import (
     DomainError,
-    QuadratureSettings,
     log_beta_segment,
     log_multinomial,
     log_multivariate_beta,
@@ -179,16 +178,3 @@ class TestStableSum:
         assert stable_sum(sorted(xs)) == forward
         assert stable_sum(list(reversed(xs))) == forward
 
-
-class TestQuadratureSettings:
-    def test_defaults(self):
-        q = QuadratureSettings()
-        assert q.abs_tol == 1e-12 and q.rel_tol == 1e-10
-        assert q.max_subdivisions == 60
-
-    @pytest.mark.parametrize(
-        "kw", [{"abs_tol": 0.0}, {"rel_tol": -1.0}, {"max_subdivisions": 0}]
-    )
-    def test_validation(self, kw):
-        with pytest.raises(DomainError):
-            QuadratureSettings(**kw)

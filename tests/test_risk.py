@@ -19,7 +19,6 @@ from scipy.stats import binom
 import minimax_multinom.risk as risk_module
 from minimax_multinom import (
     ALPHA_MINIMAX,
-    DEFAULT_QUADRATURE,
     DomainError,
     ModelSpec,
     MonteCarloSettings,
@@ -27,7 +26,6 @@ from minimax_multinom import (
     OutcomeLabel,
     Predictive,
     PriorSpec,
-    QuadratureSettings,
     RiskMethod,
     SizeError,
     StatisticalPrecisionError,
@@ -452,6 +450,28 @@ class TestSupRisk:
             risk_module.SeparableMaximizer(nan_everywhere, 2, 0.05).maximize(64)
 
 
+class TestFloorNearCenter:
+    """The sup search as the floor approaches 1/k, where the floored simplex
+    shrinks to the uniform point."""
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-9, 1e-12, 1e-14, 1e-15])
+    @pytest.mark.parametrize("N", [1, 50])
+    @pytest.mark.parametrize("symmetric", [True, False],
+                             ids=["minimax", "asymmetric"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_sup_at_floor_edge(self, k, symmetric, N, delta):
+        prior = (SymmetricPrior.minimax(k).expand() if symmetric
+                 else PriorSpec(tuple(0.3 + j for j in range(k))))
+        model = ModelSpec(k, N)
+        eps = 1.0 / k - delta
+        rep = sup_risk(prior, model, TruncatedSimplex(k, eps), grid_size=16,
+                       ascent_starts=2)
+        assert math.isfinite(rep.sup_value)
+        assert min(rep.argmax_theta.theta) >= eps - 1e-12
+        center = risk_coordinatewise(prior, model, ThetaPoint.uniform(k))
+        assert rep.sup_value >= center.exact_risk - risk_module._TIE_TOL
+
+
 class TestBayesRisk:
     def test_quadrature_vs_monte_carlo(self):
         """k=2, N=8, uniform prior, floored weight: the two integration
@@ -462,7 +482,7 @@ class TestBayesRisk:
         trunc = TruncatedSimplex(2, 0.05)
         q = bayes_risk(w, model, Predictive.FULL, trunc)
         m = bayes_risk(w, model, Predictive.FULL, trunc,
-                       mc=MonteCarloSettings(n_draws=200_000), mode="mc")
+                       mc=MonteCarloSettings(n_draws=200_000))
         assert abs(q - m) <= 2e-5
 
     def test_mc_threads_deterministic(self):
@@ -470,11 +490,10 @@ class TestBayesRisk:
         model = ModelSpec(2, 6)
         trunc = TruncatedSimplex(2, 0.05)
         mc = MonteCarloSettings(n_draws=60_000, seed=11)
-        a = bayes_risk(w, model, Predictive.FULL, trunc, mc=mc, mode="mc",
-                       threads=1)
-        b = bayes_risk(w, model, Predictive.FULL, trunc, mc=mc, mode="mc",
-                       threads=4)
+        a = bayes_risk(w, model, Predictive.FULL, trunc, mc=mc, threads=1)
+        b = bayes_risk(w, model, Predictive.FULL, trunc, mc=mc, threads=4)
         assert a == b
+        assert a == 0.052635758118032616  # pinned to the last bit
 
     def test_stderr_ceiling(self):
         w = SymmetricPrior.uniform(2)
@@ -482,8 +501,19 @@ class TestBayesRisk:
             bayes_risk(w, ModelSpec(2, 6), Predictive.FULL,
                        TruncatedSimplex(2, 0.05),
                        mc=MonteCarloSettings(n_draws=5_000,
-                                             stderr_ceiling=1e-12),
-                       mode="mc")
+                                             stderr_ceiling=1e-12))
+
+    @pytest.mark.parametrize("mc", [None, MonteCarloSettings(n_draws=5_000)],
+                             ids=["quadrature", "monte-carlo"])
+    def test_prior_spec_weight_honours_truncation(self, mc):
+        """The same weight as a PriorSpec or a SymmetricPrior gives the
+        same floored Bayes risk, on both integration routes."""
+        w = SymmetricPrior.uniform(2)
+        model = ModelSpec(2, 8)
+        trunc = TruncatedSimplex(2, 0.2)
+        spec = bayes_risk(w.expand(), model, Predictive.FULL, trunc, mc=mc)
+        assert spec == bayes_risk(w, model, Predictive.FULL, trunc, mc=mc)
+        assert spec != bayes_risk(w.expand(), model, Predictive.FULL, mc=mc)
 
     def test_aitchison_optimality(self):
         """Under the floored weight, the floored-prior predictive is the
@@ -530,7 +560,7 @@ class TestBayesRisk:
         trunc = TruncatedSimplex(3, 0.08)
         val = bayes_risk(w, ModelSpec(3, 4), Predictive.FULL, trunc)
         mc = bayes_risk(w, ModelSpec(3, 4), Predictive.FULL, trunc,
-                        mc=MonteCarloSettings(n_draws=150_000), mode="mc")
+                        mc=MonteCarloSettings(n_draws=150_000))
         assert val == pytest.approx(mc, abs=3e-4)
 
     @pytest.mark.parametrize("alpha, k, N, floored, predictive, expected", [
@@ -595,20 +625,6 @@ class TestTruncatedPredictiveRisk:
         a = risk_truncated_predictive(alpha, trunc, model, theta, table)
         b = risk_truncated_predictive(alpha, trunc, model, theta)
         assert a == b
-
-    def test_quadrature_settings_reach_log_i_trunc(self, monkeypatch):
-        seen = []
-        original = risk_module.log_i_trunc
-
-        def spy(alphas, eps, quad=DEFAULT_QUADRATURE):
-            seen.append(quad)
-            return original(alphas, eps, quad)
-
-        monkeypatch.setattr(risk_module, "log_i_trunc", spy)
-        quad = QuadratureSettings(rel_tol=1e-8)
-        TruncatedPredictiveTable(SymmetricPrior.uniform(3), TruncatedSimplex(3, 0.1),
-                                 ModelSpec(3, 2), quad)
-        assert seen and all(q is quad for q in seen)
 
 
 class TestTruncationBayesGap:

@@ -11,6 +11,8 @@ from minimax_multinom import (
     DomainError,
     InfeasibleRegionError,
     IntegrationMethod,
+    MonteCarloSettings,
+    StatisticalPrecisionError,
     b_trunc,
     lemma1_check,
     lemma4_check,
@@ -87,7 +89,8 @@ class TestTruncatedIntegrals:
             q = b_trunc(alphas, eps, method=IntegrationMethod.RECURSIVE_QUAD)
             m = b_trunc(
                 alphas, eps, method=IntegrationMethod.MONTE_CARLO,
-                n_draws=400_000, seed=DEFAULT_SEED,
+                mc=MonteCarloSettings(n_draws=400_000, seed=DEFAULT_SEED,
+                                      batch_size=65_536),
             )
             # MC error_estimate is 3 standard errors, relative
             tol = m.error_estimate + 1e-8
@@ -95,12 +98,15 @@ class TestTruncatedIntegrals:
 
     def test_monte_carlo_k4(self):
         res = b_trunc((1.0, 1.0, 1.0, 1.0), 0.05,
-                      method=IntegrationMethod.MONTE_CARLO, n_draws=200_000)
+                      method=IntegrationMethod.MONTE_CARLO,
+                      mc=MonteCarloSettings(n_draws=200_000, batch_size=65_536))
         assert res.method is IntegrationMethod.MONTE_CARLO
         assert 0.0 < res.value <= math.exp(log_multivariate_beta((1,) * 4))
 
     def test_monte_carlo_determinism(self):
-        kw = dict(method=IntegrationMethod.MONTE_CARLO, n_draws=100_000, seed=42)
+        kw = dict(method=IntegrationMethod.MONTE_CARLO,
+                  mc=MonteCarloSettings(n_draws=100_000, seed=42,
+                                        batch_size=65_536))
         a = b_trunc((1.0, 2.0, 0.5, 1.5), 0.03, **kw)
         b = b_trunc((1.0, 2.0, 0.5, 1.5), 0.03, **kw)
         assert a.value_log == b.value_log
@@ -109,7 +115,37 @@ class TestTruncatedIntegrals:
         # nearly all mass on the first cell: the floored region is unreachable
         with pytest.raises(InfeasibleRegionError):
             b_trunc((60.0, 0.2, 0.2, 0.2), 0.24,
-                    method=IntegrationMethod.MONTE_CARLO, n_draws=100_000)
+                    method=IntegrationMethod.MONTE_CARLO,
+                    mc=MonteCarloSettings(n_draws=100_000, batch_size=65_536))
+
+    def test_monte_carlo_pinned_k4(self):
+        """The default k = 4 route: 1,000,000 seeded draws in batches of
+        65,536, pinned to the last bit."""
+        res = b_trunc((1, 1, 1, 1), 0.05)
+        assert res.method is IntegrationMethod.MONTE_CARLO
+        assert res.value_log == -2.462701029640222
+        assert res.error_estimate == 0.0029333775714869416
+
+    def test_monte_carlo_settings_need_monte_carlo(self):
+        """Settings that the chosen method would not use are rejected."""
+        mc = MonteCarloSettings(n_draws=1_000)
+        for alphas, method in (((1.0, 2.0, 0.5), IntegrationMethod.RECURSIVE_QUAD),
+                               ((1.0, 2.0), IntegrationMethod.EXACT_1D),
+                               ((1.0, 2.0, 0.5), None)):
+            with pytest.raises(DomainError):
+                b_trunc(alphas, 0.1, method=method, mc=mc)
+            with pytest.raises(DomainError):
+                log_i_trunc(alphas, 0.1, method=method, mc=mc)
+
+    def test_monte_carlo_stderr_ceiling(self):
+        mc = MonteCarloSettings(n_draws=5_000, stderr_ceiling=1e-6)
+        with pytest.raises(StatisticalPrecisionError) as info:
+            b_trunc((1.0, 1.0, 1.0, 1.0), 0.05, mc=mc)
+        # the fraction's standard error with 5,000 proposals is ~7e-3
+        assert 1e-3 < info.value.stderr < 1e-2
+        assert 0.0 < info.value.estimate < 1.0
+        loose = MonteCarloSettings(n_draws=5_000, stderr_ceiling=1e-2)
+        assert b_trunc((1.0, 1.0, 1.0, 1.0), 0.05, mc=loose).value > 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
