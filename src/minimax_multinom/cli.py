@@ -257,8 +257,17 @@ def _cmd_compare_priors(args, config: RunConfig) -> int:
         token = token.strip()
         if token in _NAMED_PRIORS:
             priors.append(_NAMED_PRIORS[token](args.k))
-        else:
-            priors.append(SymmetricPrior(float(token), args.k))
+            continue
+        try:
+            alpha = float(token)
+        except ValueError:
+            alpha = math.nan
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise DomainError(
+                f"--priors: unknown prior {token!r}; use "
+                f"{', '.join(_NAMED_PRIORS)} or a positive number"
+            )
+        priors.append(SymmetricPrior(alpha, args.k))
     rows = compare_priors(
         args.k, _parse_ints(args.N), _schedule(args), priors,
         grid_size=args.grid_size, seed=config.seed, threads=config.threads,

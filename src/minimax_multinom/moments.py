@@ -218,6 +218,8 @@ def moment_closed_form(m: int, N: float, theta: float) -> float:
         raise DomainError("order must be nonnegative")
     if not 0.0 < theta < 1.0:
         raise DomainError("theta must lie in (0, 1)")
+    if not N >= 0:
+        raise DomainError(f"sample size N must be nonnegative, got {N!r}")
     if m > 8:
         return float(_recurrence_upto(m)[m].evaluate(N, theta))
     t = theta

@@ -246,31 +246,41 @@ def _check_kabc(prior: PriorSpec, model: ModelSpec, theta: ThetaPoint) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple:
-    """Golden-section local maximization of a scalar function on [lo, hi].
+def _golden_max(f, lo, hi, iters: int = 60) -> tuple:
+    """Golden-section local maximization over a batch of intervals.
 
-    The width tolerance is matched to the flatness of a smooth maximum: at
-    width w the value error is O(w^2) times the curvature, so 1e-7 of the
-    span leaves value errors far below summation noise.
+    Row r searches [lo[r], hi[r]].  f(rows, t) returns the objective of each
+    listed row at its point t, so one iteration costs one call of f for
+    every row still running.  Returns the (argmax, max) arrays; each row's
+    floats are those of a search on its interval alone.
+
+    Each row stops at its own width tolerance, matched to the flatness of a
+    smooth maximum: at width w the value error is O(w^2) times the
+    curvature, so 1e-7 of the span leaves value errors far below summation
+    noise.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
     width_tol = 1e-7 * (b - a) + 1e-15
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    rows = np.arange(a.size)
+    fc, fd = f(rows, c), f(rows, d)
     for _ in range(iters):
-        if b - a < width_tol:
+        rows = rows[~(b[rows] - a[rows] < width_tol[rows])]
+        if rows.size == 0:
             break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+        left = fc[rows] >= fd[rows]
+        lr, rr = rows[left], rows[~left]
+        b[lr], d[lr], fd[lr] = d[lr], c[lr], fc[lr]
+        c[lr] = b[lr] - invphi * (b[lr] - a[lr])
+        a[rr], c[rr], fc[rr] = c[rr], d[rr], fd[rr]
+        d[rr] = a[rr] + invphi * (b[rr] - a[rr])
+        new = f(rows, np.where(left, c[rows], d[rows]))
+        fc[lr], fd[rr] = new[left], new[~left]
+    best = fc >= fd
+    return np.where(best, c, d), np.where(best, fc, fd)
 
 
 @dataclass
@@ -288,7 +298,10 @@ class SeparableMaximizer:
     tabulation-plus-refinement over the shared value of each pinned family,
     and (c) multi-start projected coordinate ascent, for k >= 3, exploiting
     that moving mass between two coordinates only changes two terms of the
-    sum; at k = 2 the pinned family covers the whole segment.
+    sum; at k = 2 the pinned family covers the whole segment.  The ascent
+    runs its starts in lockstep: at each step every start moves mass between
+    the same two coordinates, so one h call per coordinate serves them all,
+    and each start ends where it would have ended alone.
     """
 
     def __init__(
@@ -320,8 +333,14 @@ class SeparableMaximizer:
     # -- plumbing ------------------------------------------------------
 
     def _objective(self, theta) -> float:
-        vals = [float(self.h(i, theta[i])[0]) for i in range(self.k)]
-        return self.transform(stable_sum(vals) + self.constant)
+        return self._objectives(np.array(theta, dtype=float)[:, None])[0]
+
+    def _objectives(self, thetas: np.ndarray) -> list:
+        """The objective at each column of a (k, n) array, with one h call
+        per coordinate."""
+        cols = [self.h(i, thetas[i]).tolist() for i in range(self.k)]
+        return [self.transform(stable_sum(vals) + self.constant)
+                for vals in zip(*cols)]
 
     def _normalize(self, theta) -> tuple:
         theta = [max(float(v), self.eps) for v in theta]
@@ -387,60 +406,90 @@ class SeparableMaximizer:
         lo = float(grid[max(0, best_idx - 1)])
         hi = float(grid[min(len(grid) - 1, best_idx + 1)])
         if hi > lo:
-            def f(u: float) -> float:
-                return self._objective(self._family_theta(subset, u))
+            def f(rows, u) -> np.ndarray:
+                return np.array([self._objective(self._family_theta(subset, v))
+                                 for v in u.tolist()])
 
-            u_star, v_star = _golden_max(f, lo, hi)
+            u_star, v_star = _golden_max(f, [lo], [hi])
             out.append(
                 _Candidate(
-                    v_star, self._family_theta(subset, u_star),
+                    float(v_star[0]), self._family_theta(subset, float(u_star[0])),
                     f"pin{list(subset)}@refine",
                 )
             )
         return out
 
-    def _ascent(self, start_index: int, sweeps: int = 60) -> _Candidate:
-        rng = seeded_stream(self.seed, 1000 + start_index)
-        raw = rng.dirichlet(np.ones(self.k))
-        theta = tuple(self.eps + (1.0 - self.k * self.eps) * raw)
-        value = self._objective(theta)
+    def _ascent(self, starts, sweeps: int = 60) -> list:
+        """Projected coordinate ascent from every listed start, in lockstep.
+
+        Start s draws its point from seeded_stream(seed, 1000 + s).  Each
+        sweep visits the coordinate pairs (i, j) in order; every running
+        start moves mass between the same two coordinates, so each step
+        evaluates h once per coordinate for all of them: the sums of the
+        other coordinates, a 33-point probe of each start's segment, and
+        each iteration of the golden refine.  A start whose pair holds no
+        mass above the floors sits that pair out; a start whose sweep does
+        not improve its value stops.  Each start's floats are those of an
+        ascent run alone.  Returns one candidate per start, in start order.
+        """
+        starts = list(starts)
+        k, eps, n = self.k, self.eps, len(starts)
+        # theta[i] holds coordinate i of every start
+        theta = np.empty((k, n))
+        for r, s in enumerate(starts):
+            raw = seeded_stream(self.seed, 1000 + s).dirichlet(np.ones(k))
+            theta[:, r] = eps + (1.0 - k * eps) * raw
+        value = np.array(self._objectives(theta))
+        running = np.ones(n, dtype=bool)
         for _ in range(sweeps):
-            improved = False
-            for i in range(self.k):
-                for j in range(i + 1, self.k):
-                    m = theta[i] + theta[j]
-                    if m <= 2 * self.eps:
-                        continue
-                    others = stable_sum(
-                        float(self.h(q, theta[q])[0])
-                        for q in range(self.k)
-                        if q not in (i, j)
-                    ) + self.constant
-
-                    def g(t: float) -> float:
-                        return self.transform(
-                            others + float(self.h(i, t)[0]) + float(self.h(j, m - t)[0])
-                        )
-
-                    lo, hi = self.eps, m - self.eps
-                    probe = np.linspace(lo, hi, 33)
-                    sums = others + self.h(i, probe) + self.h(j, m - probe)
-                    pv = [self.transform(v) for v in sums]
-                    b = int(np.argmax(pv))
-                    t_star, v_star = _golden_max(
-                        g, probe[max(0, b - 1)], probe[min(32, b + 1)]
-                    )
-                    if v_star > value + 1e-15:
-                        lst = list(theta)
-                        lst[i], lst[j] = t_star, m - t_star
-                        theta = tuple(lst)
-                        value = v_star
-                        improved = True
-            theta = self._normalize(theta)
-            value = self._objective(theta)
-            if not improved:
+            if not running.any():
                 break
-        return _Candidate(value, theta, f"ascent[{start_index}]")
+            improved = np.zeros(n, dtype=bool)
+            for i in range(k):
+                for j in range(i + 1, k):
+                    m = theta[i] + theta[j]
+                    rows = np.flatnonzero(running & ~(m <= 2 * eps))
+                    if rows.size == 0:
+                        continue
+                    m = m[rows]
+                    rest = [self.h(q, theta[q, rows]).tolist()
+                            for q in range(k) if q not in (i, j)]
+                    others = np.array([
+                        stable_sum(col[r] for col in rest)
+                        for r in range(rows.size)
+                    ]) + self.constant
+
+                    def g(sub, t) -> np.ndarray:
+                        sums = others[sub] + self.h(i, t) + self.h(j, m[sub] - t)
+                        return np.array([self.transform(v) for v in sums.tolist()])
+
+                    probe = np.array([np.linspace(eps, mr - eps, 33) for mr in m])
+                    shape = probe.shape
+                    sums = (others[:, None]
+                            + self.h(i, probe.ravel()).reshape(shape)
+                            + self.h(j, (m[:, None] - probe).ravel()).reshape(shape))
+                    pv = np.array([self.transform(v) for v in sums.ravel().tolist()])
+                    b = np.argmax(pv.reshape(shape), axis=1)
+                    at = np.arange(rows.size)
+                    t_star, v_star = _golden_max(
+                        g, probe[at, np.maximum(b - 1, 0)],
+                        probe[at, np.minimum(b + 1, 32)],
+                    )
+                    better = v_star > value[rows] + 1e-15
+                    won = rows[better]
+                    theta[i, won] = t_star[better]
+                    theta[j, won] = m[better] - t_star[better]
+                    value[won] = v_star[better]
+                    improved[won] = True
+            rows = np.flatnonzero(running)
+            for r in rows:
+                theta[:, r] = self._normalize(theta[:, r])
+            value[rows] = self._objectives(theta[:, rows])
+            running &= improved
+        return [
+            _Candidate(float(value[r]), tuple(theta[:, r].tolist()), f"ascent[{s}]")
+            for r, s in enumerate(starts)
+        ]
 
     # -- driver ----------------------------------------------------------
 
@@ -476,9 +525,7 @@ class SeparableMaximizer:
             candidates.extend(res)
 
         if self.k >= 3:
-            candidates.extend(
-                ordered_map(self._ascent, range(self.ascent_starts), self.threads)
-            )
+            candidates.extend(self._ascent(range(self.ascent_starts)))
 
         best = None
         for cand in candidates:
@@ -530,10 +577,11 @@ def sup_risk(
 ) -> SupRiskReport:
     """Maximize the prediction risk over the floored simplex.
 
-    The risk is separable across coordinates, which the search exploits; the
-    returned trace lists every configuration family and, for k >= 3, every
-    ascent start with the value it achieved, so a suspect supremum can be
-    diagnosed.
+    The risk is separable across coordinates, which the search exploits; for
+    k >= 3 its multi-start ascent advances all ascent_starts starts together,
+    one kernel call per coordinate and step.  The returned trace lists every
+    configuration family and, for k >= 3, every ascent start with the value
+    it achieved, so a suspect supremum can be diagnosed.
     """
     if prior.k != model.k or trunc.k != model.k:
         raise DomainError("prior, model and truncation disagree on k")

@@ -222,6 +222,8 @@ class TestErrorHandling:
         pytest.param(["moments", "--N", "10"], {}, id="moments-N-without-theta"),
         pytest.param(["moments", "--theta", "0.3"], {},
                      id="moments-theta-without-N"),
+        pytest.param(["moments", "--m-max", "4", "--N", "-3", "--theta", "0.3"],
+                     {}, id="moments-N-negative"),
     ])
     def test_out_of_domain_input_exit_two(self, capsys, monkeypatch, argv, env):
         for key, value in env.items():
@@ -230,6 +232,18 @@ class TestErrorHandling:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]["type"] == "DomainError"
+
+    @pytest.mark.parametrize("token", ["foo", "-1", "0", "inf"])
+    def test_unknown_prior_name_exit_two(self, capsys, token):
+        code, out, err = run_cli(capsys, "compare-priors", "--k", "2",
+                                 "--N", "8", "--priors", "jeffreys," + token)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        for word in ("--priors", repr(token), "jeffreys", "uniform", "minimax",
+                     "positive number"):
+            assert word in error["message"]
 
     def test_unknown_flag_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "risk", "--nope")

@@ -131,6 +131,9 @@ class TestClosedForms:
             moment_closed_form(-1, 5, 0.5)
         with pytest.raises(DomainError):
             moment_closed_form(2, 5, 1.0)
+        for N in (-3, -1e-9, math.nan):
+            with pytest.raises(DomainError, match="N must be nonnegative"):
+                moment_closed_form(2, N, 0.3)
 
 
 class TestPrettyPrinter:

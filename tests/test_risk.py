@@ -42,6 +42,7 @@ from minimax_multinom import (
     truncated_predictive_density,
     truncation_bayes_gap,
 )
+from minimax_multinom.numkernel import seeded_stream, stable_sum
 
 HAND_RISK = 0.5 * math.log(9.0 / 8.0)  # k=2, N=1, uniform prior, theta=(1/2,1/2)
 
@@ -326,11 +327,121 @@ class TestK2SearchCoversAscent:
         for kwargs in objectives:
             m = risk_module.SeparableMaximizer(
                 h, 2, eps, symmetric=spec.is_symmetric, **kwargs)
-            best_ascent = max(m._ascent(s).value for s in range(32))
+            best_ascent = max(c.value for c in m._ascent(range(32)))
             for grid_size in (16, 128, 512):
                 value = m.maximize(grid_size)[0]
                 assert value >= best_ascent - risk_module._TIE_TOL, (
                     grid_size, kwargs, value, best_ascent)
+
+
+def _scalar_golden_max(f, lo, hi, iters=60):
+    """Golden-section maximization of a scalar function on one interval."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    width_tol = 1e-7 * (b - a) + 1e-15
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if b - a < width_tol:
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def _one_start_ascent(m, start_index, sweeps=60):
+    """The multi-start ascent for one start alone, with scalar h calls."""
+    def objective(theta):
+        vals = [float(m.h(i, theta[i])[0]) for i in range(m.k)]
+        return m.transform(stable_sum(vals) + m.constant)
+
+    rng = seeded_stream(m.seed, 1000 + start_index)
+    raw = rng.dirichlet(np.ones(m.k))
+    theta = tuple(m.eps + (1.0 - m.k * m.eps) * raw)
+    value = objective(theta)
+    for _ in range(sweeps):
+        improved = False
+        for i in range(m.k):
+            for j in range(i + 1, m.k):
+                mass = theta[i] + theta[j]
+                if mass <= 2 * m.eps:
+                    continue
+                others = stable_sum(
+                    float(m.h(q, theta[q])[0])
+                    for q in range(m.k) if q not in (i, j)
+                ) + m.constant
+
+                def g(t):
+                    return m.transform(
+                        others + float(m.h(i, t)[0]) + float(m.h(j, mass - t)[0]))
+
+                probe = np.linspace(m.eps, mass - m.eps, 33)
+                sums = others + m.h(i, probe) + m.h(j, mass - probe)
+                b = int(np.argmax([m.transform(v) for v in sums]))
+                t_star, v_star = _scalar_golden_max(
+                    g, probe[max(0, b - 1)], probe[min(32, b + 1)])
+                if v_star > value + 1e-15:
+                    lst = list(theta)
+                    lst[i], lst[j] = t_star, mass - t_star
+                    theta = tuple(lst)
+                    value = v_star
+                    improved = True
+        theta = m._normalize(theta)
+        value = objective(theta)
+        if not improved:
+            break
+    return (value, theta, f"ascent[{start_index}]")
+
+
+_ASCENT_PRIORS = {
+    "jeffreys": lambda k: SymmetricPrior.jeffreys(k).expand(),
+    "minimax": lambda k: SymmetricPrior.minimax(k).expand(),
+    "asymmetric": lambda k: PriorSpec(tuple(0.3 + j for j in range(k))),
+}
+
+
+def _memoized(h):
+    """h with every value it returned kept, per (coordinate, point)."""
+    memo = {}
+
+    def cached(i, t):
+        t = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
+        missing = [v for v in t if (i, v) not in memo]
+        if missing:
+            memo.update(zip(((i, v) for v in missing), h(i, missing).tolist()))
+        return np.array([memo[i, v] for v in t])
+
+    return cached
+
+
+class TestLockstepAscent:
+    """The lockstep ascent runs every start's arithmetic as a start run
+    alone would, so each candidate equals the one-start reference exactly.
+    h is a function of (coordinate, point) alone, so both sides read one
+    memo of its values; a point only one side asks for is computed fresh."""
+
+    @pytest.mark.parametrize("prior", list(_ASCENT_PRIORS))
+    @pytest.mark.parametrize("eps", [1e-4, 0.03, 0.2])
+    @pytest.mark.parametrize("N", [1, 7, 23, 130, 505])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_one_start_reference(self, k, N, eps, prior):
+        ev = risk_module.CoordinateRiskEvaluator(
+            _ASCENT_PRIORS[prior](k), ModelSpec(k, N))
+        for kwargs in ({}, {"constant": -(k - 1) / (2.0 * N), "transform": abs}):
+            m = risk_module.SeparableMaximizer(_memoized(ev.coordinate), k, eps,
+                                               **kwargs)
+            got = {n: [(c.value, c.theta, c.label) for c in m._ascent(range(n))]
+                   for n in (8, 1, 0)}
+            reference = [_one_start_ascent(m, s) for s in range(8)]
+            for n, candidates in got.items():
+                assert candidates == reference[:n], (kwargs, n)
 
 
 class TestSupRisk:
