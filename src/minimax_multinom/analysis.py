@@ -137,6 +137,9 @@ def minimax_sandwich(
     """
     if schedule.mode is not ScheduleMode.MINIMAX:
         raise DomainError("the sandwich needs a schedule in MINIMAX mode")
+    N_list = list(N_list)
+    if any(b <= a for a, b in zip(N_list, N_list[1:])):
+        raise DomainError("N_list must be strictly increasing")
     prior = SymmetricPrior.minimax(k)
 
     def one(N: int):
@@ -150,7 +153,7 @@ def minimax_sandwich(
         bayes_full = bayes_risk(prior, model, Predictive.FULL, trunc)
         return upper, lower, bayes_full
 
-    results = ordered_map(one, list(N_list), threads)
+    results = ordered_map(one, N_list, threads)
     rows = []
     crosscheck = []
     for N, (upper, lower, bayes_full) in zip(N_list, results):

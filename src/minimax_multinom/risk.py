@@ -70,6 +70,10 @@ _TIE_TOL = 1e-13
 #: all but 2 e^-L of the mass (see CoordinateRiskEvaluator)
 _WINDOW_NATS = 75.0
 
+#: most binomial terms the risk kernel evaluates in one numpy pass; a point
+#: whose window alone is longer gets a pass of its own
+_PASS_TERMS = 4096
+
 
 @dataclass(frozen=True)
 class ThetaPoint:
@@ -173,9 +177,17 @@ class CoordinateRiskEvaluator:
     """Vectorized per-coordinate risk contributions for one (prior, model).
 
     coordinate(i, t) returns h_i(t) = -t log(1+s_i) - t E log(1+w_i) for an
-    array of candidate values t of theta_i; the full risk at a point is the
-    compensated sum of the k contributions.  Binomial mass terms are
-    accumulated in increasing-x order with compensated summation.
+    array of candidate values t of theta_i, where i is one coordinate index
+    or one index per value; the full risk at a point is the compensated sum
+    of the k contributions, taken from one call.  A call walks its points in
+    order and gathers the summation windows of consecutive points into one
+    flat array until the next window would push it past _PASS_TERMS = 4096
+    terms (a longer window gets a pass of its own); every pass evaluates all
+    its binomial mass terms in one numpy pass.  Each point's terms are then
+    accumulated in increasing-x order with compensated summation, so every
+    value is the float a call for that point alone returns.  The per-pass
+    cap keeps the pass's temporaries in cache: one uncapped pass over a
+    large-N grid is slower than a loop over its points.
 
     E log(1+w_i) is summed over x in [ceil(N t - d), floor(N t + d)] within
     [0, N] only, with d = L/3 + sqrt(L^2/9 + 2 L N t (1 - t)) and
@@ -193,35 +205,63 @@ class CoordinateRiskEvaluator:
         self.prior = prior
         self.model = model
         N = model.N
-        self._x = np.arange(N + 1, dtype=float)
-        self._lg = _gammaln(N + 1) - _gammaln(self._x + 1) - _gammaln(N - self._x + 1)
+        x = np.arange(N + 1, dtype=float)
+        self._lg = _gammaln(N + 1) - _gammaln(x + 1) - _gammaln(N - x + 1)
 
-    def coordinate(self, i: int, t) -> np.ndarray:
-        a_i = self.prior.a[i]
+    def coordinate(self, i, t) -> np.ndarray:
+        """h_i(t) at every value of t; i is one coordinate index, or one
+        index per value of t."""
         A = self.prior.A
         N = self.model.N
         L = _WINDOW_NATS
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+        ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
         # written so that NaN fails it
-        if not ((t > 0) & (t < 1)).all():
+        if not all(0.0 < tj < 1.0 for tj in ts):
             raise DomainError("coordinate values must lie in (0, 1)")
-        out = np.empty_like(t)
-        for j, tj in enumerate(t.tolist()):
+        a = self.prior.a
+        if isinstance(i, (int, np.integer)):
+            a_of = [a[i]] * len(ts)
+        else:
+            a_of = [a[j] for j in i]
+        if len(a_of) != len(ts):
+            raise DomainError("need one coordinate index per value of t")
+        heads, ews = [], []
+        # per point of the current pass: where its window starts less where
+        # its terms start in the pass, log t, log1p(-t), N t, N t + a_i
+        rows, lengths, terms = [], [], 0
+        for tj, a_i in zip(ts, a_of):
             d = L / 3 + math.sqrt(L * L / 9 + 2 * L * N * tj * (1 - tj))
             lo = max(0, math.ceil(N * tj - d))
-            hi = min(N, math.floor(N * tj + d)) + 1
-            x, lg = self._x[lo:hi], self._lg[lo:hi]
+            n = min(N, math.floor(N * tj + d)) + 1 - lo
+            if rows and terms + n > _PASS_TERMS:
+                ews += self._window_sums(rows, lengths)
+                rows, lengths, terms = [], [], 0
             s = (a_i - A * tj) / ((N + A) * tj)
-            logpmf = lg + x * math.log(tj) + (N - x) * math.log1p(-tj)
-            w = (x - N * tj) / (N * tj + a_i)
-            ew = stable_sum(np.exp(logpmf) * np.log1p(w))
-            out[j] = -tj * math.log1p(s) - tj * ew
-        return out
+            heads.append(-tj * math.log1p(s))
+            nt = N * tj
+            rows.append((lo - terms, math.log(tj), math.log1p(-tj), nt, nt + a_i))
+            lengths.append(n)
+            terms += n
+        if rows:
+            ews += self._window_sums(rows, lengths)
+        return np.array([h - tj * ew for h, tj, ew in zip(heads, ts, ews)])
+
+    def _window_sums(self, rows: list, lengths: list) -> list:
+        """E log(1+w_i) at each point of one pass: the terms of every window
+        are evaluated together, then each window is summed in increasing x."""
+        shift, lt, l1t, nt, den = np.repeat(np.array(rows).T, lengths, axis=1)
+        x = np.arange(shift.size) + shift
+        logpmf = self._lg[x.astype(np.intp)] + x * lt + (self.model.N - x) * l1t
+        w = (x - nt) / den
+        vals = (np.exp(logpmf) * np.log1p(w)).tolist()
+        sums, start = [], 0
+        for n in lengths:
+            sums.append(stable_sum(vals[start:start + n]))
+            start += n
+        return sums
 
     def risk(self, theta: ThetaPoint) -> RiskReport:
-        per = tuple(
-            float(self.coordinate(i, theta.theta[i])[0]) for i in range(self.model.k)
-        )
+        per = tuple(self.coordinate(range(self.model.k), theta.theta).tolist())
         total = stable_sum(per)
         if total < -1e-14:
             raise AssertionError(f"risk must be nonnegative, got {total!r}")
@@ -639,6 +679,7 @@ class TruncatedPredictiveTable:
         self.alpha = alpha.alpha
         self.eps = trunc.eps
         self.comps = compositions(model.N, model.k)
+        self._log_coef = _log_multinomial_rows(model.N, self.comps)
         self._memo: dict = {}
         n, k = self.comps.shape
         self.log_ratio = np.empty((n, k))
@@ -664,7 +705,7 @@ class TruncatedPredictiveTable:
         at the point; positive when the truncated predictive is better.
         """
         th = np.asarray(theta.theta)
-        logpmf = _log_multinomial_rows(self.model.N, self.comps) + self.comps @ np.log(th)
+        logpmf = self._log_coef + self.comps @ np.log(th)
         pmf = np.exp(logpmf)
         inner = self.log_ratio @ th
         return float(stable_sum(pmf * inner))

@@ -206,6 +206,11 @@ class TestErrorHandling:
         pytest.param(["expansion-error", "--k", "2", "--N", "0",
                       "--prior", "minimax"], {}, id="expansion-error-N0"),
         pytest.param(["sandwich", "--k", "2", "--N", "0"], {}, id="sandwich-N0"),
+        # the trend verdicts compare the last N with the first
+        pytest.param(["sandwich", "--k", "2", "--N", "64,32,16"], {},
+                     id="sandwich-N-decreasing"),
+        pytest.param(["sandwich", "--k", "2", "--N", "16,16,32"], {},
+                     id="sandwich-N-repeated"),
         # each grid below would grow without end if it were not rejected
         pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
                       "--alpha-grid", "0.5:2.5:0"], {}, id="alpha-step-0"),
