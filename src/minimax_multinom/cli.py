@@ -41,6 +41,7 @@ from .model import (
     TruncatedSimplex,
 )
 from .moments import moment_closed_form, moment_recurrence
+from .numkernel import check_seed
 from .risk import (
     RiskMethod,
     ThetaPoint,
@@ -363,9 +364,12 @@ def _cmd_moments(args, config: RunConfig) -> int:
 
 
 def _cmd_optimal_alpha(args, config: RunConfig) -> int:
-    lo, hi, step = (float(v) for v in args.alpha_grid.split(":"))
-    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)
-            and step > 0):
+    try:
+        lo, hi, step = (float(v) for v in args.alpha_grid.split(":"))
+        valid = all(map(math.isfinite, (lo, hi, step))) and step > 0
+    except ValueError:  # not three numbers
+        valid = False
+    if not valid:
         raise DomainError("--alpha-grid needs finite start:stop:step with step > 0")
     grid = []
     v = lo
@@ -596,7 +600,7 @@ def main(argv=None) -> int:
         config = RunConfig(
             command=args.command,
             params=params,
-            seed=args.seed,
+            seed=check_seed(args.seed),
             output=args.format,
             out_path=args.out,
             threads=resolve_threads(args.threads),

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _quad
 from scipy.special import betainc as _betainc
 from scipy.special import betaincc as _betaincc
 from scipy.special import betaln as _betaln
@@ -63,9 +62,17 @@ class MonteCarloSettings:
         return (self.n_draws + self.batch_size - 1) // self.batch_size
 
 
+def check_seed(seed: int) -> int:
+    """seed itself if it is a Philox key word, an integer in [0, 2**64);
+    DomainError otherwise, so no two seeds name the same stream."""
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must lie in [0, 2**64), got {seed!r}")
+    return seed
+
+
 def seeded_stream(seed: int, index: int) -> np.random.Generator:
     """The counter-based Philox stream keyed on (seed, index)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
+    key = np.array([check_seed(seed), index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -182,6 +189,9 @@ def log_beta_segment(
         if diff > 1e-5 * max(upper, 1e-300):
             return float(_betaln(alpha, beta)) + math.log(diff)
 
+    # imported on first use: most commands never integrate
+    from scipy.integrate import quad
+
     scale = _log_beta_integrand_max(alpha, beta, s, t)
 
     def scaled(th: float) -> float:
@@ -189,7 +199,7 @@ def log_beta_segment(
             (alpha - 1) * math.log(th) + (beta - 1) * math.log1p(-th) - scale
         )
 
-    val, err = _quad(
+    val, err = quad(
         scaled, s, t, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
         limit=QUAD_MAX_SUBDIVISIONS,
     )

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _quad
 from scipy.special import gammaln as _gammaln
 
 from ._pool import ordered_map
@@ -742,6 +741,9 @@ def _bayes_numerator(a: tuple, eps: float, risk_fn, head: tuple = (),
     """
     if len(a) == 1:
         return risk_fn(head), 0.0
+    # imported on first use: most commands never integrate
+    from scipy.integrate import quad
+
     e1 = a[0] - 1.0
     e2 = stable_sum(a[1:]) - 1.0
     inner_err = 0.0
@@ -762,9 +764,9 @@ def _bayes_numerator(a: tuple, eps: float, risk_fn, head: tuple = (),
         limit=QUAD_MAX_SUBDIVISIONS,
     )
     if eps == 0.0 and (e1 < 0 or e2 < 0):
-        val, err = _quad(inner, 0.0, 1.0, weight="alg", wvar=(e1, e2), **opts)
+        val, err = quad(inner, 0.0, 1.0, weight="alg", wvar=(e1, e2), **opts)
     else:
-        val, err = _quad(
+        val, err = quad(
             lambda v: math.exp(e1 * math.log(v) + e2 * math.log1p(-v)) * inner(v),
             eps, 1.0 - (len(a) - 1) * eps, **opts,
         )

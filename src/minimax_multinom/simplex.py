@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad as _quad
 
 from .errors import DomainError, InfeasibleRegionError, StatisticalPrecisionError
 from .numkernel import (
@@ -82,6 +81,8 @@ def _recursive_b_log(alphas, eps: float) -> tuple:
     if k == 2:
         lv = log_beta_segment(alphas[0], alphas[1], eps, 1.0 - eps)
         return lv, 1e-13
+    # imported on first use: most commands never integrate
+    from scipy.integrate import quad
 
     rest = alphas[1:]
     rest_sum = stable_sum(rest)
@@ -108,7 +109,7 @@ def _recursive_b_log(alphas, eps: float) -> tuple:
             - scale
         )
 
-    val, err = _quad(
+    val, err = quad(
         integrand, lo, hi,
         epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_MAX_SUBDIVISIONS,
     )
@@ -165,11 +166,14 @@ def b_trunc(
         err = 1e-13
     elif method is IntegrationMethod.RECURSIVE_QUAD:
         if k == 2:
-            # forced path for cross-checks: integrate the raw kernel
+            # forced path for cross-checks: integrate the raw kernel (quad
+            # is imported on first use: most commands never integrate)
+            from scipy.integrate import quad
+
             def integrand(t):
                 return t ** (alphas[0] - 1) * (1 - t) ** (alphas[1] - 1)
 
-            val, aerr = _quad(
+            val, aerr = quad(
                 integrand, eps, 1 - eps,
                 epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
                 limit=QUAD_MAX_SUBDIVISIONS,

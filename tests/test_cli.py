@@ -1,9 +1,14 @@
 """Command-line contract: payloads, exit codes, determinism, formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minimax_multinom
 from minimax_multinom import LemmaReport
 from minimax_multinom.cli import main
 from minimax_multinom._pool import resolve_threads
@@ -219,6 +224,22 @@ class TestErrorHandling:
                      id="alpha-step-negative"),
         pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
                       "--alpha-grid", "0.5:inf:0.1"], {}, id="alpha-stop-inf"),
+        # malformed grids report the same DomainError, not float()'s message
+        pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
+                      "--alpha-grid", "1,1"], {}, id="alpha-grid-comma"),
+        pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
+                      "--alpha-grid", "1:2"], {}, id="alpha-grid-two-fields"),
+        pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
+                      "--alpha-grid", "a:2:0.1"], {}, id="alpha-grid-not-number"),
+        # a Philox key word is 64 bits; a seed outside would alias another
+        pytest.param(["sup-risk", "--k", "2", "--N", "8", "--prior", "minimax",
+                      "--seed", "-1"], {}, id="sup-risk-seed-negative"),
+        pytest.param(["sup-risk", "--k", "2", "--N", "8", "--prior", "minimax",
+                      "--seed", str(2**64)], {}, id="sup-risk-seed-2**64"),
+        pytest.param(["verify-lemmas", "--lemma", "1", "--trials", "5",
+                      "--seed", "-1"], {}, id="verify-lemmas-seed-negative"),
+        pytest.param(["verify-lemmas", "--lemma", "1", "--trials", "5",
+                      "--seed", str(2**64)], {}, id="verify-lemmas-seed-2**64"),
         pytest.param(["identities", "--threads", "0"], {}, id="threads-0"),
         pytest.param(["identities", "--threads", "-3"], {},
                      id="threads-negative"),
@@ -237,6 +258,12 @@ class TestErrorHandling:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]["type"] == "DomainError"
+
+    def test_largest_seed_accepted(self, capsys):
+        code, out, err = run_cli(capsys, "verify-lemmas", "--lemma", "1",
+                                 "--trials", "5", "--seed", str(2**64 - 1))
+        assert code == 0 and err == ""
+        assert json.loads(out)["seed"] == 2**64 - 1
 
     @pytest.mark.parametrize("token", ["foo", "-1", "0", "inf"])
     def test_unknown_prior_name_exit_two(self, capsys, token):
@@ -266,6 +293,55 @@ class TestErrorHandling:
                                "--r", "0.5")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+# Runs argv (if any) in a fresh interpreter, then prints whether quadrature
+# was ever imported as the last line of stdout.
+_ISOLATION_CODE = """
+import sys
+from minimax_multinom.cli import main
+if sys.argv[1:] and main(sys.argv[1:]) != 0:
+    sys.exit("command failed")
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def _loads_quadrature(*argv) -> bool:
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(minimax_multinom.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _ISOLATION_CODE, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+class TestImportIsolation:
+    """scipy.integrate is imported only by runs that integrate."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param([], id="import"),
+        pytest.param(["risk", "--k", "2", "--N", "4", "--alpha", "1",
+                      "--theta", "0.3"], id="risk"),
+        pytest.param(["sup-risk", "--k", "2", "--N", "8", "--prior", "minimax"],
+                     id="sup-risk-k2"),
+        pytest.param(["sup-risk", "--k", "3", "--N", "8", "--prior", "minimax"],
+                     id="sup-risk-k3"),
+        pytest.param(["compare-priors", "--k", "2", "--N", "8"],
+                     id="compare-priors"),
+        pytest.param(["expansion-error", "--k", "2", "--N", "8",
+                      "--prior", "minimax"], id="expansion-error"),
+        pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
+                      "--alpha-grid", "1:1.2:0.1"], id="optimal-alpha"),
+    ])
+    def test_non_integrating_run_skips_quadrature(self, argv):
+        assert not _loads_quadrature(*argv)
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["sandwich", "--k", "2", "--N", "8"], id="sandwich"),
+        pytest.param(["verify-lemmas", "--lemma", "4"], id="verify-lemmas"),
+    ])
+    def test_integrating_run_loads_quadrature(self, argv):
+        assert _loads_quadrature(*argv)
 
 
 class TestThreadResolution:

@@ -17,6 +17,7 @@ from minimax_multinom import (
     log_multivariate_beta,
     stable_sum,
 )
+from minimax_multinom.numkernel import seeded_stream
 
 mpmath.mp.dps = 40
 
@@ -178,3 +179,14 @@ class TestStableSum:
         assert stable_sum(sorted(xs)) == forward
         assert stable_sum(list(reversed(xs))) == forward
 
+
+class TestSeededStream:
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64) + 5])
+    def test_seed_outside_key_word_rejected(self, seed):
+        """Masking to 64 bits would give these the stream of another seed."""
+        with pytest.raises(DomainError, match="seed"):
+            seeded_stream(seed, 0)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_key_word_bounds_accepted(self, seed):
+        assert 0.0 <= seeded_stream(seed, 0).random() < 1.0
