@@ -73,6 +73,9 @@ def compare_priors(
     priors = list(priors)
     if not priors:
         raise DomainError("need at least one prior")
+    N_list = list(N_list)
+    if not N_list:
+        raise DomainError("need at least one N")
     jobs = [(p, N) for p in priors for N in N_list]
 
     def one(job) -> PriorComparisonRow:
@@ -81,7 +84,7 @@ def compare_priors(
         trunc = schedule.truncation(N, k)
         rep = sup_risk(
             p.expand(), model, trunc,
-            grid_size=grid_size, seed=seed, threads=1,
+            grid_size=grid_size, seed=seed,
         )
         t1 = (k - 1) / (2.0 * N)
         excess = rep.sup_value - t1
@@ -138,6 +141,8 @@ def minimax_sandwich(
     if schedule.mode is not ScheduleMode.MINIMAX:
         raise DomainError("the sandwich needs a schedule in MINIMAX mode")
     N_list = list(N_list)
+    if not N_list:
+        raise DomainError("need at least one N")
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise DomainError("N_list must be strictly increasing")
     prior = SymmetricPrior.minimax(k)
@@ -147,7 +152,7 @@ def minimax_sandwich(
         trunc = schedule.truncation(N, k)
         upper = sup_risk(
             prior.expand(), model, trunc,
-            grid_size=grid_size, seed=seed, threads=1,
+            grid_size=grid_size, seed=seed,
         ).sup_value
         lower = bayes_risk(prior, model, Predictive.TRUNCATED, trunc)
         bayes_full = bayes_risk(prior, model, Predictive.FULL, trunc)
@@ -200,7 +205,7 @@ def optimal_alpha_search(
     def one(alpha: float):
         rep = sup_risk(
             SymmetricPrior(alpha, k).expand(), model, trunc,
-            grid_size=grid_size, seed=seed, threads=1,
+            grid_size=grid_size, seed=seed,
         )
         return alpha, rep.sup_value
 

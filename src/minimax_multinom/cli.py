@@ -104,16 +104,18 @@ def _dumps(value) -> str:
     return json.dumps(value, default=_jsonable, allow_nan=False)
 
 
-def _parse_floats(text: str) -> list:
-    return [float(v) for v in text.split(",") if v != ""]
-
-
-def _parse_ints(text: str) -> list:
-    return [int(v) for v in text.split(",") if v != ""]
+def _parse_list(text: str, flag: str, cast) -> list:
+    """The comma-joined values of a flag, or DomainError naming the flag."""
+    try:
+        return [cast(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        raise DomainError(
+            f"{flag} needs comma-joined {cast.__name__} values, got {text!r}"
+        ) from None
 
 
 def _parse_theta(text: str, k: int) -> ThetaPoint:
-    vals = _parse_floats(text)
+    vals = _parse_list(text, "--theta", float)
     if len(vals) == k - 1:
         # last coordinate inferred from the unit-sum constraint
         return ThetaPoint.complete(vals)
@@ -126,7 +128,7 @@ def _parse_prior(args, k: int) -> PriorSpec:
     if getattr(args, "prior", None):
         return _NAMED_PRIORS[args.prior](k).expand()
     if getattr(args, "a", None):
-        return PriorSpec(tuple(_parse_floats(args.a)))
+        return PriorSpec(tuple(_parse_list(args.a, "--a", float)))
     if getattr(args, "alpha", None) is not None:
         return SymmetricPrior(args.alpha, k).expand()
     raise DomainError("specify a prior via --alpha, --a or --prior")
@@ -270,7 +272,7 @@ def _cmd_compare_priors(args, config: RunConfig) -> int:
             )
         priors.append(SymmetricPrior(alpha, args.k))
     rows = compare_priors(
-        args.k, _parse_ints(args.N), _schedule(args), priors,
+        args.k, _parse_list(args.N, "--N", int), _schedule(args), priors,
         grid_size=args.grid_size, seed=config.seed, threads=config.threads,
     )
     columns = ["prior_label", "alpha", "k", "N", "eps", "sup_risk",
@@ -285,7 +287,7 @@ def _cmd_compare_priors(args, config: RunConfig) -> int:
 def _cmd_sandwich(args, config: RunConfig) -> int:
     schedule = EpsilonSchedule(c=args.c, r=args.r, mode=ScheduleMode.MINIMAX)
     result = minimax_sandwich(
-        args.k, _parse_ints(args.N), schedule,
+        args.k, _parse_list(args.N, "--N", int), schedule,
         grid_size=args.grid_size, seed=config.seed, threads=config.threads,
     )
     columns = ["k", "N", "eps", "upper", "lower", "gap_scaled"]
@@ -304,7 +306,7 @@ def _cmd_sandwich(args, config: RunConfig) -> int:
 def _cmd_expansion_error(args, config: RunConfig) -> int:
     prior = _parse_prior(args, args.k)
     rows = expansion_error_profile(
-        prior, _schedule(args), _parse_ints(args.N),
+        prior, _schedule(args), _parse_list(args.N, "--N", int),
         truncation_order=args.order, variant=args.variant,
         grid_size=args.grid_size, seed=config.seed, threads=config.threads,
     )
@@ -326,9 +328,12 @@ def _cmd_expansion_error(args, config: RunConfig) -> int:
 
 
 def _cmd_verify_lemmas(args, config: RunConfig) -> int:
-    numbers = (
-        [1, 4, 5, 6, 7, 8] if args.lemma == "all" else [int(args.lemma)]
-    )
+    try:
+        numbers = [1, 4, 5, 6, 7, 8] if args.lemma == "all" else [int(args.lemma)]
+    except ValueError:
+        raise DomainError(
+            f"--lemma needs a check number or 'all', got {args.lemma!r}"
+        ) from None
     reports = [run_lemma_suite(n, args.trials, seed=config.seed) for n in numbers]
     rows = [r.to_dict() for r in reports]
     if config.output == "csv":

@@ -270,10 +270,16 @@ def expansion_error_profile(
     if not 1 <= truncation_order <= 4:
         raise DomainError("truncation_order must lie in 1..4")
     N_list = list(N_list)
+    if not N_list:
+        raise DomainError("need at least one N")
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise DomainError("N_list must be strictly increasing")
     k = prior.k
     coord_terms, consts = _kept_terms(prior, truncation_order, variant)
+    # every coordinate keeps the same (order, p, den) terms; only poly(a_i)
+    # differs, so polys[i, term] serves a per-point coordinate index
+    shapes = [(order, p, den) for order, p, _, den in coord_terms[0]]
+    polys = np.array([[poly for _, _, poly, _ in terms] for terms in coord_terms])
 
     def one_row(N: int) -> ProfileRow:
         model = ModelSpec(k, N)
@@ -284,11 +290,12 @@ def expansion_error_profile(
             c / Nf**order for order, c in consts.items()
         )
 
-        def residual_coord(i: int, t) -> np.ndarray:
+        def residual_coord(i, t) -> np.ndarray:
             t = np.atleast_1d(np.asarray(t, dtype=float))
+            poly_of = polys[i]
             expansion = np.zeros_like(t)
-            for order, p, poly, den in coord_terms[i]:
-                expansion += poly / (den * t**p) / Nf**order
+            for term, (order, p, den) in enumerate(shapes):
+                expansion += poly_of[..., term] / (den * t**p) / Nf**order
             return ev.coordinate(i, t) - expansion
 
         maximizer = SeparableMaximizer(
@@ -300,7 +307,6 @@ def expansion_error_profile(
             symmetric=prior.is_symmetric,
             seed=seed,
             ascent_starts=ascent_starts,
-            threads=1,
         )
         sup_val, theta, _ = maximizer.maximize(grid_size)
         if truncation_order == 4 and variant == "full":

@@ -25,10 +25,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln as _gammaln
 
 from .errors import DomainError
 from .model import EpsilonSchedule
+from .numkernel import log_binomial_row
 
 # --- integer polynomial helpers (coefficient tuples, ascending powers) -----
 
@@ -255,10 +255,7 @@ def moment_pmf_oracle(m: int, N: int, theta) -> float:
     """Brute-force E[(X - N theta)^m] by summing the binomial mass."""
     x = np.arange(N + 1)
     lt, l1t = math.log(theta), math.log1p(-theta)
-    logpmf = (
-        _gammaln(N + 1) - _gammaln(x + 1) - _gammaln(N - x + 1)
-        + x * lt + (N - x) * l1t
-    )
+    logpmf = log_binomial_row(N) + x * lt + (N - x) * l1t
     return float(np.sum(np.exp(logpmf) * (x - N * theta) ** m))
 
 
@@ -351,7 +348,7 @@ def lemma3_bound_check(
         eps = eps_schedule.eps(N)
         grid = _theta_grid(eps, grid_points)
         x = np.arange(N + 1)
-        lg = _gammaln(N + 1) - _gammaln(x + 1) - _gammaln(N - x + 1)
+        lg = log_binomial_row(N)
         sup = -math.inf
         for th in grid:
             if th >= 1.0:

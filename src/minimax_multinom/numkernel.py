@@ -43,9 +43,10 @@ class MonteCarloSettings:
     """Draw budget and stream seed for Monte Carlo integration.
 
     n_draws counts proposals; batches are fixed-size and each owns a
-    counter-based stream keyed on (seed, batch index), so estimates do not
-    depend on worker scheduling.  If stderr_ceiling is set, estimates whose
-    standard error exceeds it raise StatisticalPrecisionError.
+    counter-based stream keyed on (seed, batch index), so these settings
+    alone fix every draw and the estimate.  If stderr_ceiling is set,
+    estimates whose standard error exceeds it raise
+    StatisticalPrecisionError.
     """
 
     n_draws: int = 200_000
@@ -130,6 +131,18 @@ def log_multinomial(N: int, x) -> float:
             num //= math.factorial(v)
         return math.log(num)
     return float(_gammaln(N + 1)) - stable_sum([_gammaln(v + 1) for v in x])
+
+
+def log_binomial_row(N: int) -> np.ndarray:
+    """ln C(N, x) for x = 0, ..., N, from log-gamma differences."""
+    x = np.arange(N + 1, dtype=float)
+    return _gammaln(N + 1) - _gammaln(x + 1) - _gammaln(N - x + 1)
+
+
+def log_multinomial_rows(N: int, comps: np.ndarray) -> np.ndarray:
+    """ln N! / (x_1! ... x_k!) for every row x of an (n, k) count array,
+    from log-gamma differences."""
+    return _gammaln(N + 1) - _gammaln(comps + 1.0).sum(axis=1)
 
 
 def _log_beta_integrand_max(alpha: float, beta: float, s: float, t: float) -> float:

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln as _gammaln
 
 from ._pool import ordered_map
 from .errors import (
@@ -51,6 +50,8 @@ from .numkernel import (
     MonteCarloSettings,
     compositions,
     dirichlet_batch,
+    log_binomial_row,
+    log_multinomial_rows,
     log_multivariate_beta,
     seeded_stream,
     stable_sum,
@@ -133,10 +134,6 @@ class Predictive(enum.Enum):
     TRUNCATED = "truncated"
 
 
-def _log_multinomial_rows(N: int, comps: np.ndarray) -> np.ndarray:
-    return _gammaln(N + 1) - _gammaln(comps + 1.0).sum(axis=1)
-
-
 def risk_enumeration(
     prior: PriorSpec,
     model: ModelSpec,
@@ -158,7 +155,7 @@ def risk_enumeration(
     comps = compositions(model.N, model.k)
     th = np.asarray(theta.theta)
     a = np.asarray(prior.a)
-    logpmf = _log_multinomial_rows(model.N, comps) + comps @ np.log(th)
+    logpmf = log_multinomial_rows(model.N, comps) + comps @ np.log(th)
     pmf = np.exp(logpmf)
     log_na = math.log(model.N + prior.A)
     per = []
@@ -166,10 +163,16 @@ def risk_enumeration(
         # sum_x p(x) * theta_i * log[ theta_i (N+A) / (x_i + a_i) ]
         vals = pmf * th[i] * (math.log(th[i]) + log_na - np.log(comps[:, i] + a[i]))
         per.append(stable_sum(vals))
+    return RiskReport(_risk_total(per), tuple(per), theta, RiskMethod.ENUMERATION)
+
+
+def _risk_total(per) -> float:
+    """The compensated sum of k risk contributions, which must not be
+    negative beyond rounding."""
     total = stable_sum(per)
     if total < -1e-14:
         raise AssertionError(f"risk must be nonnegative, got {total!r}")
-    return RiskReport(total, tuple(per), theta, RiskMethod.ENUMERATION)
+    return total
 
 
 class CoordinateRiskEvaluator:
@@ -203,9 +206,7 @@ class CoordinateRiskEvaluator:
             raise DomainError("prior and model disagree on k")
         self.prior = prior
         self.model = model
-        N = model.N
-        x = np.arange(N + 1, dtype=float)
-        self._lg = _gammaln(N + 1) - _gammaln(x + 1) - _gammaln(N - x + 1)
+        self._lg = log_binomial_row(model.N)
 
     def coordinate(self, i, t) -> np.ndarray:
         """h_i(t) at every value of t; i is one coordinate index, or one
@@ -261,10 +262,7 @@ class CoordinateRiskEvaluator:
 
     def risk(self, theta: ThetaPoint) -> RiskReport:
         per = tuple(self.coordinate(range(self.model.k), theta.theta).tolist())
-        total = stable_sum(per)
-        if total < -1e-14:
-            raise AssertionError(f"risk must be nonnegative, got {total!r}")
-        return RiskReport(total, per, theta, RiskMethod.COORDINATEWISE)
+        return RiskReport(_risk_total(per), per, theta, RiskMethod.COORDINATEWISE)
 
 
 def risk_coordinatewise(
@@ -341,6 +339,11 @@ class SeparableMaximizer:
     runs its starts in lockstep: at each step every start moves mass between
     the same two coordinates, so one h call per coordinate serves them all,
     and each start ends where it would have ended alone.
+
+    h(i, t) takes one coordinate index or one per value of t, as
+    CoordinateRiskEvaluator.coordinate does.  threads sizes a pool over the
+    pinned families, the sup-risk command's outermost job list; callers
+    that map a job list of their own keep the default of 1.
     """
 
     def __init__(
@@ -375,11 +378,12 @@ class SeparableMaximizer:
         return self._objectives(np.array(theta, dtype=float)[:, None])[0]
 
     def _objectives(self, thetas: np.ndarray) -> list:
-        """The objective at each column of a (k, n) array, with one h call
-        per coordinate."""
-        cols = [self.h(i, thetas[i]).tolist() for i in range(self.k)]
-        return [self.transform(stable_sum(vals) + self.constant)
-                for vals in zip(*cols)]
+        """The objective at each column of a (k, n) array, from one h call
+        with a per-point coordinate index."""
+        k, n = thetas.shape
+        vals = self.h(np.repeat(np.arange(k), n), thetas.ravel()).reshape(k, n)
+        return [self.transform(stable_sum(col) + self.constant)
+                for col in vals.T.tolist()]
 
     def _normalize(self, theta) -> tuple:
         theta = [max(float(v), self.eps) for v in theta]
@@ -620,7 +624,8 @@ def sup_risk(
     k >= 3 its multi-start ascent advances all ascent_starts starts together,
     one kernel call per coordinate and step.  The returned trace lists every
     configuration family and, for k >= 3, every ascent start with the value
-    it achieved, so a suspect supremum can be diagnosed.
+    it achieved, so a suspect supremum can be diagnosed.  threads sizes a
+    pool over the pinned families (see SeparableMaximizer).
     """
     if prior.k != model.k or trunc.k != model.k:
         raise DomainError("prior, model and truncation disagree on k")
@@ -678,7 +683,7 @@ class TruncatedPredictiveTable:
         self.alpha = alpha.alpha
         self.eps = trunc.eps
         self.comps = compositions(model.N, model.k)
-        self._log_coef = _log_multinomial_rows(model.N, self.comps)
+        self._log_coef = log_multinomial_rows(model.N, self.comps)
         self._memo: dict = {}
         n, k = self.comps.shape
         self.log_ratio = np.empty((n, k))
@@ -779,7 +784,6 @@ def bayes_risk(
     predictive: Predictive = Predictive.FULL,
     trunc: TruncatedSimplex | None = None,
     mc: MonteCarloSettings | None = None,
-    threads: int | None = 1,
 ) -> float:
     """Average risk under a prior weight.
 
@@ -791,7 +795,8 @@ def bayes_risk(
     cached integral table).
 
     Monte Carlo runs when mc is passed or when k > 3; otherwise nested
-    quadrature runs.
+    quadrature runs.  Monte Carlo batches run in index order, each scored
+    in one kernel call.
     """
     predictive = Predictive(predictive)
     if isinstance(weight, SymmetricPrior):
@@ -816,17 +821,15 @@ def bayes_risk(
         table = None
 
     ev = CoordinateRiskEvaluator(weight_prior, model)
+    eps = trunc.eps if trunc else 0.0
+    if mc is not None or model.k > 3:
+        return _bayes_mc(weight_prior.a, eps, ev, table, mc or MonteCarloSettings())
 
     def risk_at(theta: ThetaPoint) -> float:
         base = ev.risk(theta).exact_risk
         if table is not None:
             base -= table.correction(theta)
         return base
-
-    eps = trunc.eps if trunc else 0.0
-    if mc is not None or model.k > 3:
-        return _bayes_mc(weight_prior.a, eps, risk_at, mc or MonteCarloSettings(),
-                         threads)
 
     # endpoint-singular rules may probe the exact boundary, where the
     # risk extends continuously; nudge into the open simplex
@@ -855,14 +858,22 @@ def bayes_risk(
     return num / math.exp(log_den)
 
 
-def _bayes_mc(a: tuple, eps: float, risk_at, mc: MonteCarloSettings,
-              threads: int | None) -> float:
-    def one_batch(b: int) -> tuple:
+def _bayes_mc(a: tuple, eps: float, ev: CoordinateRiskEvaluator,
+              table: TruncatedPredictiveTable | None,
+              mc: MonteCarloSettings) -> float:
+    """Mean risk over the accepted draws, batch by batch in index order: one
+    kernel call per batch, then each draw's k contributions summed alone, in
+    coordinate order, as ev.risk sums them."""
+    k = len(a)
+    parts = []
+    for b in range(mc.n_batches):
         draws, _ = dirichlet_batch(a, eps, mc, b)
-        vals = [risk_at(ThetaPoint(tuple(row))) for row in draws]
-        return stable_sum(vals), stable_sum(v * v for v in vals), len(vals)
-
-    parts = ordered_map(one_batch, range(mc.n_batches), threads)
+        per = ev.coordinate(np.tile(np.arange(k), len(draws)), draws.ravel())
+        vals = [_risk_total(row) for row in per.reshape(-1, k).tolist()]
+        if table is not None:
+            vals = [v - table.correction(ThetaPoint(tuple(row)))
+                    for v, row in zip(vals, draws)]
+        parts.append((stable_sum(vals), stable_sum(v * v for v in vals), len(vals)))
     total = stable_sum(p[0] for p in parts)
     total_sq = stable_sum(p[1] for p in parts)
     n = sum(p[2] for p in parts)
@@ -884,7 +895,6 @@ def truncation_bayes_gap(
     trunc: TruncatedSimplex,
     model: ModelSpec,
     mc: MonteCarloSettings | None = None,
-    threads: int | None = 1,
 ) -> float:
     """Bayes-risk penalty for predicting with the untruncated prior.
 
@@ -896,6 +906,6 @@ def truncation_bayes_gap(
     is nonnegative; it measures how little is lost by ignoring the
     truncation when building the predictive.
     """
-    full = bayes_risk(alpha, model, Predictive.FULL, trunc, mc, threads)
-    truncated = bayes_risk(alpha, model, Predictive.TRUNCATED, trunc, mc, threads)
+    full = bayes_risk(alpha, model, Predictive.FULL, trunc, mc)
+    truncated = bayes_risk(alpha, model, Predictive.TRUNCATED, trunc, mc)
     return full - truncated

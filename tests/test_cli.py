@@ -250,6 +250,13 @@ class TestErrorHandling:
                      id="moments-theta-without-N"),
         pytest.param(["moments", "--m-max", "4", "--N", "-3", "--theta", "0.3"],
                      {}, id="moments-N-negative"),
+        # an empty --N list would print a header and no rows
+        pytest.param(["compare-priors", "--k", "2", "--N", ","], {},
+                     id="compare-priors-N-empty"),
+        pytest.param(["sandwich", "--k", "2", "--N", ","], {},
+                     id="sandwich-N-empty"),
+        pytest.param(["expansion-error", "--k", "2", "--N", ",",
+                      "--prior", "minimax"], {}, id="expansion-error-N-empty"),
     ])
     def test_out_of_domain_input_exit_two(self, capsys, monkeypatch, argv, env):
         for key, value in env.items():
@@ -258,6 +265,24 @@ class TestErrorHandling:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]["type"] == "DomainError"
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--N", ["compare-priors", "--k", "2", "--N", "abc"]),
+        ("--N", ["sandwich", "--k", "2", "--N", "16,x"]),
+        ("--N", ["expansion-error", "--k", "2", "--N", "1.5", "--prior", "minimax"]),
+        ("--theta", ["risk", "--k", "2", "--N", "4", "--alpha", "1",
+                     "--theta", "abc"]),
+        ("--a", ["risk", "--k", "2", "--N", "4", "--a", "1,x", "--theta", "0.5"]),
+        ("--a", ["sup-risk", "--k", "2", "--N", "8", "--a", "1,x"]),
+        ("--lemma", ["verify-lemmas", "--lemma", "x"]),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_non_numeric_input_names_the_flag(self, capsys, flag, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert error["message"].startswith(flag + " ")
 
     def test_largest_seed_accepted(self, capsys):
         code, out, err = run_cli(capsys, "verify-lemmas", "--lemma", "1",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import minimax_multinom.expansion as expansion_module
 from minimax_multinom import (
     ALPHA_MINIMAX,
     SQRT6,
@@ -26,6 +27,8 @@ from minimax_multinom import (
     risk_expansion,
 )
 from minimax_multinom.expansion import EXPANSION_TABLE, _poly
+from minimax_multinom.numkernel import seeded_stream
+from minimax_multinom.risk import CoordinateRiskEvaluator, SeparableMaximizer
 
 THETAS = {
     2: [ThetaPoint.uniform(2), ThetaPoint.complete([0.2]),
@@ -252,3 +255,46 @@ class TestErrorProfile:
         prior = SymmetricPrior.uniform(2).expand()
         with pytest.raises(DomainError, match="ascent_starts"):
             expansion_error_profile(prior, sched, [32], ascent_starts=-5)
+
+
+def _per_coordinate_residual(prior, N, order, variant, i, t):
+    """The profile's residual for one coordinate index, term by term: kept
+    as the reference for the closure's per-point index."""
+    ev = CoordinateRiskEvaluator(prior, ModelSpec(prior.k, N))
+    coord_terms, _ = expansion_module._kept_terms(prior, order, variant)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    expansion = np.zeros_like(t)
+    for o, p, poly, den in coord_terms[i]:
+        expansion += poly / (den * t**p) / float(N) ** o
+    return ev.coordinate(i, t) - expansion
+
+
+class TestResidualClosure:
+    """expansion_error_profile hands the search a residual h(i, t) that, like
+    the kernel, takes one coordinate index or one per point."""
+
+    @pytest.mark.parametrize("variant", ["full", "reduced"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_per_point_index_equals_per_coordinate(self, monkeypatch, order,
+                                                   variant):
+        closures = []
+
+        class Capture(SeparableMaximizer):
+            def maximize(self, grid_size=256):
+                closures.append(self.h)
+                return 0.0, ThetaPoint.uniform(self.k), ()
+
+        monkeypatch.setattr(expansion_module, "SeparableMaximizer", Capture)
+        prior, N = PriorSpec((0.4, 1.3, 2.2)), 40
+        expansion_error_profile(prior, EpsilonSchedule(), [N],
+                                truncation_order=order, variant=variant)
+        (h,) = closures
+        rng = seeded_stream(5, order)
+        t = np.concatenate([rng.uniform(1e-4, 1 - 1e-4, size=60), [0.5]])
+        i = rng.integers(0, 3, size=t.size)
+        want = [_per_coordinate_residual(prior, N, order, variant, j, [tj])[0]
+                for j, tj in zip(i.tolist(), t)]
+        assert np.array_equal(h(i, t), want)
+        for j in range(3):
+            assert np.array_equal(
+                h(j, t), _per_coordinate_residual(prior, N, order, variant, j, t))

@@ -44,7 +44,7 @@ from minimax_multinom import (
     truncated_predictive_density,
     truncation_bayes_gap,
 )
-from minimax_multinom.numkernel import seeded_stream, stable_sum
+from minimax_multinom.numkernel import dirichlet_batch, seeded_stream, stable_sum
 
 HAND_RISK = 0.5 * math.log(9.0 / 8.0)  # k=2, N=1, uniform prior, theta=(1/2,1/2)
 
@@ -542,15 +542,21 @@ _ASCENT_PRIORS = {
 
 
 def _memoized(h):
-    """h with every value it returned kept, per (coordinate, point)."""
+    """h with every value it returned kept, per (coordinate, point); i is one
+    coordinate index or one per point, as for the kernel."""
     memo = {}
 
     def cached(i, t):
         t = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
-        missing = [v for v in t if (i, v) not in memo]
+        if isinstance(i, (int, np.integer)):
+            keys = [(i, v) for v in t]
+        else:
+            keys = list(zip(np.asarray(i).tolist(), t))
+        missing = [key for key in keys if key not in memo]
         if missing:
-            memo.update(zip(((i, v) for v in missing), h(i, missing).tolist()))
-        return np.array([memo[i, v] for v in t])
+            memo.update(zip(missing, h([j for j, _ in missing],
+                                       [v for _, v in missing]).tolist()))
+        return np.array([memo[key] for key in keys])
 
     return cached
 
@@ -666,6 +672,26 @@ class TestSupRisk:
         assert a.sup_value == b.sup_value
         assert a.argmax_theta.theta == b.argmax_theta.theta
 
+    def test_objectives_make_one_h_call(self):
+        """The objective at a batch of points takes one h call with a
+        per-point coordinate index, and each column sums as it would alone."""
+        ev = risk_module.CoordinateRiskEvaluator(PriorSpec((0.3, 1.2, 2.5)),
+                                                 ModelSpec(3, 40))
+        calls = []
+
+        def h(i, t):
+            calls.append(i)
+            return ev.coordinate(i, t)
+
+        m = risk_module.SeparableMaximizer(h, 3, 0.05, constant=-0.01,
+                                           transform=abs)
+        thetas = seeded_stream(4, 0).dirichlet(np.ones(3), size=9).T
+        got = m._objectives(thetas)
+        assert len(calls) == 1
+        assert got == [abs(stable_sum(float(ev.coordinate(i, col[i])[0])
+                                      for i in range(3)) - 0.01)
+                       for col in thetas.T]
+
     def test_negative_ascent_starts_rejected(self):
         def h(i, t):
             return np.zeros_like(np.atleast_1d(t), dtype=float)
@@ -735,9 +761,7 @@ class TestBayesRisk:
         model = ModelSpec(2, 6)
         trunc = TruncatedSimplex(2, 0.05)
         mc = MonteCarloSettings(n_draws=60_000, seed=11)
-        a = bayes_risk(w, model, Predictive.FULL, trunc, mc=mc, threads=1)
-        b = bayes_risk(w, model, Predictive.FULL, trunc, mc=mc, threads=4)
-        assert a == b
+        a = bayes_risk(w, model, Predictive.FULL, trunc, mc=mc)
         assert a == 0.052635758118032616  # pinned to the last bit
 
     def test_stderr_ceiling(self):
@@ -838,6 +862,62 @@ class TestBayesRisk:
         with pytest.raises(SizeError):
             bayes_risk(SymmetricPrior.uniform(4), ModelSpec(4, 4),
                        Predictive.TRUNCATED, TruncatedSimplex(4, 0.05))
+
+
+def _per_draw_bayes_mc(weight, model, predictive, trunc, mc):
+    """Monte Carlo Bayes risk as a loop over draws, one risk() call each:
+    kept as the reference for the batched estimator."""
+    prior = weight.expand() if isinstance(weight, SymmetricPrior) else weight
+    ev = risk_module.CoordinateRiskEvaluator(prior, model)
+    table = (TruncatedPredictiveTable(weight, trunc, model)
+             if predictive is Predictive.TRUNCATED else None)
+    eps = trunc.eps if trunc else 0.0
+    sums, n = [], 0
+    for b in range(mc.n_batches):
+        draws, _ = dirichlet_batch(prior.a, eps, mc, b)
+        vals = []
+        for row in draws:
+            theta = ThetaPoint(tuple(row))
+            value = ev.risk(theta).exact_risk
+            if table is not None:
+                value -= table.correction(theta)
+            vals.append(value)
+        sums.append(stable_sum(vals))
+        n += len(vals)
+    return stable_sum(sums) / n
+
+
+class TestBatchedMonteCarlo:
+    """Monte Carlo Bayes risk scores each batch in one kernel call and
+    equals the per-draw loop exactly."""
+
+    @pytest.mark.parametrize("weight, N, predictive, eps", [
+        (SymmetricPrior.uniform(2), 6, "full", 0.05),
+        (SymmetricPrior.jeffreys(2), 9, "full", 0.0),
+        (SymmetricPrior.minimax(2), 7, "truncated", 0.04),
+        (PriorSpec((0.4, 1.3, 2.2)), 5, "full", 0.0),
+        (SymmetricPrior.minimax(3), 6, "truncated", 0.05),
+        (SymmetricPrior.minimax(4), 12, "full", 0.02),
+        (PriorSpec((0.5, 0.9, 1.6, 3.0)), 8, "full", 0.0),
+    ])
+    def test_equals_per_draw_loop(self, monkeypatch, weight, N, predictive, eps):
+        model = ModelSpec(weight.k, N)
+        trunc = TruncatedSimplex(weight.k, eps) if eps else None
+        mc = MonteCarloSettings(n_draws=3_000, batch_size=700, seed=N)
+        want = _per_draw_bayes_mc(weight, model, Predictive(predictive), trunc, mc)
+        calls = []
+        coordinate = risk_module.CoordinateRiskEvaluator.coordinate
+
+        def counting(ev, i, t):
+            calls.append(np.size(t))
+            return coordinate(ev, i, t)
+
+        monkeypatch.setattr(risk_module.CoordinateRiskEvaluator, "coordinate",
+                            counting)
+        got = bayes_risk(weight, model, Predictive(predictive), trunc, mc=mc)
+        assert got == want
+        assert len(calls) == mc.n_batches == 5
+        assert sum(calls) > 0 and sum(calls) % weight.k == 0
 
 
 class TestTruncatedPredictiveRisk:
