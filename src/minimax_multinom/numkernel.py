@@ -240,3 +240,92 @@ def stable_sum(terms) -> float:
         # conversion first is ~3x faster on the hot paths
         terms = terms.tolist()
     return math.fsum(terms)
+
+
+# unit roundoff of IEEE double, and the window range the certified sums
+# take: below _CERTIFIED_FLOOR some split points would be subnormal; at
+# _CERTIFIED_CEIL the first split point could exceed 2**1022
+_U = 2.0 ** -53
+_CERTIFIED_FLOOR = 2.0 ** -900
+_CERTIFIED_CEIL = 2.0 ** 960
+
+
+def window_fsums(terms: np.ndarray, lengths) -> list:
+    """math.fsum of every consecutive window of a flat float64 array, bit
+    for bit, in a fixed number of numpy passes.
+
+    Window w holds the next lengths[w] >= 1 terms.  Its sum is found by
+    two error-free extractions (Rump, Ogita and Oishi 2008, "Accurate
+    floating-point summation, part I: faithful rounding", SIAM J. Sci.
+    Comput. 31(1), Section 3: ExtractVector; the split-point sequence is
+    AccSum's).  With u = 2**-53, n the window's length, 2**(M-1) <= n + 2 <
+    2**M and 2**(E-1) <= max|p| < 2**E:
+
+    1. sigma1 = 2**(E + M), q = fl(fl(sigma1 + p) - sigma1), r = fl(p - q).
+       Since max|p| <= 2**-M sigma1 and n < 2**M, the lemma gives
+       p = q + r exactly, |r| <= u sigma1, and every q on the grid
+       u sigma1 Z with |sum q| < sigma1, so tau1 = fl(sum q) is exact in
+       any order, np.add.reduceat's included.
+    2. The same with sigma2 = 2**M u sigma1 on the r: max|r| <= 2**-M
+       sigma2, so r = q' + r' exactly, tau2 = fl(sum q') exactly and
+       |r'| <= u sigma2.
+    3. rho = fl(sum r').  Any order of n - 1 additions errs by at most
+       gamma_{n-1} sum|r'| (Higham, "Accuracy and Stability of Numerical
+       Algorithms", 2nd ed., eq. 4.4), and gamma_{n-1} = (n-1)u/(1-(n-1)u)
+       <= 2 n u while n u <= 1/4, so |sum r' - rho| <= 2 n u * n u sigma2.
+       bound is the next double above the rounded product, so it is at
+       least that.  (Addition that underflows is exact, so the error model
+       holds without a floor.  The extraction lemma assumes no underflow:
+       max|p| >= 2**-900 gives E >= -899 and, with M >= 2, u sigma2 >=
+       2**-1001, so every split point, grid step and n u sigma2 is a
+       normal double, and the last is exact.  max|p| < 2**960 keeps
+       sigma1 <= 2**1022 for any n < 2**61, so nothing overflows.)
+    4. TwoSum (Knuth) splits tau1 + tau2 into hi + lo exactly, so the true
+       sum lies in hi + lo + [rho - bound, rho + bound].  Every rounded
+       step that builds the ends lo + rho -/+ bound is pushed one double
+       outward with np.nextafter, which makes each a true lower (upper)
+       bound: a real x always lies between the neighbours of fl(x).
+    5. Round to nearest is monotone, so if fl(hi + lower) == fl(hi +
+       upper), that double is the correctly rounded sum, which is fsum's.
+
+    A window goes to math.fsum (through stable_sum) instead when the two
+    ends round apart, when its largest |term| is below 2**-900 or at least
+    2**960 or not finite, or when its sum is 0, whose sign fsum fixes by
+    rules of its own.
+    """
+    p = terms = np.asarray(terms, dtype=float)
+    n = np.asarray(lengths, dtype=np.intp)
+    starts = np.cumsum(n) - n
+    big = np.maximum.reduceat(np.abs(p), starts)
+    _, e = np.frexp(big)
+    _, m = np.frexp(n + 2.0)
+    ok = (big >= _CERTIFIED_FLOOR) & (big < _CERTIFIED_CEIL)  # NaN fails
+    if not ok.all():
+        # keep inf, NaN and overflowing split points out of the passes;
+        # these windows go to fsum below
+        p = np.where(np.repeat(ok, n), p, 0.0)
+        e = np.where(ok, e, 0)
+    sigma = np.ldexp(1.0, e + m)
+    split = np.repeat(sigma, n)
+    q = (split + p) - split
+    r = p - q
+    tau1 = np.add.reduceat(q, starts)
+    sigma = np.ldexp(sigma, m - 53)
+    split = np.repeat(sigma, n)
+    q = (split + r) - split
+    r -= q
+    tau2 = np.add.reduceat(q, starts)
+    rho = np.add.reduceat(r, starts)
+    nu = n * _U
+    bound = np.nextafter((nu + nu) * (nu * sigma), np.inf)
+    hi = tau1 + tau2
+    z = hi - tau1
+    lo = (tau1 - (hi - z)) + (tau2 - z)
+    down = hi + np.nextafter(lo + np.nextafter(rho - bound, -np.inf), -np.inf)
+    up = hi + np.nextafter(lo + np.nextafter(rho + bound, np.inf), np.inf)
+    ok &= (down == up) & (down != 0.0)
+    sums = down.tolist()
+    if not ok.all():
+        for w in np.flatnonzero(~ok).tolist():
+            sums[w] = stable_sum(terms[starts[w]:starts[w] + n[w]])
+    return sums

@@ -55,6 +55,7 @@ from .numkernel import (
     log_multivariate_beta,
     seeded_stream,
     stable_sum,
+    window_fsums,
 )
 from .simplex import b_trunc, log_i_trunc
 
@@ -73,6 +74,12 @@ _WINDOW_NATS = 75.0
 #: most binomial terms the risk kernel evaluates in one numpy pass; a point
 #: whose window alone is longer gets a pass of its own
 _PASS_TERMS = 4096
+
+#: fewest terms a pass needs for its windows to be summed by the certified
+#: numpy route (numkernel.window_fsums); a smaller pass, such as the two or
+#: three points of a quadrature node or a golden-section step, cannot pay
+#: that route's fixed numpy cost and sums each window with fsum alone
+_CERTIFIED_SUM_TERMS = 1024
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,20 @@ class ThetaPoint:
 
     def permuted(self, perm) -> "ThetaPoint":
         return ThetaPoint(tuple(self.theta[p] for p in perm))
+
+
+def _check_theta_rows(rows: np.ndarray) -> None:
+    """ThetaPoint's conditions on every row of an (n, k) array, checked
+    for the whole array at once; DomainError names the first failure."""
+    n, k = rows.shape
+    if k < 2:
+        raise DomainError("need at least two coordinates")
+    if not ((rows > 0.0) & (rows < 1.0)).all():  # False for NaN too
+        raise DomainError("every theta coordinate must lie in (0, 1)")
+    sums = np.array(window_fsums(rows.ravel(), np.full(n, k)))
+    off = np.abs(sums - 1.0) > 1e-14
+    if off.any():
+        raise DomainError(f"theta must sum to 1, got {sums[off][0].item()!r}")
 
 
 class RiskMethod(enum.Enum):
@@ -185,11 +206,15 @@ class CoordinateRiskEvaluator:
     order and gathers the summation windows of consecutive points into one
     flat array until the next window would push it past _PASS_TERMS = 4096
     terms (a longer window gets a pass of its own); every pass evaluates all
-    its binomial mass terms in one numpy pass.  Each point's terms are then
-    accumulated in increasing-x order with compensated summation, so every
-    value is the float a call for that point alone returns.  The per-pass
-    cap keeps the pass's temporaries in cache: one uncapped pass over a
-    large-N grid is slower than a loop over its points.
+    its binomial mass terms in one numpy pass.  Each point's terms then get
+    math.fsum's correctly rounded sum: a pass of at least
+    _CERTIFIED_SUM_TERMS = 1024 terms sums all its windows at once with
+    numkernel.window_fsums, which certifies fsum's bytes and falls back to
+    fsum for any window it cannot, and a smaller pass calls fsum per
+    window.  Either way every value is the float a call for that point
+    alone returns.  The per-pass cap keeps the pass's temporaries in cache:
+    one uncapped pass over a large-N grid is slower than a loop over its
+    points.
 
     E log(1+w_i) is summed over x in [ceil(N t - d), floor(N t + d)] within
     [0, N] only, with d = L/3 + sqrt(L^2/9 + 2 L N t (1 - t)) and
@@ -248,12 +273,15 @@ class CoordinateRiskEvaluator:
 
     def _window_sums(self, rows: list, lengths: list) -> list:
         """E log(1+w_i) at each point of one pass: the terms of every window
-        are evaluated together, then each window is summed in increasing x."""
+        are evaluated together, then each window gets fsum's sum."""
         shift, lt, l1t, nt, den = np.repeat(np.array(rows).T, lengths, axis=1)
         x = np.arange(shift.size) + shift
         logpmf = self._lg[x.astype(np.intp)] + x * lt + (self.model.N - x) * l1t
         w = (x - nt) / den
-        vals = (np.exp(logpmf) * np.log1p(w)).tolist()
+        vals = np.exp(logpmf) * np.log1p(w)
+        if vals.size >= _CERTIFIED_SUM_TERMS:
+            return window_fsums(vals, lengths)
+        vals = vals.tolist()
         sums, start = [], 0
         for n in lengths:
             sums.append(stable_sum(vals[start:start + n]))
@@ -684,6 +712,7 @@ class TruncatedPredictiveTable:
         self.eps = trunc.eps
         self.comps = compositions(model.N, model.k)
         self._log_coef = log_multinomial_rows(model.N, self.comps)
+        self._comps_f = self.comps.astype(float)
         self._memo: dict = {}
         n, k = self.comps.shape
         self.log_ratio = np.empty((n, k))
@@ -708,11 +737,18 @@ class TruncatedPredictiveTable:
         This is exactly risk(full predictive) - risk(truncated predictive)
         at the point; positive when the truncated predictive is better.
         """
-        th = np.asarray(theta.theta)
-        logpmf = self._log_coef + self.comps @ np.log(th)
-        pmf = np.exp(logpmf)
-        inner = self.log_ratio @ th
-        return float(stable_sum(pmf * inner))
+        return self._corrections(np.array([theta.theta]))[0]
+
+    def _corrections(self, thetas: np.ndarray) -> list:
+        """correction at every row of an (n, k) array of points that meet
+        ThetaPoint's conditions, row by row: the two matrix-vector products
+        stay per row, since one matrix product for all rows rounds
+        differently."""
+        out = []
+        for th, log_th in zip(thetas, np.log(thetas)):
+            pmf = np.exp(self._log_coef + self._comps_f @ log_th)
+            out.append(stable_sum(pmf * (self.log_ratio @ th)))
+        return out
 
 
 def risk_truncated_predictive(
@@ -871,8 +907,8 @@ def _bayes_mc(a: tuple, eps: float, ev: CoordinateRiskEvaluator,
         per = ev.coordinate(np.tile(np.arange(k), len(draws)), draws.ravel())
         vals = [_risk_total(row) for row in per.reshape(-1, k).tolist()]
         if table is not None:
-            vals = [v - table.correction(ThetaPoint(tuple(row)))
-                    for v, row in zip(vals, draws)]
+            _check_theta_rows(draws)
+            vals = [v - c for v, c in zip(vals, table._corrections(draws))]
         parts.append((stable_sum(vals), stable_sum(v * v for v in vals), len(vals)))
     total = stable_sum(p[0] for p in parts)
     total_sq = stable_sum(p[1] for p in parts)

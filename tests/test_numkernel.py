@@ -17,7 +17,8 @@ from minimax_multinom import (
     log_multivariate_beta,
     stable_sum,
 )
-from minimax_multinom.numkernel import seeded_stream
+import minimax_multinom.numkernel as numkernel
+from minimax_multinom.numkernel import seeded_stream, window_fsums
 
 mpmath.mp.dps = 40
 
@@ -178,6 +179,87 @@ class TestStableSum:
         forward = stable_sum(xs)
         assert stable_sum(sorted(xs)) == forward
         assert stable_sum(list(reversed(xs))) == forward
+
+
+def _term():
+    """One summand: any binade from 1e-300 to 1e300, subnormals, signed
+    zeros, and the values around 1 that ties are made of."""
+    return st.one_of(
+        st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0),
+                  st.integers(-300, 300)),
+        st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+        st.floats(-1e6, 1e6),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0**-53,
+                         2.0**-54, 1.0 + 2.0**-52]),
+    )
+
+
+def _window():
+    plain = st.lists(_term(), min_size=1, max_size=40)
+    # every term beside its negation: the exact sum is 0 or a remnant
+    # far below the largest term
+    cancelling = st.lists(_term(), min_size=1, max_size=20).flatmap(
+        lambda w: st.permutations(w + [-v for v in w] + [w[0] * 2.0**-60]))
+    # exact midpoints between two doubles, which round to even
+    ties = st.builds(
+        lambda odd, e, s: [s * (1.0 + odd * 2.0**-52) * 2.0**e,
+                           s * 2.0**(e - 53)],
+        st.booleans(), st.integers(-800, 800), st.sampled_from([1.0, -1.0]))
+    return st.one_of(plain, cancelling, ties, st.lists(_term(), min_size=1,
+                                                       max_size=1))
+
+
+def _fsums(windows) -> list:
+    return [math.fsum(w).hex() for w in windows]
+
+
+class TestWindowFsums:
+    """window_fsums returns math.fsum's bytes for every window, certified in
+    numpy or by falling back to fsum."""
+
+    @staticmethod
+    def _run(windows) -> list:
+        flat = np.array([v for w in windows for v in w], dtype=float)
+        return [v.hex() for v in window_fsums(flat, [len(w) for w in windows])]
+
+    @given(st.lists(_window(), min_size=1, max_size=12))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_equals_fsum_window_by_window(self, windows):
+        assert self._run(windows) == _fsums(windows)
+
+    @pytest.mark.parametrize("window", [
+        [1.0, 2.0**-53],                  # midpoint: rounds down to even
+        [1.0 + 2.0**-52, 2.0**-53],       # midpoint: rounds up to even
+        [1.0, 2.0**-53, 2.0**-300],       # just above a midpoint
+        [1.0, 2.0**-53, -(2.0**-300)],    # just below a midpoint
+        [-1.0, -(2.0**-54), -(2.0**-300)],
+        [1e16, 1.0, -1e16],
+        [0.1] * 1000,
+        [5e-324, 2.0**-899],
+        [2.0**959, -(2.0**959), 1.0],
+    ])
+    def test_adversarial_windows(self, window):
+        windows = [window, [0.3, -0.1], window[::-1]]
+        assert self._run(windows) == _fsums(windows)
+
+    def test_fallback_runs_for_uncertifiable_windows(self, monkeypatch):
+        """Only ties, zero sums, non-finite terms and windows outside
+        [2**-900, 2**960) reach fsum; every result is still fsum's."""
+        fallback = [[1.0, 2.0**-53], [1.0, -1.0], [-0.0], [1e-300, 3e-300],
+                    [math.inf, 1.0], [math.nan, 2.0], [1e300, 1e300]]
+        windows = [w for f in fallback for w in (f, [0.1, 0.2, 0.3])]
+        windows += [[1.0], [-2.5, 1e-200]]
+        summed = []
+
+        def counting(terms):
+            summed.append(list(terms))
+            return stable_sum(terms)
+
+        monkeypatch.setattr(numkernel, "stable_sum", counting)
+        got = self._run(windows)
+        assert got == _fsums(windows)
+        assert [[v.hex() for v in w] for w in summed] == [
+            [v.hex() for v in w] for w in fallback]
 
 
 class TestSeededStream:

@@ -375,6 +375,20 @@ class TestOnePassKernel:
         if N >= 24:
             assert len(passes) > 1
 
+    @pytest.mark.parametrize("N", [64, 1040])
+    def test_value_does_not_depend_on_the_pass(self, N, passes):
+        """A point gets the same float alone, in a pass below the
+        certified-sum switch, as inside a batch whose passes reach it."""
+        ev = risk_module.CoordinateRiskEvaluator(self.PRIOR, ModelSpec(3, N))
+        t, i = self._points(N)
+        batch = ev.coordinate(i, t)
+        batch_passes = [sum(p) for p in passes]
+        passes.clear()
+        alone = [ev.coordinate(j, [tj])[0] for j, tj in zip(i.tolist(), t)]
+        assert max(batch_passes) >= risk_module._CERTIFIED_SUM_TERMS
+        assert max(sum(p) for p in passes) < risk_module._CERTIFIED_SUM_TERMS
+        assert np.array_equal(batch, alone)
+
     def test_long_window_gets_its_own_pass(self, passes):
         N = 200_000
         lo, hi = _window(N, 0.5)
@@ -426,6 +440,22 @@ class TestOnePassKernel:
         ev = risk_module.CoordinateRiskEvaluator(prior, ModelSpec(2, N))
         got = float(ev.coordinate(0, t)[0])
         ref = _mp_coordinate(prior.a[0], prior.A, N, t)
+        assert abs(got - ref) <= 2e-11 * abs(ref), (got, ref)
+
+    @pytest.mark.parametrize("a_i", [
+        pytest.param(a_i, marks=pytest.mark.xfail(strict=True, reason=(
+            "at x = 0, w = -N t/(N t + a_i) rounds toward -1, so the "
+            "relative error grows like 1e-16 N t/a_i: measured 2.8e-6 at "
+            "a_i = 1e-12 and 8.8e-3 at 1e-15 (ROADMAP item 3)")))
+        for a_i in (1e-12, 1e-15)
+    ])
+    def test_tiny_prior_weight_against_mpmath(self, a_i):
+        """The 2e-11 bound at prior weights the CLI accepts."""
+        N, t = 64, 0.05
+        prior = PriorSpec((a_i, 1.0))
+        ev = risk_module.CoordinateRiskEvaluator(prior, ModelSpec(2, N))
+        got = float(ev.coordinate(0, t)[0])
+        ref = _mp_coordinate(a_i, prior.A, N, t)
         assert abs(got - ref) <= 2e-11 * abs(ref), (got, ref)
 
 
@@ -865,8 +895,9 @@ class TestBayesRisk:
 
 
 def _per_draw_bayes_mc(weight, model, predictive, trunc, mc):
-    """Monte Carlo Bayes risk as a loop over draws, one risk() call each:
-    kept as the reference for the batched estimator."""
+    """Monte Carlo Bayes risk as a loop over draws, one risk() call each
+    and the truncated correction written out per draw: kept as the
+    reference for the batched estimator."""
     prior = weight.expand() if isinstance(weight, SymmetricPrior) else weight
     ev = risk_module.CoordinateRiskEvaluator(prior, model)
     table = (TruncatedPredictiveTable(weight, trunc, model)
@@ -880,7 +911,9 @@ def _per_draw_bayes_mc(weight, model, predictive, trunc, mc):
             theta = ThetaPoint(tuple(row))
             value = ev.risk(theta).exact_risk
             if table is not None:
-                value -= table.correction(theta)
+                th = np.asarray(theta.theta)
+                pmf = np.exp(table._log_coef + table.comps @ np.log(th))
+                value -= stable_sum(pmf * (table.log_ratio @ th))
             vals.append(value)
         sums.append(stable_sum(vals))
         n += len(vals)
@@ -918,6 +951,26 @@ class TestBatchedMonteCarlo:
         assert got == want
         assert len(calls) == mc.n_batches == 5
         assert sum(calls) > 0 and sum(calls) % weight.k == 0
+
+    @pytest.mark.parametrize("rows", [
+        [(0.5, 0.6)], [(1.0, 0.0)], [(math.nan, 0.5)],
+        [(0.25, 0.75), (0.75, 0.25), (1.0, 8.5e-17)],
+        [(0.2, 0.3, 0.5), (0.2, 0.3, 0.5 + 3e-14)],
+    ])
+    def test_batch_check_rejects_what_theta_point_rejects(self, rows):
+        for row in rows[:-1]:
+            ThetaPoint(row)
+        with pytest.raises(DomainError):
+            ThetaPoint(rows[-1])
+        with pytest.raises(DomainError):
+            risk_module._check_theta_rows(np.array(rows))
+
+    def test_batch_check_accepts_draws(self):
+        draws, _ = dirichlet_batch((0.7, 1.4, 2.0), 0.01,
+                                   MonteCarloSettings(n_draws=500), 0)
+        for row in draws:
+            ThetaPoint(tuple(row))
+        risk_module._check_theta_rows(draws)
 
 
 class TestTruncatedPredictiveRisk:
