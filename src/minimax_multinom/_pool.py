@@ -1,14 +1,14 @@
 """Deterministic work distribution.
 
-Every parallel site in the package maps a pure function over a fixed item
-list and consumes the results in item order, so the output is identical for
-any worker count (including 1).
+ordered_map is the one place a command's job list is dispatched, and the
+layer perfbench's tracer wraps to count jobs.  It runs them in order on the
+calling thread (threads only lost time under the interpreter lock); a
+process pool, if one ever pays, goes behind it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import DomainError
 
@@ -17,7 +17,7 @@ def resolve_threads(threads: int | None) -> int:
     """Explicit argument wins, then MINIMAX_MULTINOM_THREADS, then CPU count.
 
     A count below 1, or an environment value that is not an integer, raises
-    DomainError.
+    DomainError.  The CLI validates --threads with it; no command reads the count.
     """
     if threads is None:
         env = os.environ.get("MINIMAX_MULTINOM_THREADS")
@@ -34,11 +34,6 @@ def resolve_threads(threads: int | None) -> int:
     return int(threads)
 
 
-def ordered_map(fn, items, threads: int | None = None) -> list:
-    """Map fn over items, merging results in item order."""
-    items = list(items)
-    n = resolve_threads(threads)
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
+def ordered_map(fn, items) -> list:
+    """Map fn over items in order on the calling thread."""
+    return [fn(it) for it in items]

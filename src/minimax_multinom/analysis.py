@@ -62,7 +62,6 @@ def compare_priors(
     priors,
     grid_size: int = 512,
     seed: int = DEFAULT_SEED,
-    threads: int | None = 1,
 ) -> list:
     """One row per (prior, N): sup risk over the floored simplex, its excess
     over the leading (k-1)/(2N), and the N^2-scaled excess.
@@ -93,7 +92,7 @@ def compare_priors(
             rep.sup_value, excess, N * N * excess,
         )
 
-    return ordered_map(one, jobs, threads)
+    return ordered_map(one, jobs)
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,6 @@ def minimax_sandwich(
     schedule: EpsilonSchedule,
     grid_size: int = 512,
     seed: int = DEFAULT_SEED,
-    threads: int | None = 1,
 ) -> SandwichResult:
     """The computable bracket around the minimax risk, per N.
 
@@ -158,7 +156,7 @@ def minimax_sandwich(
         bayes_full = bayes_risk(prior, model, Predictive.FULL, trunc)
         return upper, lower, bayes_full
 
-    results = ordered_map(one, N_list, threads)
+    results = ordered_map(one, N_list)
     rows = []
     crosscheck = []
     for N, (upper, lower, bayes_full) in zip(N_list, results):
@@ -187,7 +185,6 @@ def optimal_alpha_search(
     alpha_grid,
     grid_size: int = 256,
     seed: int = DEFAULT_SEED,
-    threads: int | None = 1,
 ) -> tuple:
     """Grid minimizer of the sup risk among symmetric priors.
 
@@ -209,7 +206,7 @@ def optimal_alpha_search(
         )
         return alpha, rep.sup_value
 
-    curve = ordered_map(one, alpha_grid, threads)
+    curve = ordered_map(one, alpha_grid)
     alpha_star = min(curve, key=lambda av: (av[1], av[0]))[0]
     if any(not math.isfinite(v) for _, v in curve):
         raise CheckFailure("sup risk curve has non-finite values")

@@ -2,8 +2,8 @@
 
 Every experiment in the library is reachable as a subcommand with
 machine-readable output (CSV or JSON), a full parameter echo in the output
-header, and deterministic results for a fixed seed regardless of the worker
-count.  Risks are reported in nats unless --bits is given.
+header, and deterministic results for a fixed seed.  --threads is validated
+and otherwise inert.  Risks are reported in nats unless --bits is given.
 
 Exit codes: 0 success, 1 a numerical check failed (the failing witness is in
 the payload), 2 invalid parameters.  Errors are emitted as a JSON object on
@@ -70,7 +70,6 @@ class RunConfig:
     seed: int
     output: str  # "csv" | "json"
     out_path: str | None
-    threads: int
     bits: bool
 
 
@@ -239,7 +238,7 @@ def _cmd_sup_risk(args, config: RunConfig) -> int:
         trunc = _schedule(args).truncation(args.N, args.k)
     rep = sup_risk(
         prior, model, trunc,
-        grid_size=args.grid_size, seed=config.seed, threads=config.threads,
+        grid_size=args.grid_size, seed=config.seed,
     )
     row = {
         "k": args.k,
@@ -273,7 +272,7 @@ def _cmd_compare_priors(args, config: RunConfig) -> int:
         priors.append(SymmetricPrior(alpha, args.k))
     rows = compare_priors(
         args.k, _parse_list(args.N, "--N", int), _schedule(args), priors,
-        grid_size=args.grid_size, seed=config.seed, threads=config.threads,
+        grid_size=args.grid_size, seed=config.seed,
     )
     columns = ["prior_label", "alpha", "k", "N", "eps", "sup_risk",
                "excess_over_t1", "scaled_excess"]
@@ -288,7 +287,7 @@ def _cmd_sandwich(args, config: RunConfig) -> int:
     schedule = EpsilonSchedule(c=args.c, r=args.r, mode=ScheduleMode.MINIMAX)
     result = minimax_sandwich(
         args.k, _parse_list(args.N, "--N", int), schedule,
-        grid_size=args.grid_size, seed=config.seed, threads=config.threads,
+        grid_size=args.grid_size, seed=config.seed,
     )
     columns = ["k", "N", "eps", "upper", "lower", "gap_scaled"]
     _write_output(
@@ -308,7 +307,7 @@ def _cmd_expansion_error(args, config: RunConfig) -> int:
     rows = expansion_error_profile(
         prior, _schedule(args), _parse_list(args.N, "--N", int),
         truncation_order=args.order, variant=args.variant,
-        grid_size=args.grid_size, seed=config.seed, threads=config.threads,
+        grid_size=args.grid_size, seed=config.seed,
     )
     out_rows = [
         {
@@ -352,6 +351,8 @@ def _cmd_verify_lemmas(args, config: RunConfig) -> int:
 def _cmd_moments(args, config: RunConfig) -> int:
     if (args.N is None) != (args.theta is None):
         raise DomainError("--N and --theta must be given together")
+    if args.theta is not None and not 0.0 < args.theta < 1.0:
+        raise DomainError(f"--theta must lie in (0, 1), got {args.theta!r}")
     polys = moment_recurrence(args.m_max)
     rows = []
     for poly in polys:
@@ -383,7 +384,7 @@ def _cmd_optimal_alpha(args, config: RunConfig) -> int:
         v += step
     alpha_star, curve = optimal_alpha_search(
         args.k, args.N, _schedule(args), grid,
-        grid_size=args.grid_size, seed=config.seed, threads=config.threads,
+        grid_size=args.grid_size, seed=config.seed,
     )
     rows = [{"alpha": a, "sup_risk": s} for a, s in curve]
     _write_output(
@@ -412,8 +413,10 @@ def _add_common(sp, default_format="csv"):
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help="seed for every randomized component (default 0x5EED)")
     sp.add_argument("--threads", type=int, default=None,
-                    help="worker pool size; falls back to MINIMAX_MULTINOM_THREADS, "
-                         "then the logical core count; never affects results")
+                    help="validated (at least 1; falls back to "
+                         "MINIMAX_MULTINOM_THREADS) and otherwise inert: every "
+                         "command runs its jobs in order on one thread, so it "
+                         "changes neither results nor how the work runs")
     sp.add_argument("--format", choices=["csv", "json"], default=default_format,
                     help=f"output format (default {default_format})")
     sp.add_argument("--out", default="-", help="output path, '-' for stdout")
@@ -430,11 +433,12 @@ def _add_schedule(sp):
 
 
 def _add_prior_args(sp):
-    sp.add_argument("--alpha", type=float, default=None,
-                    help="symmetric Dirichlet concentration")
-    sp.add_argument("--a", default=None, help="comma-joined Dirichlet parameters")
-    sp.add_argument("--prior", choices=list(_NAMED_PRIORS),
-                    default=None, help="named symmetric prior")
+    group = sp.add_mutually_exclusive_group()
+    group.add_argument("--alpha", type=float, default=None,
+                       help="symmetric Dirichlet concentration")
+    group.add_argument("--a", default=None, help="comma-joined Dirichlet parameters")
+    group.add_argument("--prior", choices=list(_NAMED_PRIORS),
+                       default=None, help="named symmetric prior")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -602,13 +606,13 @@ def main(argv=None) -> int:
         and value is not None
     }
     try:
+        resolve_threads(args.threads)  # validated; no command reads it
         config = RunConfig(
             command=args.command,
             params=params,
             seed=check_seed(args.seed),
             output=args.format,
             out_path=args.out,
-            threads=resolve_threads(args.threads),
             bits=args.bits,
         )
         return args.handler(args, config)

@@ -251,7 +251,6 @@ def expansion_error_profile(
     grid_size: int = 128,
     seed: int = DEFAULT_SEED,
     ascent_starts: int = 8,
-    threads: int | None = 1,
 ) -> list:
     """Sup over the floored simplex of |exact risk - truncated expansion|.
 
@@ -315,4 +314,4 @@ def expansion_error_profile(
             scale = Nf**2
         return ProfileRow(N, eps, sup_val, sup_val * scale, theta.theta)
 
-    return ordered_map(one_row, N_list, threads)
+    return ordered_map(one_row, N_list)

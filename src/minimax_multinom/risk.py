@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betaln as _betaln
+from scipy.special import digamma as _digamma
 
 from ._pool import ordered_map
 from .errors import (
@@ -52,7 +54,6 @@ from .numkernel import (
     dirichlet_batch,
     log_binomial_row,
     log_multinomial_rows,
-    log_multivariate_beta,
     seeded_stream,
     stable_sum,
     window_fsums,
@@ -369,9 +370,7 @@ class SeparableMaximizer:
     and each start ends where it would have ended alone.
 
     h(i, t) takes one coordinate index or one per value of t, as
-    CoordinateRiskEvaluator.coordinate does.  threads sizes a pool over the
-    pinned families, the sup-risk command's outermost job list; callers
-    that map a job list of their own keep the default of 1.
+    CoordinateRiskEvaluator.coordinate does.
     """
 
     def __init__(
@@ -384,7 +383,6 @@ class SeparableMaximizer:
         symmetric: bool = True,
         seed: int = DEFAULT_SEED,
         ascent_starts: int = 32,
-        threads: int | None = 1,
     ):
         if not (0.0 < eps < 1.0 / k):
             raise DomainError("floor must satisfy 0 < eps < 1/k")
@@ -398,7 +396,6 @@ class SeparableMaximizer:
         self.symmetric = symmetric
         self.seed = seed
         self.ascent_starts = ascent_starts
-        self.threads = threads
 
     # -- plumbing ------------------------------------------------------
 
@@ -589,8 +586,7 @@ class SeparableMaximizer:
 
         family_results = ordered_map(
             lambda s: self._family_candidates(s, grid_size),
-            list(self._subsets()),
-            self.threads,
+            self._subsets(),
         )
         for res in family_results:
             candidates.extend(res)
@@ -644,7 +640,6 @@ def sup_risk(
     grid_size: int = 256,
     seed: int = DEFAULT_SEED,
     ascent_starts: int = 32,
-    threads: int | None = 1,
 ) -> SupRiskReport:
     """Maximize the prediction risk over the floored simplex.
 
@@ -652,8 +647,7 @@ def sup_risk(
     k >= 3 its multi-start ascent advances all ascent_starts starts together,
     one kernel call per coordinate and step.  The returned trace lists every
     configuration family and, for k >= 3, every ascent start with the value
-    it achieved, so a suspect supremum can be diagnosed.  threads sizes a
-    pool over the pinned families (see SeparableMaximizer).
+    it achieved, so a suspect supremum can be diagnosed.
     """
     if prior.k != model.k or trunc.k != model.k:
         raise DomainError("prior, model and truncation disagree on k")
@@ -665,7 +659,6 @@ def sup_risk(
         symmetric=prior.is_symmetric,
         seed=seed,
         ascent_starts=ascent_starts,
-        threads=threads,
     )
     value, theta, trace = maximizer.maximize(grid_size)
     return SupRiskReport(value, theta, trace)
@@ -777,8 +770,8 @@ def _bayes_numerator(a: tuple, eps: float, risk_fn, head: tuple = (),
     against the inner value.  head holds the coordinates the enclosing
     levels fixed and mass the probability left to the rest; risk_fn takes
     the first k - 1 coordinates.  The outermost level runs at QUAD_REL_TOL,
-    inner levels at 10 QUAD_REL_TOL.  With eps = 0 a kernel singular at an
-    endpoint is integrated as an algebraic weight (QAWS).
+    inner levels at 10 QUAD_REL_TOL.  eps must be positive: the whole
+    simplex has a closed form (_bayes_risk_whole_simplex).
     """
     if len(a) == 1:
         return risk_fn(head), 0.0
@@ -791,27 +784,44 @@ def _bayes_numerator(a: tuple, eps: float, risk_fn, head: tuple = (),
 
     def inner(v: float) -> float:
         nonlocal inner_err
-        # QAWS evaluates the endpoint v = 1 itself, but only when eps = 0
-        inner_eps = eps / (1.0 - v) if eps > 0.0 else 0.0
         val, err = _bayes_numerator(
-            a[1:], inner_eps, risk_fn, head + (mass * v,), mass * (1.0 - v)
+            a[1:], eps / (1.0 - v), risk_fn, head + (mass * v,), mass * (1.0 - v)
         )
         inner_err = max(inner_err, err)
         return val
 
-    opts = dict(
+    val, err = quad(
+        lambda v: math.exp(e1 * math.log(v) + e2 * math.log1p(-v)) * inner(v),
+        eps, 1.0 - (len(a) - 1) * eps,
         epsabs=QUAD_ABS_TOL,
         epsrel=QUAD_REL_TOL * (10 if head else 1),
         limit=QUAD_MAX_SUBDIVISIONS,
     )
-    if eps == 0.0 and (e1 < 0 or e2 < 0):
-        val, err = quad(inner, 0.0, 1.0, weight="alg", wvar=(e1, e2), **opts)
-    else:
-        val, err = quad(
-            lambda v: math.exp(e1 * math.log(v) + e2 * math.log1p(-v)) * inner(v),
-            eps, 1.0 - (len(a) - 1) * eps, **opts,
-        )
     return val, err / val + inner_err
+
+
+def _bayes_risk_whole_simplex(a: tuple, N: int) -> float:
+    """Bayes risk of the Dirichlet(a) predictive under the Dirichlet(a)
+    weight over the whole simplex, in O(N k).
+
+    In the separable form R(theta) = log(N + A) + sum_i theta_i
+    [log theta_i - E log(X_i + a_i)], X_i ~ Bin(N, theta_i).  Under
+    Dirichlet(a), E[theta_i log theta_i] = (a_i/A) [psi(a_i + 1) - psi(A + 1)]
+    and E[theta_i g(X_i)] = (a_i/A) E g(Y_i), Y_i beta-binomial
+    (N, a_i + 1, A - a_i).
+    """
+    A = stable_sum(a)
+    x = np.arange(N + 1, dtype=float)
+    log_binom = log_binomial_row(N)
+    parts = []
+    for i, a_i in enumerate(a):
+        b_i = stable_sum(a[:i] + a[i + 1:])
+        pmf = np.exp(log_binom + _betaln(x + a_i + 1.0, N - x + b_i)
+                     - _betaln(a_i + 1.0, b_i))
+        terms = [_digamma(a_i + 1.0), -_digamma(A + 1.0), math.log(N + A)]
+        terms.extend((-pmf * np.log(x + a_i)).tolist())
+        parts.append(a_i / A * stable_sum(terms))
+    return stable_sum(parts)
 
 
 def bayes_risk(
@@ -830,9 +840,10 @@ def bayes_risk(
     SymmetricPrior weight and trunc, and enumerates count vectors against a
     cached integral table).
 
-    Monte Carlo runs when mc is passed or when k > 3; otherwise nested
-    quadrature runs.  Monte Carlo batches run in index order, each scored
-    in one kernel call.
+    Monte Carlo runs when mc is passed.  Otherwise the whole simplex has a
+    closed form for every k (_bayes_risk_whole_simplex), and a floored one
+    takes nested quadrature for k <= 3 and Monte Carlo above.  Monte Carlo
+    batches run in index order, each scored in one kernel call.
     """
     predictive = Predictive(predictive)
     if isinstance(weight, SymmetricPrior):
@@ -853,6 +864,8 @@ def bayes_risk(
                 "a truncation region"
             )
         table = TruncatedPredictiveTable(weight, trunc, model)
+    elif trunc is None and mc is None:
+        return _bayes_risk_whole_simplex(weight_prior.a, model.N)
     else:
         table = None
 
@@ -861,37 +874,22 @@ def bayes_risk(
     if mc is not None or model.k > 3:
         return _bayes_mc(weight_prior.a, eps, ev, table, mc or MonteCarloSettings())
 
-    def risk_at(theta: ThetaPoint) -> float:
+    def risk_of(head) -> float:
+        theta = ThetaPoint.complete(head)
         base = ev.risk(theta).exact_risk
         if table is not None:
             base -= table.correction(theta)
         return base
 
-    # endpoint-singular rules may probe the exact boundary, where the
-    # risk extends continuously; nudge into the open simplex
-    tiny = 1e-13
-
-    def risk_of(head) -> float:
-        coords, rest = [], 1.0
-        for j, t in enumerate(head):
-            t = min(max(t, tiny), rest - (model.k - 1 - j) * tiny)
-            coords.append(t)
-            rest -= t
-        return risk_at(ThetaPoint.complete(coords))
-
     a = weight_prior.a
     num, rel = _bayes_numerator(a, eps, risk_of)
-    if eps > 0.0:
-        den = b_trunc(a, eps)
-        log_den = den.value_log
-        rel += den.error_estimate
-    else:
-        log_den = log_multivariate_beta(a)
+    den = b_trunc(a, eps)
+    rel += den.error_estimate
     if rel > 1e3 * QUAD_REL_TOL:
         raise IntegrationError(
             "Bayes-risk quadrature did not converge", achieved=rel
         )
-    return num / math.exp(log_den)
+    return num / math.exp(den.value_log)
 
 
 def _bayes_mc(a: tuple, eps: float, ev: CoordinateRiskEvaluator,

@@ -38,12 +38,6 @@ class TestCompareRows:
         b = compare_priors(2, [32, 64], SCHED, priors, grid_size=48, seed=5)
         assert a == b
 
-    def test_threads_invariant(self):
-        priors = [SymmetricPrior.jeffreys(2), SymmetricPrior.minimax(2)]
-        a = compare_priors(2, [16, 32], SCHED, priors, grid_size=48, threads=1)
-        b = compare_priors(2, [16, 32], SCHED, priors, grid_size=48, threads=4)
-        assert a == b
-
     def test_minimax_excess_negative_and_jeffreys_diverging(self):
         priors = [SymmetricPrior.jeffreys(2), SymmetricPrior.minimax(2)]
         rows = compare_priors(2, [64, 256], SCHED, priors, grid_size=128)
@@ -83,8 +77,8 @@ class TestSandwich:
             minimax_sandwich(2, [8, 16], bad)
 
     def test_deterministic(self):
-        a = minimax_sandwich(2, [8, 16, 24], SCHED, grid_size=48, threads=1)
-        b = minimax_sandwich(2, [8, 16, 24], SCHED, grid_size=48, threads=3)
+        a = minimax_sandwich(2, [8, 16, 24], SCHED, grid_size=48)
+        b = minimax_sandwich(2, [8, 16, 24], SCHED, grid_size=48)
         assert a == b
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import minimax_multinom
 from minimax_multinom import LemmaReport
 from minimax_multinom.cli import main
-from minimax_multinom._pool import resolve_threads
+from minimax_multinom._pool import ordered_map, resolve_threads
 
 
 def run_cli(capsys, *argv):
@@ -250,6 +251,12 @@ class TestErrorHandling:
                      id="moments-theta-without-N"),
         pytest.param(["moments", "--m-max", "4", "--N", "-3", "--theta", "0.3"],
                      {}, id="moments-N-negative"),
+        # checked before any polynomial is evaluated, so no numpy warning
+        # reaches stderr ahead of the JSON error
+        pytest.param(["moments", "--N", "5", "--theta", "inf"], {},
+                     id="moments-theta-inf"),
+        pytest.param(["moments", "--N", "5", "--theta", "1.5"], {},
+                     id="moments-theta-above-1"),
         # an empty --N list would print a header and no rows
         pytest.param(["compare-priors", "--k", "2", "--N", ","], {},
                      id="compare-priors-N-empty"),
@@ -283,6 +290,22 @@ class TestErrorHandling:
         error = json.loads(err)["error"]
         assert error["type"] == "DomainError"
         assert error["message"].startswith(flag + " ")
+
+    @pytest.mark.parametrize("argv", [
+        ["risk", "--k", "2", "--N", "4", "--theta", "0.5",
+         "--prior", "jeffreys", "--alpha", "7"],
+        ["risk", "--k", "2", "--N", "4", "--theta", "0.5",
+         "--a", "1,2", "--alpha", "7"],
+        ["sup-risk", "--k", "2", "--N", "8", "--prior", "minimax",
+         "--a", "1,2"],
+        ["expansion-error", "--k", "2", "--N", "64,128",
+         "--prior", "minimax", "--alpha", "2"],
+    ], ids=lambda v: " ".join(v))
+    def test_conflicting_prior_flags_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "InvalidParameters"
 
     def test_largest_seed_accepted(self, capsys):
         code, out, err = run_cli(capsys, "verify-lemmas", "--lemma", "1",
@@ -376,6 +399,18 @@ class TestThreadResolution:
         assert resolve_threads(2) == 2
         monkeypatch.delenv("MINIMAX_MULTINOM_THREADS")
         assert resolve_threads(None) >= 1
+
+
+def test_ordered_map_runs_in_order_on_the_calling_thread(monkeypatch):
+    monkeypatch.setenv("MINIMAX_MULTINOM_THREADS", "4")
+    calls = []
+
+    def record(item):
+        calls.append((item, threading.get_ident()))
+        return item * item
+
+    assert ordered_map(record, range(6)) == [0, 1, 4, 9, 16, 25]
+    assert calls == [(i, threading.get_ident()) for i in range(6)]
 
 
 class TestHelp:

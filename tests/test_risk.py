@@ -7,6 +7,7 @@ them is this suite's backbone.
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -693,15 +694,6 @@ class TestSupRisk:
         assert any("pin" in lab for lab in labels)
         return labels
 
-    def test_threads_do_not_change_result(self):
-        prior = SymmetricPrior.minimax(3).expand()
-        model = ModelSpec(3, 12)
-        trunc = TruncatedSimplex(3, 0.05)
-        a = sup_risk(prior, model, trunc, grid_size=48, threads=1)
-        b = sup_risk(prior, model, trunc, grid_size=48, threads=4)
-        assert a.sup_value == b.sup_value
-        assert a.argmax_theta.theta == b.argmax_theta.theta
-
     def test_objectives_make_one_h_call(self):
         """The objective at a batch of points takes one h call with a
         per-point coordinate index, and each column sums as it would alone."""
@@ -786,7 +778,7 @@ class TestBayesRisk:
                        mc=MonteCarloSettings(n_draws=200_000))
         assert abs(q - m) <= 2e-5
 
-    def test_mc_threads_deterministic(self):
+    def test_mc_pinned_value(self):
         w = SymmetricPrior.uniform(2)
         model = ModelSpec(2, 6)
         trunc = TruncatedSimplex(2, 0.05)
@@ -878,6 +870,32 @@ class TestBayesRisk:
         val = bayes_risk(SymmetricPrior(alpha, k), ModelSpec(k, N),
                          Predictive(predictive), trunc)
         assert val == pytest.approx(expected, rel=1e-12 if floored else 1e-9)
+
+    @pytest.mark.parametrize("weight, N, expected", [
+        (SymmetricPrior.uniform(3), 4, 0.12485588733277497),
+        (PriorSpec((1.2, 1.5, 2.0)), 3, 0.11647457536402676),
+    ], ids=["uniform", "asymmetric"])
+    def test_whole_simplex_closed_form_matches_quadrature(self, weight, N,
+                                                          expected):
+        """k = 3 over the whole simplex: the closed form against values the
+        nested quadrature it replaced gave."""
+        val = bayes_risk(weight, ModelSpec(3, N), Predictive.FULL)
+        assert val == pytest.approx(expected, rel=1e-12)
+
+    def test_whole_simplex_jeffreys_k3_is_fast_and_matches_mc(self):
+        """The Jeffreys weight's boundary singularities once cost nested
+        quadrature about a minute here; the closed form must agree with a
+        seeded Monte Carlo run within 4 of its standard errors, bounded by
+        the run's stderr_ceiling."""
+        w, model = SymmetricPrior.jeffreys(3), ModelSpec(3, 1)
+        start = time.perf_counter()
+        exact = bayes_risk(w, model, Predictive.FULL)
+        assert time.perf_counter() - start < 1.0
+        ceiling = 2.7e-4
+        mc = bayes_risk(w, model, Predictive.FULL,
+                        mc=MonteCarloSettings(n_draws=100_000,
+                                              stderr_ceiling=ceiling))
+        assert abs(exact - mc) <= 4 * ceiling
 
     def test_truncated_predictive_needs_truncation(self):
         with pytest.raises(DomainError):
