@@ -30,7 +30,7 @@ from .model import (
     ScheduleMode,
     SymmetricPrior,
 )
-from .risk import Predictive, bayes_risk, sup_risk
+from .risk import Predictive, bayes_risk, sup_risk, truncation_bayes_gap
 
 
 def prior_label(alpha: float) -> str:
@@ -131,7 +131,10 @@ def minimax_sandwich(
 ) -> SandwichResult:
     """The computable bracket around the minimax risk, per N.
 
-    Requires a schedule in the minimax window (1/alpha-hat < r < 3/4).
+    Each N integrates one Bayes risk, the full predictive's (the
+    cross-check); lower is that risk less truncation_bayes_gap, as
+    bayes_risk computes the truncated predictive's.  Requires a schedule
+    in the minimax window (1/alpha-hat < r < 3/4).
     Raises CheckFailure if any bracket is out of order (lower > upper beyond
     tolerance); trend verdicts are reported, not raised, since they are
     asymptotic statements evaluated at finite N.
@@ -152,8 +155,8 @@ def minimax_sandwich(
             prior.expand(), model, trunc,
             grid_size=grid_size, seed=seed,
         ).sup_value
-        lower = bayes_risk(prior, model, Predictive.TRUNCATED, trunc)
         bayes_full = bayes_risk(prior, model, Predictive.FULL, trunc)
+        lower = bayes_full - truncation_bayes_gap(prior, trunc, model)
         return upper, lower, bayes_full
 
     results = ordered_map(one, N_list)
@@ -194,7 +197,9 @@ def optimal_alpha_search(
     descriptive.
     """
     alpha_grid = [float(a) for a in alpha_grid]
-    if not alpha_grid or any(a <= 0 for a in alpha_grid):
+    if not alpha_grid:
+        raise DomainError("need at least one alpha")
+    if any(a <= 0 for a in alpha_grid):
         raise DomainError("alpha grid must be positive")
     model = ModelSpec(k, N)
     trunc = schedule.truncation(N, k)

@@ -21,6 +21,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
 from ._pool import resolve_threads
 from .analysis import (
@@ -382,6 +384,8 @@ def _cmd_optimal_alpha(args, config: RunConfig) -> int:
     while v <= hi + 1e-12:
         grid.append(round(v, 10))
         v += step
+    if not grid:
+        raise DomainError(f"--alpha-grid {args.alpha_grid} is empty: start > stop")
     alpha_star, curve = optimal_alpha_search(
         args.k, args.N, _schedule(args), grid,
         grid_size=args.grid_size, seed=config.seed,
@@ -615,7 +619,9 @@ def main(argv=None) -> int:
             out_path=args.out,
             bits=args.bits,
         )
-        return args.handler(args, config)
+        # no numpy warning may print ahead of the one JSON error
+        with np.errstate(all="ignore"):
+            return args.handler(args, config)
     except (DomainError, SizeError, ValueError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 2

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaln as _betaln
 from scipy.special import digamma as _digamma
+from scipy.special import gammaln as _gammaln
 
 from ._pool import ordered_map
 from .errors import (
@@ -117,20 +118,6 @@ class ThetaPoint:
         return ThetaPoint(tuple(self.theta[p] for p in perm))
 
 
-def _check_theta_rows(rows: np.ndarray) -> None:
-    """ThetaPoint's conditions on every row of an (n, k) array, checked
-    for the whole array at once; DomainError names the first failure."""
-    n, k = rows.shape
-    if k < 2:
-        raise DomainError("need at least two coordinates")
-    if not ((rows > 0.0) & (rows < 1.0)).all():  # False for NaN too
-        raise DomainError("every theta coordinate must lie in (0, 1)")
-    sums = np.array(window_fsums(rows.ravel(), np.full(n, k)))
-    off = np.abs(sums - 1.0) > 1e-14
-    if off.any():
-        raise DomainError(f"theta must sum to 1, got {sums[off][0].item()!r}")
-
-
 class RiskMethod(enum.Enum):
     ENUMERATION = "enumeration"
     COORDINATEWISE = "coordinatewise"
@@ -189,9 +176,11 @@ def risk_enumeration(
 
 
 def _risk_total(per) -> float:
-    """The compensated sum of k risk contributions, which must not be
-    negative beyond rounding."""
+    """The compensated sum of k risk contributions, which must be finite and
+    not negative beyond rounding."""
     total = stable_sum(per)
+    if not math.isfinite(total):
+        raise DomainError(f"risk at a point is not finite: {total!r}")
     if total < -1e-14:
         raise AssertionError(f"risk must be nonnegative, got {total!r}")
     return total
@@ -705,17 +694,16 @@ class TruncatedPredictiveTable:
         self.eps = trunc.eps
         self.comps = compositions(model.N, model.k)
         self._log_coef = log_multinomial_rows(model.N, self.comps)
-        self._comps_f = self.comps.astype(float)
         self._memo: dict = {}
         n, k = self.comps.shape
         self.log_ratio = np.empty((n, k))
+        # log I(x + alpha) per row, the base of that row's ratios
+        self._log_i_post = np.empty(n)
         for r in range(n):
             post = tuple(self.comps[r] + self.alpha)
-            base = self._log_i(post)
+            base = self._log_i_post[r] = self._log_i(post)
             for i in range(k):
-                bumped = tuple(
-                    v + 1.0 if j == i else v for j, v in enumerate(post)
-                )
+                bumped = post[:i] + (post[i] + 1.0,) + post[i + 1:]
                 self.log_ratio[r, i] = self._log_i(bumped) - base
 
     def _log_i(self, alphas: tuple) -> float:
@@ -730,18 +718,27 @@ class TruncatedPredictiveTable:
         This is exactly risk(full predictive) - risk(truncated predictive)
         at the point; positive when the truncated predictive is better.
         """
-        return self._corrections(np.array([theta.theta]))[0]
+        th = np.asarray(theta.theta)
+        pmf = np.exp(self._log_coef + self.comps @ np.log(th))
+        return stable_sum(pmf * (self.log_ratio @ th))
 
-    def _corrections(self, thetas: np.ndarray) -> list:
-        """correction at every row of an (n, k) array of points that meet
-        ThetaPoint's conditions, row by row: the two matrix-vector products
-        stay per row, since one matrix product for all rows rounds
-        differently."""
-        out = []
-        for th, log_th in zip(thetas, np.log(thetas)):
-            pmf = np.exp(self._log_coef + self._comps_f @ log_th)
-            out.append(stable_sum(pmf * (self.log_ratio @ th)))
-        return out
+    def bayes_gap(self) -> float:
+        """The correction averaged over the floored prior weight, exactly:
+        sum_x m(x) sum_i q_full(i|x) (r e^r - e^r + 1), with r the log ratio,
+        m(x) = C(N, x) B_eps(alpha + x)/B_eps(alpha) (B_eps the Dirichlet
+        integral over the floored simplex) and q_full(i|x) = (x_i + alpha)/
+        (N + k alpha): the weight-averaged KL divergence between the two
+        predictives (Aitchison, Biometrika 62(3), 1975), in terms >= 0 of
+        second order in r, free of the cancellation in sum_i q(i|x) r."""
+        k, N, alpha = self.model.k, self.model.N, self.alpha
+        post = self.comps + alpha
+        # log m(x), from B_eps = I B with I the retained fraction
+        log_m = (self._log_coef + self._log_i_post - self._log_i((alpha,) * k)
+                 + (_gammaln(post) - _gammaln(alpha)).sum(axis=1)
+                 - _gammaln(N + k * alpha) + _gammaln(k * alpha))
+        m_q_full = np.exp(log_m[:, None] + np.log(post / (N + k * alpha)))
+        r = self.log_ratio
+        return stable_sum((m_q_full * (r * np.exp(r) - np.expm1(r))).ravel())
 
 
 def risk_truncated_predictive(
@@ -836,14 +833,14 @@ def bayes_risk(
     weight is a PriorSpec or a SymmetricPrior; with trunc it is
     renormalized over the floored simplex, without it it weighs the whole
     simplex.  predictive selects whose risk is averaged: the full-prior
-    predictive or the truncated-prior predictive (which requires a
-    SymmetricPrior weight and trunc, and enumerates count vectors against a
-    cached integral table).
+    predictive or the truncated-prior predictive, which needs a
+    SymmetricPrior weight and trunc and is the full one's Bayes risk less
+    the exact truncation_bayes_gap: only the full risk is integrated.
 
-    Monte Carlo runs when mc is passed.  Otherwise the whole simplex has a
-    closed form for every k (_bayes_risk_whole_simplex), and a floored one
-    takes nested quadrature for k <= 3 and Monte Carlo above.  Monte Carlo
-    batches run in index order, each scored in one kernel call.
+    The full risk takes Monte Carlo when mc is passed.  Otherwise the whole
+    simplex has a closed form for every k (_bayes_risk_whole_simplex), and a
+    floored one takes nested quadrature for k <= 3 and Monte Carlo above.
+    Monte Carlo batches run in index order, each scored in one kernel call.
     """
     predictive = Predictive(predictive)
     if isinstance(weight, SymmetricPrior):
@@ -858,28 +855,18 @@ def bayes_risk(
         raise DomainError("weight and model disagree on k")
 
     if predictive is Predictive.TRUNCATED:
-        if trunc is None or not isinstance(weight, SymmetricPrior):
-            raise DomainError(
-                "the truncated predictive needs a SymmetricPrior weight and "
-                "a truncation region"
-            )
-        table = TruncatedPredictiveTable(weight, trunc, model)
-    elif trunc is None and mc is None:
+        gap = truncation_bayes_gap(weight, trunc, model)
+        return bayes_risk(weight, model, Predictive.FULL, trunc, mc) - gap
+    if trunc is None and mc is None:
         return _bayes_risk_whole_simplex(weight_prior.a, model.N)
-    else:
-        table = None
 
     ev = CoordinateRiskEvaluator(weight_prior, model)
     eps = trunc.eps if trunc else 0.0
     if mc is not None or model.k > 3:
-        return _bayes_mc(weight_prior.a, eps, ev, table, mc or MonteCarloSettings())
+        return _bayes_mc(weight_prior.a, eps, ev, mc or MonteCarloSettings())
 
     def risk_of(head) -> float:
-        theta = ThetaPoint.complete(head)
-        base = ev.risk(theta).exact_risk
-        if table is not None:
-            base -= table.correction(theta)
-        return base
+        return ev.risk(ThetaPoint.complete(head)).exact_risk
 
     a = weight_prior.a
     num, rel = _bayes_numerator(a, eps, risk_of)
@@ -893,7 +880,6 @@ def bayes_risk(
 
 
 def _bayes_mc(a: tuple, eps: float, ev: CoordinateRiskEvaluator,
-              table: TruncatedPredictiveTable | None,
               mc: MonteCarloSettings) -> float:
     """Mean risk over the accepted draws, batch by batch in index order: one
     kernel call per batch, then each draw's k contributions summed alone, in
@@ -904,9 +890,6 @@ def _bayes_mc(a: tuple, eps: float, ev: CoordinateRiskEvaluator,
         draws, _ = dirichlet_batch(a, eps, mc, b)
         per = ev.coordinate(np.tile(np.arange(k), len(draws)), draws.ravel())
         vals = [_risk_total(row) for row in per.reshape(-1, k).tolist()]
-        if table is not None:
-            _check_theta_rows(draws)
-            vals = [v - c for v, c in zip(vals, table._corrections(draws))]
         parts.append((stable_sum(vals), stable_sum(v * v for v in vals), len(vals)))
     total = stable_sum(p[0] for p in parts)
     total_sq = stable_sum(p[1] for p in parts)
@@ -928,7 +911,6 @@ def truncation_bayes_gap(
     alpha: SymmetricPrior,
     trunc: TruncatedSimplex,
     model: ModelSpec,
-    mc: MonteCarloSettings | None = None,
 ) -> float:
     """Bayes-risk penalty for predicting with the untruncated prior.
 
@@ -938,8 +920,13 @@ def truncation_bayes_gap(
         R(weight, full predictive) - R(weight, truncated predictive)
 
     is nonnegative; it measures how little is lost by ignoring the
-    truncation when building the predictive.
+    truncation when building the predictive.  It is an exact finite sum
+    over the table (TruncatedPredictiveTable.bayes_gap), and the truncated
+    predictive's Bayes risk is defined as the full one's less it.
     """
-    full = bayes_risk(alpha, model, Predictive.FULL, trunc, mc)
-    truncated = bayes_risk(alpha, model, Predictive.TRUNCATED, trunc, mc)
-    return full - truncated
+    if trunc is None or not isinstance(alpha, SymmetricPrior):
+        raise DomainError(
+            "the truncated predictive needs a SymmetricPrior weight and "
+            "a truncation region"
+        )
+    return TruncatedPredictiveTable(alpha, trunc, model).bayes_gap()

@@ -4,12 +4,16 @@ import math
 
 import pytest
 
+import minimax_multinom.analysis as analysis
 from minimax_multinom import (
     ALPHA_MINIMAX,
     DomainError,
     EpsilonSchedule,
+    ModelSpec,
+    Predictive,
     ScheduleMode,
     SymmetricPrior,
+    bayes_risk,
     compare_priors,
     minimax_sandwich,
     optimal_alpha_search,
@@ -76,6 +80,25 @@ class TestSandwich:
         with pytest.raises(DomainError):
             minimax_sandwich(2, [8, 16], bad)
 
+    def test_one_bayes_risk_per_n(self, monkeypatch):
+        """Each N integrates one Bayes risk, the full predictive's; the
+        lower end is that risk less the exact gap, which is the float the
+        truncated predictive's Bayes risk is."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].N)
+            return bayes_risk(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "bayes_risk", counting)
+        res = minimax_sandwich(2, [8, 16, 24], SCHED, grid_size=48)
+        assert calls == [8, 16, 24]
+        for row in res.rows:
+            trunc = SCHED.truncation(row.N, 2)
+            assert row.lower == bayes_risk(
+                SymmetricPrior.minimax(2), ModelSpec(2, row.N),
+                Predictive.TRUNCATED, trunc)
+
     def test_deterministic(self):
         a = minimax_sandwich(2, [8, 16, 24], SCHED, grid_size=48)
         b = minimax_sandwich(2, [8, 16, 24], SCHED, grid_size=48)
@@ -101,7 +124,7 @@ class TestOptimalAlpha:
         assert alpha_star in [a for a, _ in curve]
 
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="need at least one alpha"):
             optimal_alpha_search(2, 16, SCHED, [])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="must be positive"):
             optimal_alpha_search(2, 16, SCHED, [-0.5, 1.0])

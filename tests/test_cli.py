@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -232,6 +233,14 @@ class TestErrorHandling:
                       "--alpha-grid", "1:2"], {}, id="alpha-grid-two-fields"),
         pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
                       "--alpha-grid", "a:2:0.1"], {}, id="alpha-grid-not-number"),
+        pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
+                      "--alpha-grid", "2:1:0.5"], {}, id="alpha-grid-empty"),
+        # the kernel's x = 0 term is infinite at a weight this small
+        pytest.param(["risk", "--k", "2", "--N", "64", "--a", "1e-17,1",
+                      "--theta", "0.05"], {}, id="risk-tiny-prior-weight"),
+        pytest.param(["compare-priors", "--k", "2", "--N", "64",
+                      "--priors", "1e-17", "--grid-size", "16"], {},
+                     id="compare-priors-tiny-prior-weight"),
         # a Philox key word is 64 bits; a seed outside would alias another
         pytest.param(["sup-risk", "--k", "2", "--N", "8", "--prior", "minimax",
                       "--seed", "-1"], {}, id="sup-risk-seed-negative"),
@@ -272,6 +281,29 @@ class TestErrorHandling:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]["type"] == "DomainError"
+
+    def test_empty_alpha_grid_names_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "optimal-alpha", "--k", "2", "--N",
+                                 "8", "--alpha-grid", "2:1:0.5")
+        assert code == 2
+        message = json.loads(err)["error"]["message"]
+        assert message.startswith("--alpha-grid ") and "empty" in message
+
+    @pytest.mark.parametrize("argv", [
+        ["risk", "--k", "2", "--N", "64", "--a", "1e-17,1", "--theta", "0.05"],
+        ["compare-priors", "--k", "2", "--N", "64", "--priors", "1e-17",
+         "--grid-size", "16"],
+    ], ids=["risk", "compare-priors"])
+    def test_tiny_prior_weight_raises_no_numpy_warning(self, capsys, argv):
+        """A warning turned into an error here would be one numpy printed
+        to stderr ahead of the JSON error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert "inf" in error["message"]
 
     @pytest.mark.parametrize("flag, argv", [
         ("--N", ["compare-priors", "--k", "2", "--N", "abc"]),

@@ -912,27 +912,17 @@ class TestBayesRisk:
                        Predictive.TRUNCATED, TruncatedSimplex(4, 0.05))
 
 
-def _per_draw_bayes_mc(weight, model, predictive, trunc, mc):
-    """Monte Carlo Bayes risk as a loop over draws, one risk() call each
-    and the truncated correction written out per draw: kept as the
-    reference for the batched estimator."""
+def _per_draw_bayes_mc(weight, model, trunc, mc):
+    """Monte Carlo Bayes risk of the full predictive as a loop over draws,
+    one risk() call each: kept as the reference for the batched
+    estimator."""
     prior = weight.expand() if isinstance(weight, SymmetricPrior) else weight
     ev = risk_module.CoordinateRiskEvaluator(prior, model)
-    table = (TruncatedPredictiveTable(weight, trunc, model)
-             if predictive is Predictive.TRUNCATED else None)
     eps = trunc.eps if trunc else 0.0
     sums, n = [], 0
     for b in range(mc.n_batches):
         draws, _ = dirichlet_batch(prior.a, eps, mc, b)
-        vals = []
-        for row in draws:
-            theta = ThetaPoint(tuple(row))
-            value = ev.risk(theta).exact_risk
-            if table is not None:
-                th = np.asarray(theta.theta)
-                pmf = np.exp(table._log_coef + table.comps @ np.log(th))
-                value -= stable_sum(pmf * (table.log_ratio @ th))
-            vals.append(value)
+        vals = [ev.risk(ThetaPoint(tuple(row))).exact_risk for row in draws]
         sums.append(stable_sum(vals))
         n += len(vals)
     return stable_sum(sums) / n
@@ -942,20 +932,19 @@ class TestBatchedMonteCarlo:
     """Monte Carlo Bayes risk scores each batch in one kernel call and
     equals the per-draw loop exactly."""
 
-    @pytest.mark.parametrize("weight, N, predictive, eps", [
-        (SymmetricPrior.uniform(2), 6, "full", 0.05),
-        (SymmetricPrior.jeffreys(2), 9, "full", 0.0),
-        (SymmetricPrior.minimax(2), 7, "truncated", 0.04),
-        (PriorSpec((0.4, 1.3, 2.2)), 5, "full", 0.0),
-        (SymmetricPrior.minimax(3), 6, "truncated", 0.05),
-        (SymmetricPrior.minimax(4), 12, "full", 0.02),
-        (PriorSpec((0.5, 0.9, 1.6, 3.0)), 8, "full", 0.0),
-    ])
-    def test_equals_per_draw_loop(self, monkeypatch, weight, N, predictive, eps):
+    @pytest.mark.parametrize("weight, N, eps", [
+        (SymmetricPrior.uniform(2), 6, 0.05),
+        (SymmetricPrior.jeffreys(2), 9, 0.0),
+        (PriorSpec((0.4, 1.3, 2.2)), 5, 0.0),
+        (SymmetricPrior.minimax(4), 12, 0.02),
+        (PriorSpec((0.5, 0.9, 1.6, 3.0)), 8, 0.0),
+    ], ids=["weight0-6-full-0.05", "weight1-9-full-0.0", "weight3-5-full-0.0",
+            "weight5-12-full-0.02", "weight6-8-full-0.0"])
+    def test_equals_per_draw_loop(self, monkeypatch, weight, N, eps):
         model = ModelSpec(weight.k, N)
         trunc = TruncatedSimplex(weight.k, eps) if eps else None
         mc = MonteCarloSettings(n_draws=3_000, batch_size=700, seed=N)
-        want = _per_draw_bayes_mc(weight, model, Predictive(predictive), trunc, mc)
+        want = _per_draw_bayes_mc(weight, model, trunc, mc)
         calls = []
         coordinate = risk_module.CoordinateRiskEvaluator.coordinate
 
@@ -965,30 +954,10 @@ class TestBatchedMonteCarlo:
 
         monkeypatch.setattr(risk_module.CoordinateRiskEvaluator, "coordinate",
                             counting)
-        got = bayes_risk(weight, model, Predictive(predictive), trunc, mc=mc)
+        got = bayes_risk(weight, model, Predictive.FULL, trunc, mc=mc)
         assert got == want
         assert len(calls) == mc.n_batches == 5
         assert sum(calls) > 0 and sum(calls) % weight.k == 0
-
-    @pytest.mark.parametrize("rows", [
-        [(0.5, 0.6)], [(1.0, 0.0)], [(math.nan, 0.5)],
-        [(0.25, 0.75), (0.75, 0.25), (1.0, 8.5e-17)],
-        [(0.2, 0.3, 0.5), (0.2, 0.3, 0.5 + 3e-14)],
-    ])
-    def test_batch_check_rejects_what_theta_point_rejects(self, rows):
-        for row in rows[:-1]:
-            ThetaPoint(row)
-        with pytest.raises(DomainError):
-            ThetaPoint(rows[-1])
-        with pytest.raises(DomainError):
-            risk_module._check_theta_rows(np.array(rows))
-
-    def test_batch_check_accepts_draws(self):
-        draws, _ = dirichlet_batch((0.7, 1.4, 2.0), 0.01,
-                                   MonteCarloSettings(n_draws=500), 0)
-        for row in draws:
-            ThetaPoint(tuple(row))
-        risk_module._check_theta_rows(draws)
 
 
 class TestTruncatedPredictiveRisk:
@@ -1060,6 +1029,85 @@ class TestTruncationBayesGap:
         gap = truncation_bayes_gap(SymmetricPrior.uniform(2),
                                    TruncatedSimplex(2, 0.1), ModelSpec(2, 8))
         assert gap == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("weight, N, expected", [
+        (SymmetricPrior(0.5, 2), 16, 0.0083064977117393357908),
+        (SymmetricPrior.minimax(2), 64, 0.00013988106983360403892),
+        (SymmetricPrior(0.5, 3), 24, 0.012031593234612687066),
+        (SymmetricPrior.minimax(3), 24, 0.0039980703772647156009),
+    ], ids=["jeffreys-k2", "minimax-k2", "jeffreys-k3", "minimax-k3"])
+    def test_pinned_against_mpmath(self, weight, N, expected):
+        """The gap with the weight floored at eps = N^-0.73 against its
+        defining sum, sum_x m(x) KL(q(.|x) || q_full(.|x)), evaluated by
+        mpmath at 30 digits (k = 2) and 25 digits (k = 3, nested quad over
+        incomplete beta functions).  The difference of the two predictives'
+        Bayes risks by nested quadrature, which the gap once was, misses
+        these by up to 1.45e-10 relative (minimax-k2)."""
+        gap = truncation_bayes_gap(weight, TruncatedSimplex(weight.k, N ** -0.73),
+                                   ModelSpec(weight.k, N))
+        assert gap == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("alpha, N, eps", [
+        (ALPHA_MINIMAX, 31, 0.07983781766389819),
+        (0.5, 64, 64 ** -0.73),
+    ])
+    def test_k2_against_mpmath_sum(self, alpha, N, eps):
+        """k = 2: the gap against its defining sum at 30 digits, with the
+        floored Beta integrals from mpmath's incomplete beta function."""
+        with mpmath.workdps(30):
+            a, e = mpmath.mpf(alpha), mpmath.mpf(eps)
+
+            def seg(p, q):
+                return mpmath.betainc(p, q, e, 1 - e)
+
+            want = mpmath.mpf(0)
+            for x in range(N + 1):
+                p, q = a + x, a + N - x
+                for bumped, q_full in (((p + 1, q), p / (N + 2 * a)),
+                                       ((p, q + 1), q / (N + 2 * a))):
+                    q_trunc = seg(*bumped) / seg(p, q)
+                    want += (math.comb(N, x) * seg(*bumped) / seg(a, a)
+                             * mpmath.log(q_trunc / q_full))
+        gap = truncation_bayes_gap(SymmetricPrior(alpha, 2),
+                                   TruncatedSimplex(2, eps), ModelSpec(2, N))
+        assert gap == pytest.approx(float(want), rel=1e-12, abs=0)
+
+    def test_integrates_nothing(self, monkeypatch):
+        """The gap is a finite sum over the table: it never scores the risk
+        kernel."""
+        def refuse(ev, i, t):
+            raise AssertionError("the gap must not call the risk kernel")
+
+        monkeypatch.setattr(risk_module.CoordinateRiskEvaluator, "coordinate",
+                            refuse)
+        gap = truncation_bayes_gap(SymmetricPrior.minimax(3),
+                                   TruncatedSimplex(3, 0.05), ModelSpec(3, 6))
+        assert gap > 0.0
+
+    @pytest.mark.parametrize("k, N, eps, mc", [
+        (2, 7, 0.04, None),
+        (3, 6, 0.05, None),
+        (2, 7, 0.04, MonteCarloSettings(n_draws=3_000, batch_size=700, seed=7)),
+        (3, 6, 0.05, MonteCarloSettings(n_draws=3_000, batch_size=700, seed=6)),
+    ], ids=["quadrature-k2", "quadrature-k3", "monte-carlo-k2",
+            "monte-carlo-k3"])
+    def test_truncated_bayes_risk_is_full_less_gap(self, k, N, eps, mc):
+        """The truncated predictive's Bayes risk is the full one's less the
+        gap, to the last bit, on both integration routes."""
+        w, model = SymmetricPrior.minimax(k), ModelSpec(k, N)
+        trunc = TruncatedSimplex(k, eps)
+        full = bayes_risk(w, model, Predictive.FULL, trunc, mc=mc)
+        gap = truncation_bayes_gap(w, trunc, model)
+        got = bayes_risk(w, model, Predictive.TRUNCATED, trunc, mc=mc)
+        assert got == full - gap
+
+    @pytest.mark.parametrize("weight, trunc", [
+        (PriorSpec((1.0, 1.0)), TruncatedSimplex(2, 0.1)),
+        (SymmetricPrior.uniform(2), None),
+    ], ids=["prior-spec", "no-truncation"])
+    def test_needs_symmetric_weight_and_truncation(self, weight, trunc):
+        with pytest.raises(DomainError):
+            truncation_bayes_gap(weight, trunc, ModelSpec(2, 8))
 
     def test_nonnegative(self):
         gap = truncation_bayes_gap(SymmetricPrior.minimax(2),
