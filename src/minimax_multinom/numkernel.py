@@ -10,17 +10,29 @@ errors raised for out-of-domain input instead of NaN propagation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc as _betainc
-from scipy.special import betaincc as _betaincc
-from scipy.special import betaln as _betaln
-from scipy.special import gammaln as _gammaln
 
 from .errors import DomainError, IntegrationError
+
+# scipy.special's functions, bound by _load_special on first use: importing
+# scipy.special takes about 0.25 s, and the k = 2 risk commands never call it
+_gammaln = _betaln = _betainc = _betaincc = None
+
+
+def _load_special() -> None:
+    """Bind gammaln, betaln, betainc and betaincc from scipy.special into
+    this module's globals."""
+    global _gammaln, _betaln, _betainc, _betaincc
+    from scipy import special
+
+    _gammaln, _betaln = special.gammaln, special.betaln
+    _betainc, _betaincc = special.betainc, special.betaincc
+
 
 #: Shared default seed for every randomized suite in the package.
 DEFAULT_SEED = 0x5EED
@@ -101,6 +113,8 @@ def log_multivariate_beta(a) -> float:
         raise DomainError("log_multivariate_beta needs at least two parameters")
     if any(v <= 0 for v in a):
         raise DomainError("all parameters must be positive")
+    if _gammaln is None:
+        _load_special()
     return stable_sum([_gammaln(v) for v in a]) - float(_gammaln(stable_sum(a)))
 
 
@@ -130,18 +144,41 @@ def log_multinomial(N: int, x) -> float:
         for v in x:
             num //= math.factorial(v)
         return math.log(num)
+    if _gammaln is None:
+        _load_special()
     return float(_gammaln(N + 1)) - stable_sum([_gammaln(v + 1) for v in x])
 
 
+@functools.lru_cache(maxsize=16)
 def log_binomial_row(N: int) -> np.ndarray:
-    """ln C(N, x) for x = 0, ..., N, from log-gamma differences."""
-    x = np.arange(N + 1, dtype=float)
-    return _gammaln(N + 1) - _gammaln(x + 1) - _gammaln(N - x + 1)
+    """ln C(N, x) for x = 0, ..., N as a read-only array, cached per N.
+
+    Up to N = _EXACT_COMB_LIMIT each entry is math.log of the exact integer
+    C(N, x), built by C(N, x + 1) = C(N, x) (N - x) / (x + 1) over half the
+    row and mirrored; above it, where the integers cost about 60 ms a row at
+    N = 20,000, the entries are log-gamma differences.
+    """
+    N = int(N)
+    if N <= _EXACT_COMB_LIMIT:
+        half, c = [0.0], 1
+        for x in range(N // 2):
+            c = c * (N - x) // (x + 1)
+            half.append(math.log(c))
+        row = np.array(half + half[:N + 1 - len(half)][::-1])
+    else:
+        if _gammaln is None:
+            _load_special()
+        x = np.arange(N + 1, dtype=float)
+        row = _gammaln(N + 1) - _gammaln(x + 1) - _gammaln(N - x + 1)
+    row.setflags(write=False)
+    return row
 
 
 def log_multinomial_rows(N: int, comps: np.ndarray) -> np.ndarray:
     """ln N! / (x_1! ... x_k!) for every row x of an (n, k) count array,
     from log-gamma differences."""
+    if _gammaln is None:
+        _load_special()
     return _gammaln(N + 1) - _gammaln(comps + 1.0).sum(axis=1)
 
 
@@ -186,6 +223,8 @@ def log_beta_segment(
         raise DomainError("shape parameters must be positive")
     if not (0.0 <= s < t <= 1.0):
         raise DomainError(f"need 0 <= s < t <= 1, got s={s!r}, t={t!r}")
+    if _betaln is None:
+        _load_special()
 
     if t == 1.0:
         # upper-tail segment: the complemented function carries full

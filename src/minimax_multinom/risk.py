@@ -28,9 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln as _betaln
-from scipy.special import digamma as _digamma
-from scipy.special import gammaln as _gammaln
 
 from ._pool import ordered_map
 from .errors import (
@@ -214,6 +211,12 @@ class CoordinateRiskEvaluator:
     differs from the full-support sum by at most 2 e^-75 log1p(N / a_i)
     (about 1e-31 at N = 1e4, a_i = 1e-6).  The window depends on (N, t)
     alone; since d >= 2L/3 = 50, it is the whole support when N <= 50.
+
+    The binomial masses take ln C(N, x) from numkernel.log_binomial_row,
+    exact integers up to N = 10,000 and cached per N.  The x = 0 term's log
+    is log(a_i) - log(N t + a_i), not log1p(w_i): there w_i =
+    -N t/(N t + a_i) rounds toward -1 when a_i is far below N t, and to -1
+    itself (an infinite log) below about 1e-16 N t.
     """
 
     def __init__(self, prior: PriorSpec, model: ModelSpec):
@@ -242,33 +245,44 @@ class CoordinateRiskEvaluator:
             raise DomainError("need one coordinate index per value of t")
         heads, ews = [], []
         # per point of the current pass: where its window starts less where
-        # its terms start in the pass, log t, log1p(-t), N t, N t + a_i
-        rows, lengths, terms = [], [], 0
+        # its terms start in the pass, log t, log1p(-t), N t, N t + a_i; and
+        # per window that starts at x = 0, (its place in the pass, its x = 0
+        # log term)
+        rows, lengths, firsts, terms = [], [], [], 0
+        # loop invariants of the window half-width d and of s, hoisted with
+        # the math functions: the loop runs once per point
+        d0, d1, d2, NA = L / 3, L * L / 9, 2 * L * N, N + A
+        log, log1p, sqrt = math.log, math.log1p, math.sqrt
         for tj, a_i in zip(ts, a_of):
-            d = L / 3 + math.sqrt(L * L / 9 + 2 * L * N * tj * (1 - tj))
-            lo = max(0, math.ceil(N * tj - d))
-            n = min(N, math.floor(N * tj + d)) + 1 - lo
-            if rows and terms + n > _PASS_TERMS:
-                ews += self._window_sums(rows, lengths)
-                rows, lengths, terms = [], [], 0
-            s = (a_i - A * tj) / ((N + A) * tj)
-            heads.append(-tj * math.log1p(s))
             nt = N * tj
-            rows.append((lo - terms, math.log(tj), math.log1p(-tj), nt, nt + a_i))
+            d = d0 + sqrt(d1 + d2 * tj * (1 - tj))
+            lo = max(0, math.ceil(nt - d))
+            n = min(N, math.floor(nt + d)) + 1 - lo
+            if rows and terms + n > _PASS_TERMS:
+                ews += self._window_sums(rows, lengths, firsts)
+                rows, lengths, firsts, terms = [], [], [], 0
+            heads.append(-tj * log1p((a_i - A * tj) / (NA * tj)))
+            den = nt + a_i
+            if lo == 0:
+                firsts.append((terms, log(a_i) - log(den)))
+            rows.append((lo - terms, log(tj), log1p(-tj), nt, den))
             lengths.append(n)
             terms += n
         if rows:
-            ews += self._window_sums(rows, lengths)
+            ews += self._window_sums(rows, lengths, firsts)
         return np.array([h - tj * ew for h, tj, ew in zip(heads, ts, ews)])
 
-    def _window_sums(self, rows: list, lengths: list) -> list:
+    def _window_sums(self, rows: list, lengths: list, firsts: list) -> list:
         """E log(1+w_i) at each point of one pass: the terms of every window
-        are evaluated together, then each window gets fsum's sum."""
+        are evaluated together, with the x = 0 log terms listed in firsts
+        put in place, then each window gets fsum's sum."""
         shift, lt, l1t, nt, den = np.repeat(np.array(rows).T, lengths, axis=1)
         x = np.arange(shift.size) + shift
         logpmf = self._lg[x.astype(np.intp)] + x * lt + (self.model.N - x) * l1t
-        w = (x - nt) / den
-        vals = np.exp(logpmf) * np.log1p(w)
+        log1p_w = np.log1p((x - nt) / den)
+        for at, first in firsts:
+            log1p_w[at] = first
+        vals = np.exp(logpmf) * log1p_w
         if vals.size >= _CERTIFIED_SUM_TERMS:
             return window_fsums(vals, lengths)
         vals = vals.tolist()
@@ -730,12 +744,14 @@ class TruncatedPredictiveTable:
         (N + k alpha): the weight-averaged KL divergence between the two
         predictives (Aitchison, Biometrika 62(3), 1975), in terms >= 0 of
         second order in r, free of the cancellation in sum_i q(i|x) r."""
+        from scipy.special import gammaln
+
         k, N, alpha = self.model.k, self.model.N, self.alpha
         post = self.comps + alpha
         # log m(x), from B_eps = I B with I the retained fraction
         log_m = (self._log_coef + self._log_i_post - self._log_i((alpha,) * k)
-                 + (_gammaln(post) - _gammaln(alpha)).sum(axis=1)
-                 - _gammaln(N + k * alpha) + _gammaln(k * alpha))
+                 + (gammaln(post) - gammaln(alpha)).sum(axis=1)
+                 - gammaln(N + k * alpha) + gammaln(k * alpha))
         m_q_full = np.exp(log_m[:, None] + np.log(post / (N + k * alpha)))
         r = self.log_ratio
         return stable_sum((m_q_full * (r * np.exp(r) - np.expm1(r))).ravel())
@@ -807,15 +823,17 @@ def _bayes_risk_whole_simplex(a: tuple, N: int) -> float:
     and E[theta_i g(X_i)] = (a_i/A) E g(Y_i), Y_i beta-binomial
     (N, a_i + 1, A - a_i).
     """
+    from scipy.special import betaln, digamma
+
     A = stable_sum(a)
     x = np.arange(N + 1, dtype=float)
     log_binom = log_binomial_row(N)
     parts = []
     for i, a_i in enumerate(a):
         b_i = stable_sum(a[:i] + a[i + 1:])
-        pmf = np.exp(log_binom + _betaln(x + a_i + 1.0, N - x + b_i)
-                     - _betaln(a_i + 1.0, b_i))
-        terms = [_digamma(a_i + 1.0), -_digamma(A + 1.0), math.log(N + A)]
+        pmf = np.exp(log_binom + betaln(x + a_i + 1.0, N - x + b_i)
+                     - betaln(a_i + 1.0, b_i))
+        terms = [digamma(a_i + 1.0), -digamma(A + 1.0), math.log(N + A)]
         terms.extend((-pmf * np.log(x + a_i)).tolist())
         parts.append(a_i / A * stable_sum(terms))
     return stable_sum(parts)

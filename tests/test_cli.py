@@ -1,6 +1,7 @@
 """Command-line contract: payloads, exit codes, determinism, formats."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import minimax_multinom
+import minimax_multinom.risk as risk_module
 from minimax_multinom import LemmaReport
 from minimax_multinom.cli import main
 from minimax_multinom._pool import ordered_map, resolve_threads
@@ -235,12 +237,6 @@ class TestErrorHandling:
                       "--alpha-grid", "a:2:0.1"], {}, id="alpha-grid-not-number"),
         pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
                       "--alpha-grid", "2:1:0.5"], {}, id="alpha-grid-empty"),
-        # the kernel's x = 0 term is infinite at a weight this small
-        pytest.param(["risk", "--k", "2", "--N", "64", "--a", "1e-17,1",
-                      "--theta", "0.05"], {}, id="risk-tiny-prior-weight"),
-        pytest.param(["compare-priors", "--k", "2", "--N", "64",
-                      "--priors", "1e-17", "--grid-size", "16"], {},
-                     id="compare-priors-tiny-prior-weight"),
         # a Philox key word is 64 bits; a seed outside would alias another
         pytest.param(["sup-risk", "--k", "2", "--N", "8", "--prior", "minimax",
                       "--seed", "-1"], {}, id="sup-risk-seed-negative"),
@@ -289,21 +285,34 @@ class TestErrorHandling:
         message = json.loads(err)["error"]["message"]
         assert message.startswith("--alpha-grid ") and "empty" in message
 
-    @pytest.mark.parametrize("argv", [
-        ["risk", "--k", "2", "--N", "64", "--a", "1e-17,1", "--theta", "0.05"],
-        ["compare-priors", "--k", "2", "--N", "64", "--priors", "1e-17",
-         "--grid-size", "16"],
+    @pytest.mark.parametrize("argv, field", [
+        (["risk", "--k", "2", "--N", "64", "--a", "1e-17,1", "--theta", "0.05"],
+         "risk"),
+        (["compare-priors", "--k", "2", "--N", "64", "--priors", "1e-17",
+          "--grid-size", "16"], "sup_risk"),
     ], ids=["risk", "compare-priors"])
-    def test_tiny_prior_weight_raises_no_numpy_warning(self, capsys, argv):
-        """A warning turned into an error here would be one numpy printed
-        to stderr ahead of the JSON error."""
+    def test_tiny_prior_weight_raises_no_numpy_warning(self, capsys, argv,
+                                                       field):
+        """At a weight this small w rounds to -1 at x = 0; the kernel's
+        x = 0 term is still finite, and no numpy warning is printed."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, *argv)
-        assert code == 2
+            code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and err == ""
+        assert math.isfinite(json.loads(out)["results"][0][field])
+
+    def test_non_finite_risk_exits_two(self, capsys, monkeypatch):
+        """A kernel that returns inf reaches the risk total's DomainError."""
+        monkeypatch.setattr(risk_module.CoordinateRiskEvaluator, "_window_sums",
+                            lambda ev, rows, *_: [math.inf] * len(rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "risk", "--k", "2", "--N", "64",
+                                     "--alpha", "1", "--theta", "0.05")
+        assert code == 2 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "DomainError"
-        assert "inf" in error["message"]
+        assert "not finite" in error["message"]
 
     @pytest.mark.parametrize("flag, argv", [
         ("--N", ["compare-priors", "--k", "2", "--N", "abc"]),
@@ -375,28 +384,61 @@ class TestErrorHandling:
         assert json.loads(err)["error"]["type"] == "DomainError"
 
 
-# Runs argv (if any) in a fresh interpreter, then prints whether quadrature
-# was ever imported as the last line of stdout.
+# Runs argv (if any) in a fresh interpreter, then prints the scipy modules
+# it ever imported as the last line of stdout.
 _ISOLATION_CODE = """
+import json
 import sys
 from minimax_multinom.cli import main
 if sys.argv[1:] and main(sys.argv[1:]) != 0:
     sys.exit("command failed")
-print("scipy.integrate" in sys.modules)
+print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"]))
 """
 
 
-def _loads_quadrature(*argv) -> bool:
+def _scipy_modules(*argv) -> set:
     env = dict(os.environ,
                PYTHONPATH=str(Path(minimax_multinom.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _ISOLATION_CODE, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _loads_quadrature(*argv) -> bool:
+    return "scipy.integrate" in _scipy_modules(*argv)
 
 
 class TestImportIsolation:
-    """scipy.integrate is imported only by runs that integrate."""
+    """scipy.integrate is imported only by runs that integrate, and
+    scipy.special only by runs that integrate, take a Beta segment or
+    build a truncated-predictive table."""
+
+    def test_import_loads_no_scipy(self):
+        assert _scipy_modules() == set()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["risk", "--k", "2", "--N", "4", "--alpha", "1",
+                      "--theta", "0.3"], id="risk"),
+        pytest.param(["sup-risk", "--k", "2", "--N", "8", "--prior", "minimax"],
+                     id="sup-risk-k2"),
+        pytest.param(["compare-priors", "--k", "2", "--N", "8"],
+                     id="compare-priors-k2"),
+        pytest.param(["expansion-error", "--k", "2", "--N", "8",
+                      "--prior", "minimax"], id="expansion-error"),
+        pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
+                      "--alpha-grid", "1:1.2:0.1"], id="optimal-alpha"),
+        pytest.param(["moments"], id="moments"),
+        pytest.param(["identities"], id="identities"),
+        pytest.param(["verify-lemmas", "--lemma", "1", "--trials", "50"],
+                     id="verify-lemmas-1"),
+    ])
+    def test_light_run_skips_special_functions(self, argv):
+        assert "scipy.special" not in _scipy_modules(*argv)
+
+    def test_sandwich_loads_special_functions(self):
+        assert "scipy.special" in _scipy_modules("sandwich", "--k", "2",
+                                                 "--N", "8")
 
     @pytest.mark.parametrize("argv", [
         pytest.param([], id="import"),

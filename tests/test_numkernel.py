@@ -81,6 +81,33 @@ class TestLogMultinomial:
             log_multinomial(5, (3, 3))
 
 
+_EXACT_ROW_N = [0, 1, 2, 63, 64, 1040, 4096, 10000]
+
+
+class TestLogBinomialRow:
+    @pytest.mark.parametrize("N", _EXACT_ROW_N)
+    def test_exact_integers(self, N):
+        row = numkernel.log_binomial_row(N)
+        assert row.tolist() == [math.log(math.comb(N, x)) for x in range(N + 1)]
+
+    @pytest.mark.parametrize("N", _EXACT_ROW_N)
+    def test_symmetric(self, N):
+        row = numkernel.log_binomial_row(N)
+        assert np.array_equal(row, row[::-1])
+
+    def test_read_only_and_cached(self):
+        row = numkernel.log_binomial_row(64)
+        assert numkernel.log_binomial_row(64) is row
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+
+    def test_log_gamma_above_the_exact_limit(self):
+        N = numkernel._EXACT_COMB_LIMIT + 1
+        x = np.arange(N + 1, dtype=float)
+        want = gammaln(N + 1) - gammaln(x + 1) - gammaln(N - x + 1)
+        assert np.array_equal(numkernel.log_binomial_row(N), want)
+
+
 class TestBetaSegment:
     def test_uniform_full_interval(self):
         assert math.exp(log_beta_segment(1, 1, 0, 1)) == pytest.approx(1.0, rel=1e-14)

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
 from scipy.stats import binom
 
 import minimax_multinom.risk as risk_module
@@ -101,7 +100,7 @@ class TestRiskEngines:
         theta = ThetaPoint.complete([0.5])
         for fn in (risk_enumeration, risk_coordinatewise):
             rep = fn(prior, model, theta)
-            assert rep.exact_risk == pytest.approx(HAND_RISK, rel=1e-12)
+            assert rep.exact_risk == pytest.approx(HAND_RISK, rel=1e-12, abs=0)
         assert HAND_RISK == pytest.approx(0.05889151782, abs=1e-11)
 
     def test_methods_agree_k3_minimax(self):
@@ -211,18 +210,24 @@ class TestRiskProperties:
             assert math.isfinite(risk) and risk >= 0.0, (case, risk)
 
 
-def _full_support_coordinate(prior, model, i, t):
+def _log1p_w(x, N, tj, a_i):
+    """log(1 + w_i) at the counts x, with the kernel's x = 0 expression."""
+    log1p_w = np.log1p((x - N * tj) / (N * tj + a_i))
+    if x.size and x[0] == 0:
+        log1p_w[0] = math.log(a_i) - math.log(N * tj + a_i)
+    return log1p_w
+
+
+def _full_support_coordinate(ev, i, t):
     """h_i(t) summed over the whole binomial support: the kernel before
     windowing, kept as the reference for the windowed one."""
-    a_i, A, N = prior.a[i], prior.A, model.N
+    a_i, A, N = ev.prior.a[i], ev.prior.A, ev.model.N
     x = np.arange(N + 1, dtype=float)
-    lg = gammaln(N + 1) - gammaln(x + 1) - gammaln(N - x + 1)
     out = []
     for tj in np.atleast_1d(np.asarray(t, dtype=float)).tolist():
         s = (a_i - A * tj) / ((N + A) * tj)
-        logpmf = lg + x * math.log(tj) + (N - x) * math.log1p(-tj)
-        w = (x - N * tj) / (N * tj + a_i)
-        ew = math.fsum(np.exp(logpmf) * np.log1p(w))
+        logpmf = ev._lg + x * math.log(tj) + (N - x) * math.log1p(-tj)
+        ew = math.fsum(np.exp(logpmf) * _log1p_w(x, N, tj, a_i))
         out.append(-tj * math.log1p(s) - tj * ew)
     return np.array(out)
 
@@ -236,9 +241,9 @@ def _window(N, t):
 
 def _assert_window_agrees(N, t, a_i):
     """|windowed - full| <= 2 e^-75 log1p(N / a_i) + 1 ulp(full)."""
-    prior, model = PriorSpec((a_i, 1.0)), ModelSpec(2, N)
-    windowed = risk_module.CoordinateRiskEvaluator(prior, model).coordinate(0, t)
-    full = _full_support_coordinate(prior, model, 0, t)
+    ev = risk_module.CoordinateRiskEvaluator(PriorSpec((a_i, 1.0)), ModelSpec(2, N))
+    windowed = ev.coordinate(0, t)
+    full = _full_support_coordinate(ev, 0, t)
     bound = 2 * math.exp(-75.0) * math.log1p(N / a_i) + np.spacing(np.abs(full))
     assert np.isfinite(windowed).all()
     assert (np.abs(windowed - full) <= bound).all(), (N, t, a_i, windowed, full)
@@ -304,17 +309,15 @@ def _per_point_coordinate(ev, i, t):
     a_i, A, N = ev.prior.a[i], ev.prior.A, ev.model.N
     L = risk_module._WINDOW_NATS
     x_all = np.arange(N + 1, dtype=float)
-    lg_all = gammaln(N + 1) - gammaln(x_all + 1) - gammaln(N - x_all + 1)
     out = []
     for tj in np.atleast_1d(np.asarray(t, dtype=float)).tolist():
         d = L / 3 + math.sqrt(L * L / 9 + 2 * L * N * tj * (1 - tj))
         lo = max(0, math.ceil(N * tj - d))
         hi = min(N, math.floor(N * tj + d)) + 1
-        x, lg = x_all[lo:hi], lg_all[lo:hi]
+        x = x_all[lo:hi]
         s = (a_i - A * tj) / ((N + A) * tj)
-        logpmf = lg + x * math.log(tj) + (N - x) * math.log1p(-tj)
-        w = (x - N * tj) / (N * tj + a_i)
-        ew = stable_sum(np.exp(logpmf) * np.log1p(w))
+        logpmf = ev._lg[lo:hi] + x * math.log(tj) + (N - x) * math.log1p(-tj)
+        ew = stable_sum(np.exp(logpmf) * _log1p_w(x, N, tj, a_i))
         out.append(-tj * math.log1p(s) - tj * ew)
     return np.array(out)
 
@@ -354,9 +357,9 @@ class TestOnePassKernel:
         passes = []
         window_sums = risk_module.CoordinateRiskEvaluator._window_sums
 
-        def recording(ev, rows, lengths):
+        def recording(ev, rows, lengths, firsts):
             passes.append(lengths)
-            return window_sums(ev, rows, lengths)
+            return window_sums(ev, rows, lengths, firsts)
 
         monkeypatch.setattr(risk_module.CoordinateRiskEvaluator, "_window_sums",
                             recording)
@@ -421,14 +424,7 @@ class TestOnePassKernel:
                             for i in range(3))
 
     @pytest.mark.parametrize("N, alpha, t", [
-        pytest.param(
-            N, alpha, t, id=f"N={N}-{name}-t={label}",
-            # the error is in the terms: gammaln(N + 1) - gammaln(x + 1)
-            # - gammaln(N - x + 1) is off by up to 1.1e-11 at N = 4096, and
-            # there h is ~70x smaller than the t log1p(s) it cancels
-            marks=pytest.mark.xfail(strict=True, reason=(
-                "measured relative error 1.06e-10 (floor) and 7.8e-11 (0.05)"))
-            if (N, name) == (4096, "jeffreys") and label != "0.5" else ())
+        pytest.param(N, alpha, t, id=f"N={N}-{name}-t={label}")
         for N in (1040, 4096)
         for name, alpha in (("jeffreys", 0.5), ("minimax", ALPHA_MINIMAX))
         for label, t in (("floor", EpsilonSchedule().eps(N)), ("0.05", 0.05),
@@ -443,13 +439,7 @@ class TestOnePassKernel:
         ref = _mp_coordinate(prior.a[0], prior.A, N, t)
         assert abs(got - ref) <= 2e-11 * abs(ref), (got, ref)
 
-    @pytest.mark.parametrize("a_i", [
-        pytest.param(a_i, marks=pytest.mark.xfail(strict=True, reason=(
-            "at x = 0, w = -N t/(N t + a_i) rounds toward -1, so the "
-            "relative error grows like 1e-16 N t/a_i: measured 2.8e-6 at "
-            "a_i = 1e-12 and 8.8e-3 at 1e-15 (ROADMAP item 3)")))
-        for a_i in (1e-12, 1e-15)
-    ])
+    @pytest.mark.parametrize("a_i", [1e-12, 1e-15])
     def test_tiny_prior_weight_against_mpmath(self, a_i):
         """The 2e-11 bound at prior weights the CLI accepts."""
         N, t = 64, 0.05
@@ -657,7 +647,7 @@ class TestSupRisk:
         eps = 1024.0**-0.73
         rep = sup_risk(SymmetricPrior.jeffreys(2).expand(), model,
                        TruncatedSimplex(2, eps), grid_size=256)
-        assert rep.argmax_theta.theta[0] == pytest.approx(eps, rel=1e-9)
+        assert rep.argmax_theta.theta[0] == pytest.approx(eps, rel=1e-9, abs=0)
 
     def test_minimax_prior_negative_excess(self):
         """For the minimax concentration the sup sits at the center and the
@@ -784,7 +774,7 @@ class TestBayesRisk:
         trunc = TruncatedSimplex(2, 0.05)
         mc = MonteCarloSettings(n_draws=60_000, seed=11)
         a = bayes_risk(w, model, Predictive.FULL, trunc, mc=mc)
-        assert a == 0.052635758118032616  # pinned to the last bit
+        assert a == 0.05263575811803261  # pinned to the last bit
 
     def test_stderr_ceiling(self):
         w = SymmetricPrior.uniform(2)
@@ -869,7 +859,8 @@ class TestBayesRisk:
         trunc = TruncatedSimplex(k, N ** -0.73) if floored else None
         val = bayes_risk(SymmetricPrior(alpha, k), ModelSpec(k, N),
                          Predictive(predictive), trunc)
-        assert val == pytest.approx(expected, rel=1e-12 if floored else 1e-9)
+        assert val == pytest.approx(expected, rel=1e-12 if floored else 1e-9,
+                                    abs=0)
 
     @pytest.mark.parametrize("weight, N, expected", [
         (SymmetricPrior.uniform(3), 4, 0.12485588733277497),
@@ -880,7 +871,7 @@ class TestBayesRisk:
         """k = 3 over the whole simplex: the closed form against values the
         nested quadrature it replaced gave."""
         val = bayes_risk(weight, ModelSpec(3, N), Predictive.FULL)
-        assert val == pytest.approx(expected, rel=1e-12)
+        assert val == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_whole_simplex_jeffreys_k3_is_fast_and_matches_mc(self):
         """The Jeffreys weight's boundary singularities once cost nested
@@ -979,7 +970,7 @@ class TestTruncatedPredictiveRisk:
                 q = truncated_predictive_density(alpha, trunc, model,
                                                  Observation(x), OutcomeLabel(i))
                 direct += px * th[i] * math.log(th[i] / q)
-        assert fast == pytest.approx(direct, rel=1e-9)
+        assert fast == pytest.approx(direct, rel=1e-9, abs=0)
 
     def test_table_reuse_matches(self):
         alpha = SymmetricPrior.minimax(2)
@@ -1028,7 +1019,7 @@ class TestTruncationBayesGap:
 
         gap = truncation_bayes_gap(SymmetricPrior.uniform(2),
                                    TruncatedSimplex(2, 0.1), ModelSpec(2, 8))
-        assert gap == pytest.approx(oracle, rel=1e-9)
+        assert gap == pytest.approx(oracle, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("weight, N, expected", [
         (SymmetricPrior(0.5, 2), 16, 0.0083064977117393357908),
