@@ -237,6 +237,13 @@ class TestErrorHandling:
                       "--alpha-grid", "a:2:0.1"], {}, id="alpha-grid-not-number"),
         pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
                       "--alpha-grid", "2:1:0.5"], {}, id="alpha-grid-empty"),
+        # a weight below the smallest subnormal double reads as 0, which is
+        # no Dirichlet parameter (a weight of 1e-17 runs: see below)
+        pytest.param(["risk", "--k", "2", "--N", "64", "--a", "1e-400,1",
+                      "--theta", "0.05"], {}, id="risk-tiny-prior-weight"),
+        pytest.param(["compare-priors", "--k", "2", "--N", "64",
+                      "--priors", "1e-400", "--grid-size", "16"], {},
+                     id="compare-priors-tiny-prior-weight"),
         # a Philox key word is 64 bits; a seed outside would alias another
         pytest.param(["sup-risk", "--k", "2", "--N", "8", "--prior", "minimax",
                       "--seed", "-1"], {}, id="sup-risk-seed-negative"),
