@@ -10,7 +10,6 @@ errors raised for out-of-domain input instead of NaN propagation.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,19 +18,25 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError
 
-# scipy.special's functions, bound by _load_special on first use: importing
-# scipy.special takes about 0.25 s, and the k = 2 risk commands never call it
+# scipy.special's functions, bound by special_functions on first use:
+# importing scipy.special takes about 0.25 s, and the k = 2 risk commands
+# never call it
 _gammaln = _betaln = _betainc = _betaincc = None
 
 
-def _load_special() -> None:
-    """Bind gammaln, betaln, betainc and betaincc from scipy.special into
-    this module's globals."""
+def special_functions():
+    """The scipy.special module, imported on first use.
+
+    No module of the package imports scipy.special at its top; the
+    functions that need it call this, which also binds gammaln, betaln,
+    betainc and betaincc into this module's globals for its hot functions.
+    """
     global _gammaln, _betaln, _betainc, _betaincc
     from scipy import special
 
     _gammaln, _betaln = special.gammaln, special.betaln
     _betainc, _betaincc = special.betainc, special.betaincc
+    return special
 
 
 #: Shared default seed for every randomized suite in the package.
@@ -114,7 +119,7 @@ def log_multivariate_beta(a) -> float:
     if any(v <= 0 for v in a):
         raise DomainError("all parameters must be positive")
     if _gammaln is None:
-        _load_special()
+        special_functions()
     return stable_sum([_gammaln(v) for v in a]) - float(_gammaln(stable_sum(a)))
 
 
@@ -145,13 +150,12 @@ def log_multinomial(N: int, x) -> float:
             num //= math.factorial(v)
         return math.log(num)
     if _gammaln is None:
-        _load_special()
+        special_functions()
     return float(_gammaln(N + 1)) - stable_sum([_gammaln(v + 1) for v in x])
 
 
-@functools.lru_cache(maxsize=16)
 def log_binomial_row(N: int) -> np.ndarray:
-    """ln C(N, x) for x = 0, ..., N as a read-only array, cached per N.
+    """ln C(N, x) for x = 0, ..., N.
 
     Up to N = _EXACT_COMB_LIMIT each entry is math.log of the exact integer
     C(N, x), built by C(N, x + 1) = C(N, x) (N - x) / (x + 1) over half the
@@ -159,26 +163,23 @@ def log_binomial_row(N: int) -> np.ndarray:
     N = 20,000, the entries are log-gamma differences.
     """
     N = int(N)
-    if N <= _EXACT_COMB_LIMIT:
-        half, c = [0.0], 1
-        for x in range(N // 2):
-            c = c * (N - x) // (x + 1)
-            half.append(math.log(c))
-        row = np.array(half + half[:N + 1 - len(half)][::-1])
-    else:
+    if N > _EXACT_COMB_LIMIT:
         if _gammaln is None:
-            _load_special()
+            special_functions()
         x = np.arange(N + 1, dtype=float)
-        row = _gammaln(N + 1) - _gammaln(x + 1) - _gammaln(N - x + 1)
-    row.setflags(write=False)
-    return row
+        return _gammaln(N + 1) - _gammaln(x + 1) - _gammaln(N - x + 1)
+    half, c = [0.0], 1
+    for x in range(N // 2):
+        c = c * (N - x) // (x + 1)
+        half.append(math.log(c))
+    return np.array(half + half[:N + 1 - len(half)][::-1])
 
 
 def log_multinomial_rows(N: int, comps: np.ndarray) -> np.ndarray:
     """ln N! / (x_1! ... x_k!) for every row x of an (n, k) count array,
     from log-gamma differences."""
     if _gammaln is None:
-        _load_special()
+        special_functions()
     return _gammaln(N + 1) - _gammaln(comps + 1.0).sum(axis=1)
 
 
@@ -224,7 +225,7 @@ def log_beta_segment(
     if not (0.0 <= s < t <= 1.0):
         raise DomainError(f"need 0 <= s < t <= 1, got s={s!r}, t={t!r}")
     if _betaln is None:
-        _load_special()
+        special_functions()
 
     if t == 1.0:
         # upper-tail segment: the complemented function carries full

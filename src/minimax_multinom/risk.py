@@ -53,6 +53,7 @@ from .numkernel import (
     log_binomial_row,
     log_multinomial_rows,
     seeded_stream,
+    special_functions,
     stable_sum,
     window_fsums,
 )
@@ -213,10 +214,10 @@ class CoordinateRiskEvaluator:
     alone; since d >= 2L/3 = 50, it is the whole support when N <= 50.
 
     The binomial masses take ln C(N, x) from numkernel.log_binomial_row,
-    exact integers up to N = 10,000 and cached per N.  The x = 0 term's log
-    is log(a_i) - log(N t + a_i), not log1p(w_i): there w_i =
-    -N t/(N t + a_i) rounds toward -1 when a_i is far below N t, and to -1
-    itself (an infinite log) below about 1e-16 N t.
+    exact integers up to N = 10,000.  The x = 0 term's log is
+    log(a_i) - log(N t + a_i), not log1p(w_i): there w_i = -N t/(N t + a_i)
+    rounds toward -1 when a_i is far below N t, and to -1 itself (an
+    infinite log, which log1p is not given) below about 1e-16 N t.
     """
 
     def __init__(self, prior: PriorSpec, model: ModelSpec):
@@ -246,9 +247,9 @@ class CoordinateRiskEvaluator:
         heads, ews = [], []
         # per point of the current pass: where its window starts less where
         # its terms start in the pass, log t, log1p(-t), N t, N t + a_i; and
-        # per window that starts at x = 0, (its place in the pass, its x = 0
-        # log term)
-        rows, lengths, firsts, terms = [], [], [], 0
+        # per window that starts at x = 0, its place in the pass and its
+        # x = 0 log term
+        rows, lengths, first_at, first_logs, terms = [], [], [], [], 0
         # loop invariants of the window half-width d and of s, hoisted with
         # the math functions: the loop runs once per point
         d0, d1, d2, NA = L / 3, L * L / 9, 2 * L * N, N + A
@@ -259,29 +260,34 @@ class CoordinateRiskEvaluator:
             lo = max(0, math.ceil(nt - d))
             n = min(N, math.floor(nt + d)) + 1 - lo
             if rows and terms + n > _PASS_TERMS:
-                ews += self._window_sums(rows, lengths, firsts)
-                rows, lengths, firsts, terms = [], [], [], 0
+                ews += self._window_sums(rows, lengths, first_at, first_logs)
+                rows, lengths, first_at, first_logs, terms = [], [], [], [], 0
             heads.append(-tj * log1p((a_i - A * tj) / (NA * tj)))
             den = nt + a_i
             if lo == 0:
-                firsts.append((terms, log(a_i) - log(den)))
+                first_at.append(terms)
+                first_logs.append(log(a_i) - log(den))
             rows.append((lo - terms, log(tj), log1p(-tj), nt, den))
             lengths.append(n)
             terms += n
         if rows:
-            ews += self._window_sums(rows, lengths, firsts)
+            ews += self._window_sums(rows, lengths, first_at, first_logs)
         return np.array([h - tj * ew for h, tj, ew in zip(heads, ts, ews)])
 
-    def _window_sums(self, rows: list, lengths: list, firsts: list) -> list:
+    def _window_sums(
+        self, rows: list, lengths: list, first_at: list, first_logs: list
+    ) -> list:
         """E log(1+w_i) at each point of one pass: the terms of every window
-        are evaluated together, with the x = 0 log terms listed in firsts
-        put in place, then each window gets fsum's sum."""
+        are evaluated together, with the x = 0 log terms first_logs put in
+        at the places first_at, then each window gets fsum's sum."""
         shift, lt, l1t, nt, den = np.repeat(np.array(rows).T, lengths, axis=1)
         x = np.arange(shift.size) + shift
         logpmf = self._lg[x.astype(np.intp)] + x * lt + (self.model.N - x) * l1t
-        log1p_w = np.log1p((x - nt) / den)
-        for at, first in firsts:
-            log1p_w[at] = first
+        w = (x - nt) / den
+        # w can be -1 at x = 0, so log1p skips those places
+        w[first_at] = 0.0
+        log1p_w = np.log1p(w)
+        log1p_w[first_at] = first_logs
         vals = np.exp(logpmf) * log1p_w
         if vals.size >= _CERTIFIED_SUM_TERMS:
             return window_fsums(vals, lengths)
@@ -744,8 +750,7 @@ class TruncatedPredictiveTable:
         (N + k alpha): the weight-averaged KL divergence between the two
         predictives (Aitchison, Biometrika 62(3), 1975), in terms >= 0 of
         second order in r, free of the cancellation in sum_i q(i|x) r."""
-        from scipy.special import gammaln
-
+        gammaln = special_functions().gammaln
         k, N, alpha = self.model.k, self.model.N, self.alpha
         post = self.comps + alpha
         # log m(x), from B_eps = I B with I the retained fraction
@@ -823,8 +828,8 @@ def _bayes_risk_whole_simplex(a: tuple, N: int) -> float:
     and E[theta_i g(X_i)] = (a_i/A) E g(Y_i), Y_i beta-binomial
     (N, a_i + 1, A - a_i).
     """
-    from scipy.special import betaln, digamma
-
+    special = special_functions()
+    betaln, digamma = special.betaln, special.digamma
     A = stable_sum(a)
     x = np.arange(N + 1, dtype=float)
     log_binom = log_binomial_row(N)

@@ -95,12 +95,6 @@ class TestLogBinomialRow:
         row = numkernel.log_binomial_row(N)
         assert np.array_equal(row, row[::-1])
 
-    def test_read_only_and_cached(self):
-        row = numkernel.log_binomial_row(64)
-        assert numkernel.log_binomial_row(64) is row
-        with pytest.raises(ValueError):
-            row[0] = 1.0
-
     def test_log_gamma_above_the_exact_limit(self):
         N = numkernel._EXACT_COMB_LIMIT + 1
         x = np.arange(N + 1, dtype=float)

@@ -8,6 +8,7 @@ them is this suite's backbone.
 import itertools
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -357,9 +358,9 @@ class TestOnePassKernel:
         passes = []
         window_sums = risk_module.CoordinateRiskEvaluator._window_sums
 
-        def recording(ev, rows, lengths, firsts):
+        def recording(ev, rows, lengths, *firsts):
             passes.append(lengths)
-            return window_sums(ev, rows, lengths, firsts)
+            return window_sums(ev, rows, lengths, *firsts)
 
         monkeypatch.setattr(risk_module.CoordinateRiskEvaluator, "_window_sums",
                             recording)
@@ -448,6 +449,17 @@ class TestOnePassKernel:
         got = float(ev.coordinate(0, t)[0])
         ref = _mp_coordinate(a_i, prior.A, N, t)
         assert abs(got - ref) <= 2e-11 * abs(ref), (got, ref)
+
+    def test_tiny_prior_weight_raises_no_numpy_warning(self):
+        """Below about 1e-16 N t the weight makes w = -1 at x = 0; a direct
+        call still runs without a numpy warning or floating-point error."""
+        ev = risk_module.CoordinateRiskEvaluator(PriorSpec((1e-17, 1.0)),
+                                                 ModelSpec(2, 64))
+        with warnings.catch_warnings(), np.errstate(divide="raise",
+                                                    invalid="raise"):
+            warnings.simplefilter("error")
+            got = float(ev.coordinate(0, 0.05)[0])
+        assert math.isfinite(got)
 
 
 _K2_PRIORS = {
