@@ -211,7 +211,8 @@ class CoordinateRiskEvaluator:
     |log(1+w_i)| = |log((x + a_i)/(N t + a_i))| <= log1p(N / a_i), so h_i
     differs from the full-support sum by at most 2 e^-75 log1p(N / a_i)
     (about 1e-31 at N = 1e4, a_i = 1e-6).  The window depends on (N, t)
-    alone; since d >= 2L/3 = 50, it is the whole support when N <= 50.
+    alone; since d >= 2L/3 = 50, it is the whole support when N <= 50, and
+    there coordinate takes it without computing d.
 
     The binomial masses take ln C(N, x) from numkernel.log_binomial_row,
     exact integers up to N = 10,000.  The x = 0 term's log is
@@ -250,24 +251,25 @@ class CoordinateRiskEvaluator:
         # per window that starts at x = 0, its place in the pass and its
         # x = 0 log term
         rows, lengths, first_at, first_logs, terms = [], [], [], [], 0
-        # loop invariants of the window half-width d and of s, hoisted with
-        # the math functions: the loop runs once per point
-        d0, d1, d2, NA = L / 3, L * L / 9, 2 * L * N, N + A
-        log, log1p, sqrt = math.log, math.log1p, math.sqrt
+        # d >= 2L/3, so at N <= 2L/3 every window is the whole support
+        whole = N <= 2 * L / 3
         for tj, a_i in zip(ts, a_of):
-            nt = N * tj
-            d = d0 + sqrt(d1 + d2 * tj * (1 - tj))
-            lo = max(0, math.ceil(nt - d))
-            n = min(N, math.floor(nt + d)) + 1 - lo
+            if whole:
+                lo, n = 0, N + 1
+            else:
+                d = L / 3 + math.sqrt(L * L / 9 + 2 * L * N * tj * (1 - tj))
+                lo = max(0, math.ceil(N * tj - d))
+                n = min(N, math.floor(N * tj + d)) + 1 - lo
             if rows and terms + n > _PASS_TERMS:
                 ews += self._window_sums(rows, lengths, first_at, first_logs)
                 rows, lengths, first_at, first_logs, terms = [], [], [], [], 0
-            heads.append(-tj * log1p((a_i - A * tj) / (NA * tj)))
-            den = nt + a_i
+            s = (a_i - A * tj) / ((N + A) * tj)
+            heads.append(-tj * math.log1p(s))
+            nt = N * tj
             if lo == 0:
                 first_at.append(terms)
-                first_logs.append(log(a_i) - log(den))
-            rows.append((lo - terms, log(tj), log1p(-tj), nt, den))
+                first_logs.append(math.log(a_i) - math.log(nt + a_i))
+            rows.append((lo - terms, math.log(tj), math.log1p(-tj), nt, nt + a_i))
             lengths.append(n)
             terms += n
         if rows:
