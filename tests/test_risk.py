@@ -278,7 +278,8 @@ class TestWindowedKernel:
         assert outside <= 2 * math.exp(-risk_module._WINDOW_NATS)
 
     def test_window_is_what_gets_summed(self, monkeypatch):
-        """Small supports are summed whole; large ones only over the window."""
+        """Small supports are summed whole; large ones only over the window,
+        from N = 51 on, where a window can leave out x = 0."""
         lengths = []
 
         def counting_sum(terms):
@@ -287,12 +288,13 @@ class TestWindowedKernel:
 
         monkeypatch.setattr(risk_module, "stable_sum", counting_sum)
         prior = SymmetricPrior.minimax(2).expand()
-        for N, t in ((24, 0.3), (4096, 0.3), (4096, 1e-4)):
+        for N, t in ((24, 0.3), (50, 0.999), (51, 0.999), (4096, 0.3), (4096, 1e-4)):
             lengths.clear()
             risk_module.CoordinateRiskEvaluator(prior, ModelSpec(2, N)).coordinate(0, t)
             lo, hi = _window(N, t)
             assert lengths == [hi - lo + 1]
         assert _window(24, 0.3) == (0, 24)
+        assert _window(50, 0.999) == (0, 50) and _window(51, 0.999) == (1, 51)
         assert _window(4096, 0.3)[1] - _window(4096, 0.3)[0] + 1 < 4097 // 3
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, 1.0])
