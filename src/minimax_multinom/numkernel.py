@@ -1,6 +1,6 @@
 """Stable special functions, count-vector enumeration and deterministic
 summation primitives, plus the package-wide default seed, quadrature
-tolerances and Monte Carlo sampler.
+tolerances, vectorized Gauss-Kronrod quadrature and Monte Carlo sampler.
 
 Everything downstream (risk evaluation, simplex integrals, expansions) is
 built on the handful of functions in this module, so their contracts are
@@ -53,6 +53,98 @@ _EXACT_COMB_LIMIT = 10_000
 QUAD_ABS_TOL = 1e-12
 QUAD_REL_TOL = 1e-10
 QUAD_MAX_SUBDIVISIONS = 60
+
+# QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al. 1983, dqk21) on
+# [-1, 1]: the Kronrod nodes x_1 > ... > x_11 = 0, their weights, and the
+# weights of the 10-point Gauss rule on x_2, x_4, ..., x_10
+_KRONROD_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_KRONROD_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208977372734, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_GAUSS_WEIGHTS = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+# the 21 nodes in ascending order, and both rules' weights at them
+_GK21_X = np.concatenate([-_KRONROD_NODES[:10], _KRONROD_NODES[::-1]])
+_GK21_K = np.concatenate([_KRONROD_WEIGHTS[:10], _KRONROD_WEIGHTS[::-1]])
+_GK21_G = np.zeros(21)
+_GK21_G[1:10:2] = _GAUSS_WEIGHTS
+_GK21_G[11:] = _GK21_G[9::-1]
+
+
+def gauss_kronrod(f, lo: float, hi: float) -> tuple:
+    """(integral, absolute error estimate) of f over [lo, hi] by adaptive
+    21-point Gauss-Kronrod quadrature, bisecting a level at a time.
+
+    f maps a 1-D array of nodes to the integrand there; each level makes one
+    call of f for the 21 nodes of every panel it opens.  A panel's error is
+    QUADPACK's qk21 estimate: |Kronrod - Gauss| scaled as
+    resasc min(1, (200 |Kronrod - Gauss| / resasc)^1.5) and at least
+    50 macheps resabs.  The first level opens both halves of [lo, hi]: one
+    panel can meet the tolerance while its value is still 3.7e-13 off in
+    the log (the one-panel trap of tests/test_simplex.py), and its halves
+    are not.  The panels' values and errors are summed with fsum;
+    once the error sum is at most max(QUAD_ABS_TOL, QUAD_REL_TOL |integral|)
+    the result is returned, and until then every panel whose error exceeds
+    its length's share of that bound is bisected.  Needing more than
+    QUAD_MAX_SUBDIVISIONS panels, or a non-finite sum, raises
+    IntegrationError.
+    """
+    # the panels kept from earlier levels, and those opened at this one;
+    # the first level opens both halves of [lo, hi]
+    kept_a = kept_b = vals = errs = np.empty(0)
+    centre = 0.5 * (lo + hi)
+    a, b = np.array([lo, centre]), np.array([centre, hi])
+    eps50 = 50.0 * np.finfo(float).eps
+    while True:
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        fx = np.asarray(f((mid[:, None] + half[:, None] * _GK21_X).ravel()),
+                        dtype=float).reshape(a.size, 21)
+        kron = fx @ _GK21_K
+        err = np.abs((kron - fx @ _GK21_G) * half)
+        resasc = np.abs(fx - 0.5 * kron[:, None]) @ _GK21_K * half
+        scaled = (resasc != 0.0) & (err != 0.0)
+        err[scaled] = resasc[scaled] * np.minimum(
+            1.0, (200.0 * err[scaled] / resasc[scaled]) ** 1.5)
+        err = np.maximum(err, eps50 * (np.abs(fx) @ _GK21_K * half))
+        a, b = np.concatenate([kept_a, a]), np.concatenate([kept_b, b])
+        vals = np.concatenate([vals, kron * half])
+        errs = np.concatenate([errs, err])
+        total, err_sum = stable_sum(vals), stable_sum(errs)
+        if not (math.isfinite(total) and math.isfinite(err_sum)):
+            raise IntegrationError(
+                f"quadrature on [{lo}, {hi}] met a non-finite value",
+                achieved=math.nan,
+            )
+        tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total))
+        if err_sum <= tol:
+            return total, err_sum
+        split = errs > tol * (b - a) / (hi - lo)
+        if vals.size + np.count_nonzero(split) > QUAD_MAX_SUBDIVISIONS:
+            raise IntegrationError(
+                f"quadrature on [{lo}, {hi}] did not converge in "
+                f"{QUAD_MAX_SUBDIVISIONS} panels",
+                achieved=err_sum / abs(total) if total else math.inf,
+            )
+        keep = ~split
+        kept_a, kept_b, vals, errs = a[keep], b[keep], vals[keep], errs[keep]
+        centre = 0.5 * (a[split] + b[split])
+        a, b = np.concatenate([a[split], centre]), np.concatenate([centre, b[split]])
 
 
 @dataclass(frozen=True)
@@ -208,6 +300,12 @@ def _log_beta_integrand_max(alpha: float, beta: float, s: float, t: float) -> fl
     return best
 
 
+#: cancellation guard of the Beta segments: a difference of regularized
+#: incomplete beta values must clear this share of the larger one (its
+#: rounding floor, with room), or the segment is redone by quadrature
+_SEGMENT_GUARD = 1e-5
+
+
 def log_beta_segment(
     alpha: float,
     beta: float,
@@ -239,9 +337,7 @@ def log_beta_segment(
         upper = float(_betainc(alpha, beta, t))
         lower = 0.0 if s == 0.0 else float(_betainc(alpha, beta, s))
         diff = upper - lower
-        # cancellation guard: the difference must clear the rounding floor
-        # of the larger regularized value, or be redone by quadrature
-        if diff > 1e-5 * max(upper, 1e-300):
+        if diff > _SEGMENT_GUARD * max(upper, 1e-300):
             return float(_betaln(alpha, beta)) + math.log(diff)
 
     # imported on first use: most commands never integrate
@@ -268,6 +364,26 @@ def log_beta_segment(
             achieved=err / abs(val),
         )
     return scale + math.log(val)
+
+
+def log_beta_segments(alpha: float, beta: float, s, t) -> np.ndarray:
+    """log_beta_segment(alpha, beta, s[j], t[j]) for arrays with
+    0 < s < t <= 1, from one array betainc pass per end.
+
+    A segment whose difference fails the cancellation guard, or whose upper
+    end is 1 (the complemented route), is taken from the scalar
+    log_beta_segment instead.
+    """
+    if _betaln is None:
+        special_functions()
+    upper = _betainc(alpha, beta, t)
+    diff = upper - _betainc(alpha, beta, s)
+    ok = (diff > _SEGMENT_GUARD * np.maximum(upper, 1e-300)) & (t < 1.0)
+    out = np.empty(diff.shape)
+    out[ok] = float(_betaln(alpha, beta)) + np.log(diff[ok])
+    for j in np.flatnonzero(~ok).tolist():
+        out[j] = log_beta_segment(alpha, beta, float(s[j]), float(t[j]))
+    return out
 
 
 def stable_sum(terms) -> float:

@@ -327,9 +327,10 @@ def _golden_max(f, lo, hi, iters: int = 60) -> tuple:
     """Golden-section local maximization over a batch of intervals.
 
     Row r searches [lo[r], hi[r]].  f(rows, t) returns the objective of each
-    listed row at its point t, so one iteration costs one call of f for
-    every row still running.  Returns the (argmax, max) arrays; each row's
-    floats are those of a search on its interval alone.
+    listed row at its point t, and a row may be listed twice, so the first
+    two points of every row cost one call of f and each iteration one call
+    for every row still running.  Returns the (argmax, max) arrays; each
+    row's floats are those of a search on its interval alone.
 
     Each row stops at its own width tolerance, matched to the flatness of a
     smooth maximum: at width w the value error is O(w^2) times the
@@ -343,7 +344,8 @@ def _golden_max(f, lo, hi, iters: int = 60) -> tuple:
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     rows = np.arange(a.size)
-    fc, fd = f(rows, c), f(rows, d)
+    both = f(np.concatenate([rows, rows]), np.concatenate([c, d]))
+    fc, fd = both[:a.size], both[a.size:]
     for _ in range(iters):
         rows = rows[~(b[rows] - a[rows] < width_tol[rows])]
         if rows.size == 0:
@@ -377,8 +379,8 @@ class SeparableMaximizer:
     that moving mass between two coordinates only changes two terms of the
     sum; at k = 2 the pinned family covers the whole segment.  The ascent
     runs its starts in lockstep: at each step every start moves mass between
-    the same two coordinates, so one h call per coordinate serves them all,
-    and each start ends where it would have ended alone.
+    the same two coordinates, so one h call per stage of the step serves
+    them all, and each start ends where it would have ended alone.
 
     h(i, t) takes one coordinate index or one per value of t, as
     CoordinateRiskEvaluator.coordinate does.
@@ -504,9 +506,10 @@ class SeparableMaximizer:
         Start s draws its point from seeded_stream(seed, 1000 + s).  Each
         sweep visits the coordinate pairs (i, j) in order; every running
         start moves mass between the same two coordinates, so each step
-        evaluates h once per coordinate for all of them: the sums of the
-        other coordinates, a 33-point probe of each start's segment, and
-        each iteration of the golden refine.  A start whose pair holds no
+        makes one h call, with a per-point coordinate index, for all of
+        them at each stage: the sums of the other coordinates, a 33-point
+        probe of each start's segment on both coordinates, and each
+        iteration of the golden refine.  A start whose pair holds no
         mass above the floors sits that pair out; a start whose sweep does
         not improve its value stops.  Each start's floats are those of an
         ascent run alone.  Returns one candidate per start, in start order.
@@ -531,24 +534,33 @@ class SeparableMaximizer:
                     if rows.size == 0:
                         continue
                     m = m[rows]
-                    rest = [self.h(q, theta[q, rows]).tolist()
-                            for q in range(k) if q not in (i, j)]
-                    others = np.array([
-                        stable_sum(col[r] for col in rest)
-                        for r in range(rows.size)
-                    ]) + self.constant
+                    rest = [q for q in range(k) if q not in (i, j)]
+                    others = np.zeros(rows.size)
+                    if rest:
+                        h_rest = self.h(np.repeat(rest, rows.size),
+                                        theta[rest][:, rows].ravel())
+                        others[:] = [
+                            stable_sum(col)
+                            for col in h_rest.reshape(len(rest), -1).T.tolist()
+                        ]
+                    others += self.constant
+
+                    def pair(t, u) -> tuple:
+                        # h_i at t and h_j at u, from one call
+                        both = self.h(np.repeat([i, j], t.size),
+                                      np.concatenate([t.ravel(), u.ravel()]))
+                        return both[:t.size].reshape(t.shape), both[t.size:].reshape(t.shape)
 
                     def g(sub, t) -> np.ndarray:
-                        sums = others[sub] + self.h(i, t) + self.h(j, m[sub] - t)
+                        h_i, h_j = pair(t, m[sub] - t)
+                        sums = others[sub] + h_i + h_j
                         return np.array([self.transform(v) for v in sums.tolist()])
 
                     probe = np.array([np.linspace(eps, mr - eps, 33) for mr in m])
-                    shape = probe.shape
-                    sums = (others[:, None]
-                            + self.h(i, probe.ravel()).reshape(shape)
-                            + self.h(j, (m[:, None] - probe).ravel()).reshape(shape))
+                    h_i, h_j = pair(probe, m[:, None] - probe)
+                    sums = others[:, None] + h_i + h_j
                     pv = np.array([self.transform(v) for v in sums.ravel().tolist()])
-                    b = np.argmax(pv.reshape(shape), axis=1)
+                    b = np.argmax(pv.reshape(probe.shape), axis=1)
                     at = np.arange(rows.size)
                     t_star, v_star = _golden_max(
                         g, probe[at, np.maximum(b - 1, 0)],
@@ -656,7 +668,7 @@ def sup_risk(
 
     The risk is separable across coordinates, which the search exploits; for
     k >= 3 its multi-start ascent advances all ascent_starts starts together,
-    one kernel call per coordinate and step.  The returned trace lists every
+    one kernel call per stage of a step.  The returned trace lists every
     configuration family and, for k >= 3, every ascent start with the value
     it achieved, so a suspect supremum can be diagnosed.
     """
@@ -783,8 +795,9 @@ def _bayes_numerator(a: tuple, eps: float, risk_fn, head: tuple = (),
     """(integral, relative error estimate) of the Dirichlet kernel
     prod theta_i^(a_i - 1) times the risk over the simplex floored at eps.
 
-    Peels off the first coordinate by stick-breaking, like
-    simplex._recursive_b_log: with theta_1 = v, the remaining coordinates
+    Peels off the first coordinate by stick-breaking, as
+    simplex._recursive_b_log does, but with scipy's scalar quad at each
+    level, one risk per node: with theta_1 = v, the remaining coordinates
     are (1 - v) phi with phi on the (k-1)-simplex floored at eps/(1 - v), so
     each level is one integral of v^(a_1 - 1) (1 - v)^(a_2 + ... + a_k - 1)
     against the inner value.  head holds the coordinates the enclosing

@@ -9,9 +9,11 @@ The central objects are
                             Beta value, i.e. of the retained mass fraction.
 
 For k = 2 the integral is a Beta-kernel segment and is evaluated in closed
-form; for moderate k it is reduced recursively to nested one-dimensional
-adaptive quadratures; for larger k it is estimated by rejection sampling
-from the untruncated Dirichlet with seeded counter-based streams.
+form.  For k = 3 it is one adaptive Gauss-Kronrod integral over theta_1
+(numkernel.gauss_kronrod) of Beta segments, each level's nodes evaluated in
+one array pass.  For larger k it is estimated by rejection sampling from
+the untruncated Dirichlet with seeded counter-based streams; forced
+quadrature there nests the same integral k - 2 deep, down to the k = 3 one.
 
 The module also hosts the numbered inequality/identity checks (the "lemma"
 suite exposed by the CLI); see the README for the catalogue of what each
@@ -30,16 +32,16 @@ import numpy as np
 from .errors import DomainError, InfeasibleRegionError, StatisticalPrecisionError
 from .numkernel import (
     DEFAULT_SEED,
-    QUAD_ABS_TOL,
-    QUAD_MAX_SUBDIVISIONS,
-    QUAD_REL_TOL,
     MonteCarloSettings,
     compositions,
     dirichlet_batch,
+    gauss_kronrod,
     log_beta_segment,
+    log_beta_segments,
     log_multinomial,
     log_multivariate_beta,
     seeded_stream,
+    special_functions,
     stable_sum,
 )
 
@@ -69,54 +71,64 @@ class TruncatedDirichletIntegral:
         return math.exp(self.value_log)
 
 
+#: relative error credited to a Beta segment taken from betainc
+_SEGMENT_REL_ERR = 1e-13
+
+
 def _recursive_b_log(alphas, eps: float) -> tuple:
-    """(log value, relative error estimate) by nested adaptive quadrature.
+    """(log value, relative error estimate) by nested quadrature.
 
     Peels off the first coordinate: conditionally on theta_1, the remaining
     coordinates rescaled by 1/(1 - theta_1) fill a (k-1)-simplex floored at
     eps/(1 - theta_1), so the integral factorizes into a one-dimensional
-    outer integral against a recursively computed inner value.
+    outer integral (numkernel.gauss_kronrod) against a recursively computed
+    inner value.  At k = 3 the inner values are Beta segments, taken for
+    all the nodes of a level at once (numkernel.log_beta_segments).
     """
     k = len(alphas)
     if k == 2:
         lv = log_beta_segment(alphas[0], alphas[1], eps, 1.0 - eps)
-        return lv, 1e-13
-    # imported on first use: most commands never integrate
-    from scipy.integrate import quad
-
+        return lv, _SEGMENT_REL_ERR
     rest = alphas[1:]
     rest_sum = stable_sum(rest)
     lo, hi = eps, 1.0 - (k - 1) * eps
-    # scale by the integrand magnitude at the midpoint to keep quad in a
-    # comfortable floating range
+    # scale by the integrand magnitude at the midpoint to keep the rule in
+    # a comfortable floating range
     mid = 0.5 * (lo + hi)
     mid_inner, _ = _recursive_b_log(rest, eps / (1.0 - mid))
     scale = (alphas[0] - 1) * math.log(mid) + (rest_sum - 1) * math.log1p(-mid) + mid_inner
 
-    inner_err = 0.0
+    inner_err = _SEGMENT_REL_ERR if k == 3 else 0.0
 
-    def integrand(t1: float) -> float:
+    def log_inner(inner_eps: np.ndarray) -> np.ndarray:
         nonlocal inner_err
+        if k == 3:
+            return log_beta_segments(rest[0], rest[1], inner_eps, 1.0 - inner_eps)
+        out = []
+        for e in inner_eps.tolist():
+            inner, ierr = _recursive_b_log(rest, e)
+            inner_err = max(inner_err, ierr)
+            out.append(inner)
+        return np.array(out)
+
+    def integrand(t1: np.ndarray) -> np.ndarray:
         inner_eps = eps / (1.0 - t1)
-        if inner_eps >= 1.0 / (k - 1):
-            return 0.0
-        inner, ierr = _recursive_b_log(rest, inner_eps)
-        inner_err = max(inner_err, ierr)
-        return math.exp(
-            (alphas[0] - 1) * math.log(t1)
-            + (rest_sum - 1) * math.log1p(-t1)
-            + inner
+        # the inner simplex is empty from inner_eps = 1/(k-1) on
+        live = inner_eps < 1.0 / (k - 1)
+        t1 = t1[live]
+        out = np.zeros(live.size)
+        out[live] = np.exp(
+            (alphas[0] - 1) * np.log(t1)
+            + (rest_sum - 1) * np.log1p(-t1)
+            + log_inner(inner_eps[live])
             - scale
         )
+        return out
 
-    val, err = quad(
-        integrand, lo, hi,
-        epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_MAX_SUBDIVISIONS,
-    )
+    val, err = gauss_kronrod(integrand, lo, hi)
     if val <= 0:
         raise DomainError(f"truncated simplex integral degenerated at eps={eps!r}")
-    rel = err / val + inner_err
-    return scale + math.log(val), rel
+    return scale + math.log(val), err / val + inner_err
 
 
 #: b_trunc's Monte Carlo budget when no settings are passed
@@ -131,9 +143,12 @@ def b_trunc(
 ) -> TruncatedDirichletIntegral:
     """Dirichlet-kernel integral over the simplex floored at eps.
 
-    Method selection is automatic by dimension (closed form for k = 2,
-    nested quadrature for k = 3, Monte Carlo beyond) and can be forced for
-    cross-validation.  mc sets the Monte Carlo draws (default 1,000,000 in
+    Method selection is automatic by dimension (closed form for k = 2, one
+    vectorized Gauss-Kronrod integral of Beta segments for k = 3, Monte
+    Carlo beyond) and can be forced for cross-validation: forced quadrature
+    integrates the raw kernel at k = 2 and nests the k = 3 integral at
+    k >= 4.  Quadrature that does not converge raises IntegrationError.
+    mc sets the Monte Carlo draws (default 1,000,000 in
     batches of 65,536); passing it when the method is not Monte Carlo raises
     DomainError, and its stderr_ceiling bounds the standard error of the
     retained fraction.
@@ -163,21 +178,14 @@ def b_trunc(
         if k != 2:
             raise DomainError("EXACT_1D applies to k = 2 only")
         value_log = log_beta_segment(alphas[0], alphas[1], eps, 1.0 - eps)
-        err = 1e-13
+        err = _SEGMENT_REL_ERR
     elif method is IntegrationMethod.RECURSIVE_QUAD:
         if k == 2:
-            # forced path for cross-checks: integrate the raw kernel (quad
-            # is imported on first use: most commands never integrate)
-            from scipy.integrate import quad
-
+            # forced path for cross-checks: integrate the raw kernel
             def integrand(t):
                 return t ** (alphas[0] - 1) * (1 - t) ** (alphas[1] - 1)
 
-            val, aerr = quad(
-                integrand, eps, 1 - eps,
-                epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
-                limit=QUAD_MAX_SUBDIVISIONS,
-            )
+            val, aerr = gauss_kronrod(integrand, eps, 1 - eps)
             value_log, err = math.log(val), aerr / val
         else:
             value_log, err = _recursive_b_log(alphas, eps)
@@ -395,18 +403,16 @@ def lemma7_check(alphas, N: int, x1: int) -> LemmaReport:
     k = len(alphas)
     if not 0 <= x1 <= N:
         raise DomainError("x1 must lie in 0..N")
-    log_b_a = log_multivariate_beta(alphas)
-    terms = []
-    for rest in compositions(N - x1, k - 1).tolist():
-        x = (x1, *rest)
-        terms.append(
-            math.exp(
-                log_multivariate_beta([xi + ai for xi, ai in zip(x, alphas)])
-                - log_b_a
-                + log_multinomial(N, x)
-            )
-        )
-    lhs = stable_sum(terms)
+    gammaln = special_functions().gammaln
+    rest = compositions(N - x1, k - 1)
+    x = np.hstack([np.full((len(rest), 1), x1), rest])
+    # ln B(x + alpha) - ln B(alpha) + ln N!/(x_1! ... x_k!) for every x:
+    # x + alpha sums to N + A on each row, so only the per-cell log-gammas
+    # vary, and one gammaln pass gives them all
+    lg = gammaln(np.stack([x + np.array(alphas), x + 1.0]))
+    const = (float(gammaln(N + 1.0)) - float(gammaln(N + stable_sum(alphas)))
+             - log_multivariate_beta(alphas))
+    lhs = stable_sum(np.exp((lg[0] - lg[1]).sum(axis=1) + const))
     rest_sum = stable_sum(alphas[1:])
     rhs = math.exp(
         log_multivariate_beta([x1 + alphas[0], N - x1 + rest_sum])

@@ -417,8 +417,9 @@ def _loads_quadrature(*argv) -> bool:
 
 
 class TestImportIsolation:
-    """scipy.integrate is imported only by runs that integrate, and
-    scipy.special only by runs that integrate, take a Beta segment or
+    """scipy.integrate is imported only by runs that call its quad (the
+    floored Bayes risks, and the Beta segments' fallback for thin slices),
+    and scipy.special only by runs that integrate, take a Beta segment or
     build a truncated-predictive table."""
 
     def test_import_loads_no_scipy(self):
@@ -467,10 +468,17 @@ class TestImportIsolation:
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["sandwich", "--k", "2", "--N", "8"], id="sandwich"),
-        pytest.param(["verify-lemmas", "--lemma", "4"], id="verify-lemmas"),
+        # the lemma 5 suite's thin slices take log_beta_segment's fallback
+        pytest.param(["verify-lemmas", "--lemma", "5"], id="verify-lemmas"),
     ])
     def test_integrating_run_loads_quadrature(self, argv):
         assert _loads_quadrature(*argv)
+
+    @pytest.mark.parametrize("lemma", ["4", "6"])
+    def test_k3_integrals_skip_quadrature(self, lemma):
+        """The k = 3 floored Dirichlet integrals of the lemma 4 and 6 suites
+        run on numkernel.gauss_kronrod, not on quad."""
+        assert not _loads_quadrature("verify-lemmas", "--lemma", lemma)
 
 
 class TestThreadResolution:

@@ -12,6 +12,7 @@ from scipy.special import gammaln
 
 from minimax_multinom import (
     DomainError,
+    IntegrationError,
     log_beta_segment,
     log_multinomial,
     log_multivariate_beta,
@@ -171,6 +172,58 @@ class TestBetaSegment:
             log_beta_segment(1, 1, 0.7, 0.2)
         with pytest.raises(DomainError):
             log_beta_segment(0.0, 1, 0.0, 1.0)
+
+
+class TestBetaSegments:
+    def test_matches_scalar_segments(self):
+        """The array route against log_beta_segment pair by pair: within
+        rounding where the betainc difference is taken, and the scalar's
+        own float where it is not (a sliver around 1/2 that fails the
+        cancellation guard, and an upper end of 1)."""
+        a, b = 3.983550058931567, 1.1423609267641315
+        s = np.array([1e-3, 0.1, 0.3, 0.4999999, 0.25])
+        t = np.array([1 - 1e-3, 0.9, 0.7, 0.5000001, 1.0])
+        got = numkernel.log_beta_segments(a, b, s, t)
+        want = [log_beta_segment(a, b, sj, tj) for sj, tj in zip(s, t)]
+        assert got[:3].tolist() == pytest.approx(want[:3], rel=1e-15, abs=0)
+        assert got[3:].tolist() == want[3:]
+
+
+class TestGaussKronrod:
+    def test_rule(self):
+        """The embedded rule is 10-point Gauss-Legendre, and the 21-point
+        Kronrod rule integrates every polynomial of degree <= 31 exactly."""
+        x, w = np.polynomial.legendre.leggauss(10)
+        on = numkernel._GK21_G > 0
+        assert numkernel._GK21_X[on] == pytest.approx(x, rel=0, abs=1e-15)
+        assert numkernel._GK21_G[on] == pytest.approx(w, rel=0, abs=1e-15)
+        for d in range(32):
+            exact = (1 - (-1) ** (d + 1)) / (d + 1)
+            got = numkernel._GK21_K @ numkernel._GK21_X ** d
+            assert got == pytest.approx(exact, rel=0, abs=1e-15), d
+
+    def test_near_singular_integrand(self):
+        """t^-0.6 on [1e-3, 1]: the levels bisect toward the singularity at 0,
+        one call of f each, and the result meets the tolerance it reports."""
+        levels = []
+
+        def f(t):
+            levels.append(t.size)
+            return t ** -0.6
+
+        val, err = numkernel.gauss_kronrod(f, 1e-3, 1.0)
+        exact = (1 - 1e-3 ** 0.4) / 0.4
+        assert abs(val - exact) <= err <= numkernel.QUAD_REL_TOL * exact
+        assert levels[0] == 42 and len(levels) > 2
+        assert all(n % 21 == 0 for n in levels)
+
+    @pytest.mark.parametrize("f, message", [
+        (lambda t: np.sign(np.sin(500 * t)), "did not converge"),
+        (lambda t: np.full(t.shape, np.nan), "non-finite"),
+    ], ids=["160-jumps", "nan"])
+    def test_failure_raises(self, f, message):
+        with pytest.raises(IntegrationError, match=message):
+            numkernel.gauss_kronrod(f, 0.0, 1.0)
 
 
 class TestStableSum:

@@ -619,6 +619,43 @@ class TestLockstepAscent:
                 assert candidates == reference[:n], (kwargs, n)
 
 
+class TestAscentKernelCalls:
+    """Each step of the ascent makes one kernel call for the other
+    coordinates' sum, one for the probe of both coordinates and one per call
+    of the golden refine's objective (its first two points share one), each
+    with a per-point coordinate index; the start and every sweep add one
+    call for the objectives."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_one_call_per_stage(self, k, monkeypatch):
+        ev = risk_module.CoordinateRiskEvaluator(
+            SymmetricPrior.minimax(k).expand(), ModelSpec(k, 40))
+        calls = []
+
+        def h(i, t):
+            calls.append(np.size(t))
+            return ev.coordinate(i, t)
+
+        refines = []
+        golden_max = risk_module._golden_max
+
+        def counting_golden_max(f, lo, hi):
+            def counted(rows, t):
+                refines[-1] += 1
+                return f(rows, t)
+
+            refines.append(0)
+            return golden_max(counted, lo, hi)
+
+        monkeypatch.setattr(risk_module, "_golden_max", counting_golden_max)
+        m = risk_module.SeparableMaximizer(h, k, 0.03)
+        m._ascent(range(8), sweeps=2)
+        pairs = k * (k - 1) // 2
+        steps = len(refines)
+        assert steps == 2 * pairs
+        assert len(calls) == 1 + 2 + 2 * steps + sum(refines)
+
+
 class TestSupRisk:
     def test_dense_scan_oracle_k2(self):
         """The search must dominate a dense one-dimensional scan."""

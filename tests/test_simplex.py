@@ -1,5 +1,6 @@
 """Truncated Dirichlet integrals and the numbered check suites."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -40,20 +41,29 @@ class TestTruncatedIntegrals:
     def test_uniform_k2(self):
         for eps in (0.05, 0.2, 0.4):
             res = b_trunc((1.0, 1.0), eps)
-            assert res.value == pytest.approx(1 - 2 * eps, rel=1e-12)
+            assert res.value == pytest.approx(1 - 2 * eps, rel=1e-12, abs=0)
             frac = math.exp(log_i_trunc((1.0, 1.0), eps))
-            assert frac == pytest.approx(1 - 2 * eps, rel=1e-12)
+            assert frac == pytest.approx(1 - 2 * eps, rel=1e-12, abs=0)
 
     def test_uniform_k3_similar_simplex(self):
         """Flooring the uniform 3-simplex shrinks it by (1 - 3 eps)^2."""
         res = b_trunc((1.0, 1.0, 1.0), 0.1)
-        assert res.value == pytest.approx(0.7**2 * 0.5, rel=1e-9)
+        assert res.value == pytest.approx(0.7**2 * 0.5, rel=1e-9, abs=0)
 
     def test_full_simplex_limit(self):
+        """At eps = 1e-9 the floor cuts off the mass where some theta_i <
+        eps.  To first order in eps its share of the full Beta value is
+        cut = sum_i eps^a_i / (a_i B(a_i, A - a_i)): 1.07e-13 for
+        (1.5, 2.5), and 1.47e-6 for (0.7, 1.2, 3.0), where a 30-digit value
+        of the integral agrees."""
+        eps = 1e-9
         for alphas in ((1.5, 2.5), (0.7, 1.2, 3.0)):
             full = math.exp(log_multivariate_beta(alphas))
-            res = b_trunc(alphas, 1e-9)
-            assert res.value == pytest.approx(full, rel=1e-6)
+            res = b_trunc(alphas, eps)
+            A = sum(alphas)
+            cut = sum(eps**a / (a * math.exp(log_multivariate_beta((a, A - a))))
+                      for a in alphas)
+            assert abs(1.0 - res.value / full - cut) <= 1e-12
 
     def test_retained_fraction_bounds(self):
         rng = np.random.default_rng(5)
@@ -79,7 +89,7 @@ class TestTruncatedIntegrals:
             eps = float(rng.uniform(1e-3, 0.45))
             a = b_trunc(alphas, eps, method=IntegrationMethod.EXACT_1D)
             b = b_trunc(alphas, eps, method=IntegrationMethod.RECURSIVE_QUAD)
-            assert a.value == pytest.approx(b.value, rel=1e-9)
+            assert a.value == pytest.approx(b.value, rel=1e-9, abs=0)
 
     def test_quadrature_vs_monte_carlo_k3(self):
         rng = np.random.default_rng(23)
@@ -156,6 +166,77 @@ class TestTruncatedIntegrals:
             b_trunc((1.0, 1.0, 1.0), 0.1, method=IntegrationMethod.EXACT_1D)
 
 
+def _k3_suite_draws():
+    """40 draws made like the lemma 4 and 6 suites' k = 3 ones."""
+    rng = np.random.default_rng(20261020)
+    for _ in range(40):
+        alphas = np.exp(rng.uniform(math.log(0.2), math.log(8.0), size=3))
+        yield tuple(alphas.tolist()), float(rng.uniform(1e-3, 0.95 / 3))
+
+
+# ln b_trunc at 30 digits for each of _k3_suite_draws, in order
+_K3_SUITE_REFS = [
+    -8.618283196120792, -10.776320074080095, -8.949012504531153,
+    -2.6838013036227597, -6.809793304701471, -4.279099837354609,
+    -0.17830640639784356, -9.939484748499096, -6.199662868261166,
+    -8.812174004940895, -3.089052958331173, 0.8520015524451807,
+    -9.013627165472462, -3.044456315149112, -2.0254065042133362,
+    -1.6658910233716615, -7.472432042572407, -8.385146378534895,
+    -4.227206241800393, -9.925579743739918, 1.3749159517596006,
+    -1.1011622839991704, -9.353784470200434, -0.7145709717644492,
+    -5.541046791039952, -1.3922232859439567, -2.880662779849136,
+    -4.546717667800562, -6.704303342822899, 1.198229967564679,
+    -0.2775003234805492, -11.04384626995634, -3.4663366951679357,
+    -7.661003641250008, -10.147072970697025, -0.7899321317123752,
+    -4.754693025815888, -2.028497145200021, -6.026536156387456,
+    -2.5273396164198134,
+]
+
+# (N, x, ln b_trunc at 30 digits for alphas = x + 1 + 1/sqrt(6) and for
+# alphas = x + 1/2), with eps = N^-0.73: parameters of the k = 3
+# truncated-predictive tables
+_K3_TABLE_REFS = [
+    (8, (0, 0, 8), -11.669429368878552, -8.55283102769727),
+    (8, (1, 3, 4), -13.052859162773503, -9.984830067727001),
+    (16, (0, 1, 15), -14.186949812628127, -10.596645661854279),
+    (16, (5, 5, 6), -21.70029407302064, -18.57297107873824),
+    (24, (0, 0, 24), -13.979678806131446, -9.93559121124526),
+    (24, (2, 7, 15), -26.344225238861803, -22.88962981131558),
+    (24, (0, 12, 12), -25.51069561866122, -22.093184356301602),
+    (12, (1, 1, 10), -14.182759703448616, -10.871816202324966),
+]
+
+
+class TestK3AgainstMpmath:
+    """The k = 3 integral against ln of its value from mpmath 1.3.0 at 40
+    working digits: tanh-sinh quadrature over theta_1, on panels split
+    geometrically toward both ends, of mpmath's incomplete beta function,
+    with error estimates below 1e-30 relative."""
+
+    def test_suite_draws(self):
+        draws = list(_k3_suite_draws())
+        for (alphas, eps), ref in zip(draws, _K3_SUITE_REFS, strict=True):
+            assert abs(b_trunc(alphas, eps).value_log - ref) <= 1e-13, (alphas, eps)
+
+    @pytest.mark.parametrize("N, x, ref_minimax, ref_jeffreys", _K3_TABLE_REFS)
+    def test_table_parameters(self, N, x, ref_minimax, ref_jeffreys):
+        for base, ref in ((1.0 + 1.0 / math.sqrt(6.0), ref_minimax),
+                          (0.5, ref_jeffreys)):
+            alphas = tuple(xi + base for xi in x)
+            assert abs(b_trunc(alphas, N ** -0.73).value_log - ref) <= 1e-13
+
+    @pytest.mark.parametrize("alphas, eps, ref", [
+        ((5.836505488890044, 3.983550058931567, 1.1423609267641315),
+         0.031985331090341046, -9.044716106510597),
+        ((0.7, 1.2, 3.0), 1e-9, -2.15991803302486),
+    ], ids=["one-panel-trap", "tiny-floor"])
+    def test_pinned(self, alphas, eps, ref):
+        """scipy's quad (QAGS), which took this integral before, is off by
+        3.7e-13 at the first case, which a single 21-point panel passes with
+        the same error, and by 1.5e-6 at the second."""
+        assert abs(b_trunc(alphas, eps).value_log - ref) <= 1e-13
+
+
 class TestLemma1:
     """Alternating-envelope bounds for log(1+x)."""
 
@@ -167,9 +248,9 @@ class TestLemma1:
         # x/(1+x) <= log(1+x) <= x at x = 1
         rep = lemma1_check(0, [1.0])
         assert rep.passed
-        assert rep.witness["lower"] == pytest.approx(0.5, rel=1e-15)
-        assert rep.witness["upper"] == pytest.approx(1.0, rel=1e-15)
-        assert rep.witness["log1p"] == pytest.approx(math.log(2), rel=1e-15)
+        assert rep.witness["lower"] == pytest.approx(0.5, rel=1e-15, abs=0)
+        assert rep.witness["upper"] == pytest.approx(1.0, rel=1e-15, abs=0)
+        assert rep.witness["log1p"] == pytest.approx(math.log(2), rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
     def test_dense_grid(self, m):
@@ -217,14 +298,14 @@ class TestLemma5:
     def test_equal_intervals(self):
         rep = lemma5_check(1.3, 2.1, 0.1, 0.6, 0.1, 0.6)
         assert rep.max_violation <= 0.0
-        assert rep.witness["lhs"] == pytest.approx(rep.witness["rhs"], rel=1e-12)
+        assert rep.witness["lhs"] == pytest.approx(rep.witness["rhs"], rel=1e-12, abs=0)
 
     def test_uniform_halves(self):
         # means of the uniform density on [0, 1/2] and [1/2, 1]
         rep = lemma5_check(1.0, 1.0, 0.0, 0.5, 0.5, 1.0)
         assert rep.passed
-        assert rep.witness["lhs"] == pytest.approx(0.25, rel=1e-12)
-        assert rep.witness["rhs"] == pytest.approx(0.75, rel=1e-12)
+        assert rep.witness["lhs"] == pytest.approx(0.25, rel=1e-12, abs=0)
+        assert rep.witness["rhs"] == pytest.approx(0.75, rel=1e-12, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -245,8 +326,8 @@ class TestLemma6:
         alphas = (1.4, 2.2, 0.9)
         rep = lemma6_check(alphas, 1e-7)
         mean = alphas[0] / sum(alphas)
-        assert rep.witness["lhs"] == pytest.approx(mean, rel=1e-4)
-        assert rep.witness["rhs"] == pytest.approx(mean, rel=1e-4)
+        assert rep.witness["lhs"] == pytest.approx(mean, rel=1e-4, abs=0)
+        assert rep.witness["rhs"] == pytest.approx(mean, rel=1e-4, abs=0)
 
     def test_random_k3(self):
         rng = np.random.default_rng(31)
@@ -254,6 +335,12 @@ class TestLemma6:
             alphas = tuple(np.exp(rng.uniform(-1, 1.5, size=3)))
             eps = float(rng.uniform(1e-3, 0.3))
             assert lemma6_check(alphas, eps).passed
+
+
+def _b_exact(v) -> Fraction:
+    """The multivariate Beta value at positive integers, exactly."""
+    num = math.prod(math.factorial(x - 1) for x in v)
+    return Fraction(num, math.factorial(sum(v) - 1))
 
 
 class TestLemma7:
@@ -267,11 +354,6 @@ class TestLemma7:
         """Both sides computed in exact rationals for integer parameters."""
         N, x1 = 6, 2
         alphas = (1, 1, 1)
-
-        def b_exact(v):
-            num = math.prod(math.factorial(x - 1) for x in v)
-            return Fraction(num, math.factorial(sum(v) - 1))
-
         lhs = Fraction(0)
         for x2 in range(N - x1 + 1):
             x3 = N - x1 - x2
@@ -279,15 +361,38 @@ class TestLemma7:
                 math.factorial(N),
                 math.factorial(x1) * math.factorial(x2) * math.factorial(x3),
             )
-            lhs += b_exact((x1 + 1, x2 + 1, x3 + 1)) / b_exact(alphas) * coef
+            lhs += _b_exact((x1 + 1, x2 + 1, x3 + 1)) / _b_exact(alphas) * coef
         rhs = (
-            b_exact((x1 + 1, N - x1 + 2)) / b_exact((1, 2))
+            _b_exact((x1 + 1, N - x1 + 2)) / _b_exact((1, 2))
             * Fraction(math.comb(N, x1))
         )
         assert lhs == rhs
         rep = lemma7_check(alphas, N, x1)
         assert rep.passed
-        assert rep.witness["lhs"] == pytest.approx(float(lhs), rel=1e-12)
+        assert rep.witness["lhs"] == pytest.approx(float(lhs), rel=1e-12, abs=0)
+
+    def test_k4_exact_rational(self):
+        """k = 4: both sides in exact rationals for integer parameters, and
+        the check's terms, all from one gammaln pass, within 1e-12."""
+        N, x1 = 9, 3
+        alphas = (2, 1, 3, 1)
+        lhs = Fraction(0)
+        for rest in itertools.product(range(N - x1 + 1), repeat=3):
+            if sum(rest) != N - x1:
+                continue
+            x = (x1, *rest)
+            coef = Fraction(math.factorial(N),
+                            math.prod(math.factorial(v) for v in x))
+            lhs += (_b_exact([v + a for v, a in zip(x, alphas)])
+                    / _b_exact(alphas) * coef)
+        pooled = sum(alphas[1:])
+        rhs = (_b_exact((x1 + alphas[0], N - x1 + pooled))
+               / _b_exact((alphas[0], pooled)) * math.comb(N, x1))
+        assert lhs == rhs
+        rep = lemma7_check(alphas, N, x1)
+        assert rep.passed
+        assert rep.witness["lhs"] == pytest.approx(float(lhs), rel=1e-12, abs=0)
+        assert rep.witness["rhs"] == pytest.approx(float(rhs), rel=1e-12, abs=0)
 
     def test_k4_random(self):
         rng = np.random.default_rng(37)
@@ -308,15 +413,15 @@ class TestLemma8:
     def test_no_floor_gives_beta_mean(self):
         rep = lemma8_check(2.5, 3.5, 0.0)
         assert rep.passed
-        assert rep.witness["ratio"] == pytest.approx(2.5 / 6.0, rel=1e-12)
+        assert rep.witness["ratio"] == pytest.approx(2.5 / 6.0, rel=1e-12, abs=0)
 
     def test_uniform_half_hand_value(self):
         """alpha = beta = 1, eps = 1/2: conditional mean 3/4; the identity
         right side is 1/2 + (1/2 * 1/2)/(2 * 1/2) = 3/4."""
         rep = lemma8_check(1.0, 1.0, 0.5)
         assert rep.passed
-        assert rep.witness["ratio"] == pytest.approx(0.75, rel=1e-12)
-        assert rep.witness["identity_rhs"] == pytest.approx(0.75, rel=1e-12)
+        assert rep.witness["ratio"] == pytest.approx(0.75, rel=1e-12, abs=0)
+        assert rep.witness["identity_rhs"] == pytest.approx(0.75, rel=1e-12, abs=0)
 
     def test_exact_rational_cross_check(self):
         ratio = float(
@@ -324,7 +429,7 @@ class TestLemma8:
             / _beta_seg_exact(2, 2, Fraction(1, 5), Fraction(1))
         )
         rep = lemma8_check(2.0, 2.0, 0.2)
-        assert rep.witness["ratio"] == pytest.approx(ratio, rel=1e-11)
+        assert rep.witness["ratio"] == pytest.approx(ratio, rel=1e-11, abs=0)
 
     def test_bound_fails_below_alpha_one(self):
         """The linear bound genuinely breaks for alpha < 1: at
