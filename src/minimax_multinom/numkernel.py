@@ -85,66 +85,103 @@ _GK21_K = np.concatenate([_KRONROD_WEIGHTS[:10], _KRONROD_WEIGHTS[::-1]])
 _GK21_G = np.zeros(21)
 _GK21_G[1:10:2] = _GAUSS_WEIGHTS
 _GK21_G[11:] = _GK21_G[9::-1]
+# qk21's floor on a panel's error estimate, in units of its resabs
+_EPS50 = 50.0 * np.finfo(float).eps
 
 
-def gauss_kronrod(f, lo: float, hi: float) -> tuple:
-    """(integral, absolute error estimate) of f over [lo, hi] by adaptive
-    21-point Gauss-Kronrod quadrature, bisecting a level at a time.
+def gauss_kronrod(f, lo, hi) -> tuple:
+    """(integrals, absolute error estimates) of a batch of integrals by
+    adaptive 21-point Gauss-Kronrod quadrature, bisecting a level at a time
+    in lockstep.
 
-    f maps a 1-D array of nodes to the integrand there; each level makes one
-    call of f for the 21 nodes of every panel it opens.  A panel's error is
-    QUADPACK's qk21 estimate: |Kronrod - Gauss| scaled as
+    Integral j runs over [lo[j], hi[j]] (lo and hi are arrays, or scalars
+    for a batch of one).  f(x, idx) maps a 1-D array of nodes, and the index
+    of the integral each node belongs to, to the integrand there, the way
+    risk.CoordinateRiskEvaluator.coordinate takes a coordinate index per
+    point; each level makes one call of f for the 21 nodes of every panel
+    any integral opens at it.  A panel's error is QUADPACK's qk21
+    estimate: |Kronrod - Gauss| scaled as
     resasc min(1, (200 |Kronrod - Gauss| / resasc)^1.5) and at least
-    50 macheps resabs.  The first level opens both halves of [lo, hi]: one
-    panel can meet the tolerance while its value is still 3.7e-13 off in
-    the log (the one-panel trap of tests/test_simplex.py), and its halves
-    are not.  The panels' values and errors are summed with fsum;
-    once the error sum is at most max(QUAD_ABS_TOL, QUAD_REL_TOL |integral|)
-    the result is returned, and until then every panel whose error exceeds
-    its length's share of that bound is bisected.  Needing more than
-    QUAD_MAX_SUBDIVISIONS panels, or a non-finite sum, raises
-    IntegrationError.
+    50 macheps resabs.  The first level opens both halves of
+    [lo, hi]: one panel can meet the tolerance while its value is still
+    3.7e-13 off in the log (the one-panel trap of tests/test_simplex.py),
+    and its halves are not.
+
+    Each integral converges, bisects and fails on its own.  Its panels'
+    values and errors are summed with fsum; once the error sum is at most
+    max(QUAD_ABS_TOL, QUAD_REL_TOL |integral|) (or no panel exceeds its
+    share of that bound, which only rounding of the shares allows) the
+    integral is done, and until then every panel whose error exceeds its
+    length's share of the bound is bisected.  An integral needing more than
+    QUAD_MAX_SUBDIVISIONS panels, or with a non-finite sum, fails; once
+    every other integral is done the failure of the first failing one is
+    raised as IntegrationError.  A panel's sums over its nodes are taken
+    row by row (np.vecdot), not as one matrix product, whose rounding of a
+    row changes with the batch size; so, given an f that is elementwise in
+    its nodes, every integral gets the floats of a run alone.
     """
-    # the panels kept from earlier levels, and those opened at this one;
-    # the first level opens both halves of [lo, hi]
-    kept_a = kept_b = vals = errs = np.empty(0)
-    centre = 0.5 * (lo + hi)
-    a, b = np.array([lo, centre]), np.array([centre, hi])
-    eps50 = 50.0 * np.finfo(float).eps
-    while True:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        fx = np.asarray(f((mid[:, None] + half[:, None] * _GK21_X).ravel()),
-                        dtype=float).reshape(a.size, 21)
-        kron = fx @ _GK21_K
-        err = np.abs((kron - fx @ _GK21_G) * half)
-        resasc = np.abs(fx - 0.5 * kron[:, None]) @ _GK21_K * half
-        scaled = (resasc != 0.0) & (err != 0.0)
-        err[scaled] = resasc[scaled] * np.minimum(
-            1.0, (200.0 * err[scaled] / resasc[scaled]) ** 1.5)
-        err = np.maximum(err, eps50 * (np.abs(fx) @ _GK21_K * half))
-        a, b = np.concatenate([kept_a, a]), np.concatenate([kept_b, b])
-        vals = np.concatenate([vals, kron * half])
-        errs = np.concatenate([errs, err])
-        total, err_sum = stable_sum(vals), stable_sum(errs)
-        if not (math.isfinite(total) and math.isfinite(err_sum)):
-            raise IntegrationError(
-                f"quadrature on [{lo}, {hi}] met a non-finite value",
-                achieved=math.nan,
-            )
-        tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total))
-        if err_sum <= tol:
-            return total, err_sum
-        split = errs > tol * (b - a) / (hi - lo)
-        if vals.size + np.count_nonzero(split) > QUAD_MAX_SUBDIVISIONS:
-            raise IntegrationError(
-                f"quadrature on [{lo}, {hi}] did not converge in "
-                f"{QUAD_MAX_SUBDIVISIONS} panels",
-                achieved=err_sum / abs(total) if total else math.inf,
-            )
-        keep = ~split
-        kept_a, kept_b, vals, errs = a[keep], b[keep], vals[keep], errs[keep]
-        centre = 0.5 * (a[split] + b[split])
-        a, b = np.concatenate([a[split], centre]), np.concatenate([centre, b[split]])
+    los = np.asarray(lo, dtype=float).ravel().tolist()
+    his = np.asarray(hi, dtype=float).ravel().tolist()
+    values, errors, failed = [0.0] * len(los), [0.0] * len(los), {}
+    # each integral's panels (a, b, value, error estimate), and the ends and
+    # integrals of the panels opened at this level: both halves of each
+    # [lo, hi] at the first
+    panels = [[] for _ in los]
+    centres = [0.5 * (x + y) for x, y in zip(los, his)]
+    a, b, own = los + centres, centres + his, list(range(len(los))) * 2
+    while own:
+        left, right = np.array(a), np.array(b)
+        mid, half = 0.5 * (left + right), 0.5 * (right - left)
+        fx = np.asarray(f((mid[:, None] + half[:, None] * _GK21_X).ravel(),
+                          np.repeat(np.array(own), 21)), dtype=float).reshape(len(own), 21)
+        kron = np.vecdot(fx, _GK21_K)
+        # per panel: its ends, value, Kronrod - Gauss, resasc and resabs
+        rule = zip(
+            a, b, (kron * half).tolist(),
+            ((kron - np.vecdot(fx, _GK21_G)) * half).tolist(),
+            (np.vecdot(np.abs(fx - 0.5 * kron[:, None]), _GK21_K) * half).tolist(),
+            (np.vecdot(np.abs(fx), _GK21_K) * half).tolist(),
+            own,
+        )
+        for x, y, value, diff, resasc, resabs, j in rule:
+            err = abs(diff)
+            if resasc != 0.0 and err != 0.0:
+                err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+            panels[j].append((x, y, value, max(err, _EPS50 * resabs)))
+        opened, a, b, own = dict.fromkeys(own), [], [], []
+        for j in opened:
+            kept = panels[j]
+            total = stable_sum([p[2] for p in kept])
+            err_sum = stable_sum([p[3] for p in kept])
+            if not (math.isfinite(total) and math.isfinite(err_sum)):
+                failed[j] = IntegrationError(
+                    f"quadrature on [{los[j]}, {his[j]}] met a non-finite value",
+                    achieved=math.nan,
+                )
+                continue
+            tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total))
+            width = his[j] - los[j]
+            split = [p[3] > tol * (p[1] - p[0]) / width for p in kept]
+            if err_sum <= tol or not any(split):
+                values[j], errors[j] = total, err_sum
+                continue
+            if len(kept) + sum(split) > QUAD_MAX_SUBDIVISIONS:
+                failed[j] = IntegrationError(
+                    f"quadrature on [{los[j]}, {his[j]}] did not converge in "
+                    f"{QUAD_MAX_SUBDIVISIONS} panels",
+                    achieved=err_sum / abs(total) if total else math.inf,
+                )
+                continue
+            panels[j] = [p for p, s in zip(kept, split) if not s]
+            for (x, y, _, _), s in zip(kept, split):
+                if s:
+                    c = 0.5 * (x + y)
+                    a += [x, c]
+                    b += [c, y]
+                    own += [j, j]
+    if failed:
+        raise failed[min(failed)]
+    return np.array(values), np.array(errors)
 
 
 @dataclass(frozen=True)
@@ -315,10 +352,11 @@ def log_beta_segment(
     """ln of the Beta-density-kernel integral over a subinterval of [0, 1].
 
     Computes ln of int_s^t th^(alpha-1) (1-th)^(beta-1) dth.  The primary
-    route is a difference of regularized incomplete beta values; when that
-    difference loses too many significant digits (a thin slice in a region
-    of negligible mass) the integral is redone by adaptive quadrature with
-    the integrand rescaled by its interior maximum.
+    route is a difference of regularized incomplete beta values (the
+    complemented function for an upper end of 1); when that difference
+    loses too many significant digits (a thin slice in a region of
+    negligible mass) the integral is redone by gauss_kronrod, as a batch of
+    one of _log_segments_by_quadrature.
     """
     if not (alpha > 0 and beta > 0):
         raise DomainError("shape parameters must be positive")
@@ -339,50 +377,68 @@ def log_beta_segment(
         diff = upper - lower
         if diff > _SEGMENT_GUARD * max(upper, 1e-300):
             return float(_betaln(alpha, beta)) + math.log(diff)
-
-    # imported on first use: most commands never integrate
-    from scipy.integrate import quad
-
-    scale = _log_beta_integrand_max(alpha, beta, s, t)
-
-    def scaled(th: float) -> float:
-        return math.exp(
-            (alpha - 1) * math.log(th) + (beta - 1) * math.log1p(-th) - scale
-        )
-
-    val, err = quad(
-        scaled, s, t, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
-        limit=QUAD_MAX_SUBDIVISIONS,
-    )
-    if val <= 0.0:
-        raise IntegrationError(
-            f"beta segment integral underflowed on [{s}, {t}]", achieved=err
-        )
-    if err > max(QUAD_ABS_TOL, 100 * QUAD_REL_TOL * abs(val)):
-        raise IntegrationError(
-            f"beta segment quadrature did not converge on [{s}, {t}]",
-            achieved=err / abs(val),
-        )
-    return scale + math.log(val)
+    return float(_log_segments_by_quadrature(
+        np.array([alpha]), np.array([beta]), np.array([s]), np.array([t]))[0])
 
 
-def log_beta_segments(alpha: float, beta: float, s, t) -> np.ndarray:
-    """log_beta_segment(alpha, beta, s[j], t[j]) for arrays with
-    0 < s < t <= 1, from one array betainc pass per end.
+def _log_segments_by_quadrature(alpha, beta, s, t) -> np.ndarray:
+    """ln int_s^t th^(alpha-1) (1-th)^(beta-1) dth for arrays of segments,
+    by one gauss_kronrod batch of the integrands rescaled by their maxima
+    on [s, t].
 
-    A segment whose difference fails the cancellation guard, or whose upper
-    end is 1 (the complemented route), is taken from the scalar
-    log_beta_segment instead.
+    A segment whose integral underflows to 0, or whose error estimate
+    exceeds max(QUAD_ABS_TOL, 100 QUAD_REL_TOL value), raises
+    IntegrationError.
+    """
+    scale = np.array([_log_beta_integrand_max(*p) for p in zip(
+        alpha.tolist(), beta.tolist(), s.tolist(), t.tolist())])
+    am1, bm1 = alpha - 1.0, beta - 1.0
+
+    def scaled(th: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return np.exp(am1[j] * np.log(th) + bm1[j] * np.log1p(-th) - scale[j])
+
+    val, err = gauss_kronrod(scaled, s, t)
+    for j in range(val.size):
+        if val[j] <= 0.0:
+            raise IntegrationError(
+                f"beta segment integral underflowed on [{s[j]}, {t[j]}]",
+                achieved=float(err[j]),
+            )
+        if err[j] > max(QUAD_ABS_TOL, 100 * QUAD_REL_TOL * abs(val[j])):
+            raise IntegrationError(
+                f"beta segment quadrature did not converge on [{s[j]}, {t[j]}]",
+                achieved=float(err[j] / abs(val[j])),
+            )
+    return scale + np.log(val)
+
+
+def log_beta_segments(alpha, beta, s, t) -> np.ndarray:
+    """log_beta_segment(alpha[j], beta[j], s[j], t[j]) for broadcastable
+    arrays with 0 <= s < t <= 1, from one array betainc pass per end.
+
+    The segments that fail the cancellation guard go to
+    _log_segments_by_quadrature together, in one gauss_kronrod batch, and
+    each gets the float log_beta_segment gives it.  A segment whose upper
+    end is 1 (the complemented route) is taken from the scalar
+    log_beta_segment.
     """
     if _betaln is None:
         special_functions()
     upper = _betainc(alpha, beta, t)
     diff = upper - _betainc(alpha, beta, s)
     ok = (diff > _SEGMENT_GUARD * np.maximum(upper, 1e-300)) & (t < 1.0)
+    if np.count_nonzero(ok) == ok.size:
+        return _betaln(alpha, beta) + np.log(diff)
+    alpha, beta, s, t = np.broadcast_arrays(alpha, beta, s, t)
     out = np.empty(diff.shape)
-    out[ok] = float(_betaln(alpha, beta)) + np.log(diff[ok])
-    for j in np.flatnonzero(~ok).tolist():
-        out[j] = log_beta_segment(alpha, beta, float(s[j]), float(t[j]))
+    out[ok] = _betaln(alpha[ok], beta[ok]) + np.log(diff[ok])
+    thin = ~ok & (t < 1.0)
+    if thin.any():
+        out[thin] = _log_segments_by_quadrature(alpha[thin], beta[thin],
+                                                s[thin], t[thin])
+    for j in np.flatnonzero(t == 1.0).tolist():
+        out[j] = log_beta_segment(float(alpha[j]), float(beta[j]),
+                                  float(s[j]), float(t[j]))
     return out
 
 

@@ -218,7 +218,11 @@ class CoordinateRiskEvaluator:
     exact integers up to N = 10,000.  The x = 0 term's log is
     log(a_i) - log(N t + a_i), not log1p(w_i): there w_i = -N t/(N t + a_i)
     rounds toward -1 when a_i is far below N t, and to -1 itself (an
-    infinite log, which log1p is not given) below about 1e-16 N t.
+    infinite log, which log1p is not given) below about 1e-16 N t.  The
+    head -t log(1 + s), s = (a_i - A t)/((N + A) t), takes 1 + s as the
+    quotient (a_i + N t)/((N + A) t) where it is below 1/2: there s
+    cancels toward -1 (at N = 0, 1 + s = a_i/(A t)), and log1p(s) loses
+    the digits of a small a_i.
     """
 
     def __init__(self, prior: PriorSpec, model: ModelSpec):
@@ -264,8 +268,12 @@ class CoordinateRiskEvaluator:
                 ews += self._window_sums(rows, lengths, first_at, first_logs)
                 rows, lengths, first_at, first_logs, terms = [], [], [], [], 0
             s = (a_i - A * tj) / ((N + A) * tj)
-            heads.append(-tj * math.log1p(s))
             nt = N * tj
+            if s < -0.5:
+                # s cancels toward -1 here: take 1 + s as its quotient
+                heads.append(-tj * math.log((nt + a_i) / ((N + A) * tj)))
+            else:
+                heads.append(-tj * math.log1p(s))
             if lo == 0:
                 first_at.append(terms)
                 first_logs.append(math.log(a_i) - math.log(nt + a_i))

@@ -11,13 +11,16 @@ The central objects are
 For k = 2 the integral is a Beta-kernel segment and is evaluated in closed
 form.  For k = 3 it is one adaptive Gauss-Kronrod integral over theta_1
 (numkernel.gauss_kronrod) of Beta segments, each level's nodes evaluated in
-one array pass.  For larger k it is estimated by rejection sampling from
-the untruncated Dirichlet with seeded counter-based streams; forced
-quadrature there nests the same integral k - 2 deep, down to the k = 3 one.
+one array pass; a batch of such integrals runs in lockstep, one array pass
+per level for all of them, and each gets the floats of its run alone.  For
+larger k it is estimated by rejection sampling from the untruncated
+Dirichlet with seeded counter-based streams; forced quadrature there nests
+the same integral k - 2 deep, down to the k = 3 one, each level one batch.
 
 The module also hosts the numbered inequality/identity checks (the "lemma"
 suite exposed by the CLI); see the README for the catalogue of what each
-number asserts.
+number asserts.  Each check is a batch of one of the code its randomized
+suite runs on every trial at once.
 """
 
 from __future__ import annotations
@@ -75,64 +78,134 @@ class TruncatedDirichletIntegral:
 _SEGMENT_REL_ERR = 1e-13
 
 
-def _recursive_b_log(alphas, eps: float) -> tuple:
-    """(log value, relative error estimate) by nested quadrature.
+def _outer_integrand(alphas: np.ndarray, eps: np.ndarray) -> tuple:
+    """(f, lo, hi, scale, inner_err) of the outer integrals of
+    _recursive_b_log for a batch: row j of alphas (one row of k >= 3 shape
+    parameters per integral) floored at eps[j].
+
+    f(t1, idx) is the integrand of integral idx at theta_1 = t1, divided by
+    exp(scale[idx]), its magnitude at the midpoint of [lo, hi], which keeps
+    the rule in a comfortable floating range.  At k = 3 the inner values
+    are Beta segments, taken for every node at once
+    (numkernel.log_beta_segments); above it they are one batch of
+    _recursive_b_log over the nodes, whose worst relative error estimate
+    per integral f keeps in inner_err.
+    """
+    k = alphas.shape[1]
+    rest = alphas[:, 1:]
+    rows, lo = alphas.tolist(), eps.tolist()
+    hi = [1.0 - (k - 1) * e for e in lo]
+    mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
+    mid_eps = [e / (1.0 - m) for e, m in zip(lo, mid)]
+    if k == 3:
+        mid_inner = [log_beta_segment(row[1], row[2], e, 1.0 - e)
+                     for row, e in zip(rows, mid_eps)]
+    else:
+        mid_inner = _recursive_b_log(rest, np.array(mid_eps))[0].tolist()
+    e1, e2, scale = [], [], []
+    for row, m, inner in zip(rows, mid, mid_inner):
+        e1.append(row[0] - 1)
+        e2.append(stable_sum(row[1:]) - 1)
+        scale.append(e1[-1] * math.log(m) + e2[-1] * math.log1p(-m) + inner)
+    e1, e2, scale_at = np.array(e1), np.array(e2), np.array(scale)
+    inner_err = np.zeros(eps.size) + (_SEGMENT_REL_ERR if k == 3 else 0.0)
+
+    def f(t1: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        # a batch of one broadcasts its parameters instead of gathering them
+        at = idx if eps.size > 1 else slice(None)
+        inner_eps = eps[at] / (1.0 - t1)
+        # the inner simplex is empty from inner_eps = 1/(k-1) on
+        live = inner_eps < 1.0 / (k - 1)
+        if np.count_nonzero(live) < live.size:
+            out = np.zeros(t1.size)
+            out[live] = f(t1[live], idx[live])
+            return out
+        if k == 3:
+            inner = log_beta_segments(rest[at, 0], rest[at, 1], inner_eps,
+                                      1.0 - inner_eps)
+        else:
+            inner, ierr = _recursive_b_log(rest[idx], inner_eps)
+            np.maximum.at(inner_err, idx, ierr)
+        return np.exp(e1[at] * np.log(t1) + e2[at] * np.log1p(-t1) + inner - scale_at[at])
+
+    return f, lo, hi, scale, inner_err
+
+
+def _recursive_b_log(alphas: np.ndarray, eps: np.ndarray) -> tuple:
+    """(log values, relative error estimates) of a batch of floored-simplex
+    integrals by nested quadrature: row j of alphas floored at eps[j], all
+    rows of one k >= 3.
 
     Peels off the first coordinate: conditionally on theta_1, the remaining
     coordinates rescaled by 1/(1 - theta_1) fill a (k-1)-simplex floored at
     eps/(1 - theta_1), so the integral factorizes into a one-dimensional
-    outer integral (numkernel.gauss_kronrod) against a recursively computed
-    inner value.  At k = 3 the inner values are Beta segments, taken for
-    all the nodes of a level at once (numkernel.log_beta_segments).
+    outer integral against a recursively computed inner value.  The outer
+    integrals of the batch are one lockstep numkernel.gauss_kronrod batch,
+    so each level is one integrand call for the whole batch, and every
+    integral gets the floats of a batch of one.
     """
-    k = len(alphas)
-    if k == 2:
-        lv = log_beta_segment(alphas[0], alphas[1], eps, 1.0 - eps)
-        return lv, _SEGMENT_REL_ERR
-    rest = alphas[1:]
-    rest_sum = stable_sum(rest)
-    lo, hi = eps, 1.0 - (k - 1) * eps
-    # scale by the integrand magnitude at the midpoint to keep the rule in
-    # a comfortable floating range
-    mid = 0.5 * (lo + hi)
-    mid_inner, _ = _recursive_b_log(rest, eps / (1.0 - mid))
-    scale = (alphas[0] - 1) * math.log(mid) + (rest_sum - 1) * math.log1p(-mid) + mid_inner
-
-    inner_err = _SEGMENT_REL_ERR if k == 3 else 0.0
-
-    def log_inner(inner_eps: np.ndarray) -> np.ndarray:
-        nonlocal inner_err
-        if k == 3:
-            return log_beta_segments(rest[0], rest[1], inner_eps, 1.0 - inner_eps)
-        out = []
-        for e in inner_eps.tolist():
-            inner, ierr = _recursive_b_log(rest, e)
-            inner_err = max(inner_err, ierr)
-            out.append(inner)
-        return np.array(out)
-
-    def integrand(t1: np.ndarray) -> np.ndarray:
-        inner_eps = eps / (1.0 - t1)
-        # the inner simplex is empty from inner_eps = 1/(k-1) on
-        live = inner_eps < 1.0 / (k - 1)
-        t1 = t1[live]
-        out = np.zeros(live.size)
-        out[live] = np.exp(
-            (alphas[0] - 1) * np.log(t1)
-            + (rest_sum - 1) * np.log1p(-t1)
-            + log_inner(inner_eps[live])
-            - scale
-        )
-        return out
-
-    val, err = gauss_kronrod(integrand, lo, hi)
-    if val <= 0:
-        raise DomainError(f"truncated simplex integral degenerated at eps={eps!r}")
-    return scale + math.log(val), err / val + inner_err
+    f, lo, hi, scale, inner_err = _outer_integrand(alphas, eps)
+    val, err = gauss_kronrod(f, lo, hi)
+    logs, rel = [], []
+    for s, v, e, ie, ep in zip(scale, val.tolist(), err.tolist(),
+                               inner_err.tolist(), lo):
+        if v <= 0:
+            raise DomainError(f"truncated simplex integral degenerated at eps={ep!r}")
+        logs.append(s + math.log(v))
+        rel.append(e / v + ie)
+    return np.array(logs), np.array(rel)
 
 
 #: b_trunc's Monte Carlo budget when no settings are passed
 _B_TRUNC_MC = MonteCarloSettings(n_draws=1_000_000, batch_size=65_536)
+
+
+def _checked(alphas, eps: float) -> tuple:
+    """alphas as a tuple of floats, once b_trunc's domain checks pass."""
+    alphas = tuple(float(v) for v in alphas)
+    k = len(alphas)
+    if k < 2:
+        raise DomainError("need at least two categories")
+    if any(v <= 0 for v in alphas):
+        raise DomainError("Dirichlet parameters must be positive")
+    if not (0.0 < eps < 1.0 / k):
+        raise DomainError(f"need 0 < eps < 1/k, got eps={eps!r}, k={k}")
+    return alphas
+
+
+def _integral(alphas: tuple, eps: float, value_log: float,
+              method: IntegrationMethod, err: float) -> TruncatedDirichletIntegral:
+    # truncation can only shrink the integral; clamp rounding overshoot
+    value_log = min(value_log, log_multivariate_beta(alphas))
+    return TruncatedDirichletIntegral(alphas, eps, value_log, method, err)
+
+
+def _b_trunc_batch(params: list) -> list:
+    """b_trunc(alphas, eps) under the automatic method for each checked
+    (alphas, eps) of params: every k = 2 segment from one _log_beta_pairs
+    batch, and every k = 3 integral in one lockstep _recursive_b_log batch,
+    where b_trunc takes each as a batch of one; so each result is the one
+    b_trunc gives alone."""
+    out = [None] * len(params)
+    for k, method, batch in ((2, IntegrationMethod.EXACT_1D, _log_beta_pairs),
+                             (3, IntegrationMethod.RECURSIVE_QUAD, _recursive_b_log)):
+        rows = [j for j, (alphas, _) in enumerate(params) if len(alphas) == k]
+        if rows:
+            logs, errs = batch(np.array([params[j][0] for j in rows]),
+                               np.array([params[j][1] for j in rows]))
+            for j, value_log, err in zip(rows, logs.tolist(), errs.tolist()):
+                out[j] = _integral(*params[j], value_log, method, err)
+    for j, (alphas, eps) in enumerate(params):
+        if len(alphas) > 3:
+            out[j] = b_trunc(alphas, eps)
+    return out
+
+
+def _log_beta_pairs(alphas: np.ndarray, eps: np.ndarray) -> tuple:
+    """(log values, relative errors) of a batch of k = 2 floored integrals:
+    Beta segments over [eps, 1 - eps], from one array betainc pass."""
+    logs = log_beta_segments(alphas[:, 0], alphas[:, 1], eps, 1.0 - eps)
+    return logs, np.full(eps.size, _SEGMENT_REL_ERR)
 
 
 def b_trunc(
@@ -153,15 +226,8 @@ def b_trunc(
     DomainError, and its stderr_ceiling bounds the standard error of the
     retained fraction.
     """
-    alphas = tuple(float(v) for v in alphas)
+    alphas = _checked(alphas, eps)
     k = len(alphas)
-    if k < 2:
-        raise DomainError("need at least two categories")
-    if any(v <= 0 for v in alphas):
-        raise DomainError("Dirichlet parameters must be positive")
-    if not (0.0 < eps < 1.0 / k):
-        raise DomainError(f"need 0 < eps < 1/k, got eps={eps!r}, k={k}")
-
     if method is None:
         if k == 2:
             method = IntegrationMethod.EXACT_1D
@@ -172,23 +238,22 @@ def b_trunc(
     if mc is not None and method is not IntegrationMethod.MONTE_CARLO:
         raise DomainError(f"Monte Carlo settings given for method {method.value}")
 
-    log_full = log_multivariate_beta(alphas)
-
     if method is IntegrationMethod.EXACT_1D:
         if k != 2:
             raise DomainError("EXACT_1D applies to k = 2 only")
-        value_log = log_beta_segment(alphas[0], alphas[1], eps, 1.0 - eps)
-        err = _SEGMENT_REL_ERR
+        logs, errs = _log_beta_pairs(np.array([alphas]), np.array([eps]))
+        value_log, err = float(logs[0]), float(errs[0])
     elif method is IntegrationMethod.RECURSIVE_QUAD:
         if k == 2:
             # forced path for cross-checks: integrate the raw kernel
-            def integrand(t):
+            def integrand(t, _):
                 return t ** (alphas[0] - 1) * (1 - t) ** (alphas[1] - 1)
 
             val, aerr = gauss_kronrod(integrand, eps, 1 - eps)
-            value_log, err = math.log(val), aerr / val
+            value_log, err = math.log(val[0]), float(aerr[0] / val[0])
         else:
-            value_log, err = _recursive_b_log(alphas, eps)
+            values, errs = _recursive_b_log(np.array([alphas]), np.array([eps]))
+            value_log, err = float(values[0]), float(errs[0])
     elif method is IntegrationMethod.MONTE_CARLO:
         mc = mc or _B_TRUNC_MC
         accepted = proposed = 0
@@ -208,14 +273,11 @@ def b_trunc(
                 f"standard error {se:.3e} above ceiling {mc.stderr_ceiling:.3e}",
                 frac, se,
             )
-        value_log = math.log(frac) + log_full
+        value_log = math.log(frac) + log_multivariate_beta(alphas)
         err = 3.0 * se / frac
     else:  # pragma: no cover
         raise DomainError(f"unknown method {method!r}")
-
-    # truncation can only shrink the integral; clamp rounding overshoot
-    value_log = min(value_log, log_full)
-    return TruncatedDirichletIntegral(alphas, eps, value_log, method, err)
+    return _integral(alphas, eps, value_log, method, err)
 
 
 def log_i_trunc(
@@ -313,28 +375,42 @@ def lemma4_check(alphas, eps: float) -> LemmaReport:
     by at most Gamma(sum alpha) / (Gamma(alpha_1 + 1) Gamma(sum rest)) *
     eps^alpha_1 (1 - eps)^(sum rest).
     """
-    alphas = tuple(float(v) for v in alphas)
-    rest_sum = stable_sum(alphas[1:])
-    b0 = b_trunc(alphas, eps)
-    bumped = (alphas[0] + 1.0,) + alphas[1:]
-    b1 = b_trunc(bumped, eps)
-    i0 = math.exp(b0.value_log - log_multivariate_beta(alphas))
-    i1 = math.exp(b1.value_log - log_multivariate_beta(bumped))
-    lhs = i1 - i0
-    rhs = math.exp(
-        math.lgamma(stable_sum(alphas))
-        - math.lgamma(alphas[0] + 1.0)
-        - math.lgamma(rest_sum)
-        + alphas[0] * math.log(eps)
-        + rest_sum * math.log1p(-eps)
-    )
-    slack = SLACK_FACTOR * (b0.error_estimate * i0 + b1.error_estimate * i1)
-    violation = lhs - rhs - slack
-    return LemmaReport(
-        4, 1, violation,
-        {"alphas": list(alphas), "eps": eps, "lhs": lhs, "rhs": rhs, "slack": slack},
-        None, {"slack_factor": SLACK_FACTOR},
-    )
+    return _lemma4_reports([(alphas, eps)])[0]
+
+
+def _bumped_integrals(draws: list) -> tuple:
+    """(checked draws, b_trunc of each, b_trunc with the first shape
+    parameter raised by one) for a list of (alphas, eps), all integrals in
+    one _b_trunc_batch."""
+    draws = [(_checked(alphas, eps), eps) for alphas, eps in draws]
+    bumped = [((alphas[0] + 1.0,) + alphas[1:], eps) for alphas, eps in draws]
+    ints = _b_trunc_batch(draws + bumped)
+    return draws, ints[:len(draws)], ints[len(draws):]
+
+
+def _lemma4_reports(draws: list) -> list:
+    """lemma4_check for each (alphas, eps) of draws."""
+    reports = []
+    for (alphas, eps), b0, b1 in zip(*_bumped_integrals(draws)):
+        rest_sum = stable_sum(alphas[1:])
+        i0 = math.exp(b0.value_log - log_multivariate_beta(alphas))
+        i1 = math.exp(b1.value_log - log_multivariate_beta(b1.alphas))
+        lhs = i1 - i0
+        rhs = math.exp(
+            math.lgamma(stable_sum(alphas))
+            - math.lgamma(alphas[0] + 1.0)
+            - math.lgamma(rest_sum)
+            + alphas[0] * math.log(eps)
+            + rest_sum * math.log1p(-eps)
+        )
+        slack = SLACK_FACTOR * (b0.error_estimate * i0 + b1.error_estimate * i1)
+        reports.append(LemmaReport(
+            4, 1, lhs - rhs - slack,
+            {"alphas": list(alphas), "eps": eps, "lhs": lhs, "rhs": rhs,
+             "slack": slack},
+            None, {"slack_factor": SLACK_FACTOR},
+        ))
+    return reports
 
 
 def lemma5_check(
@@ -346,24 +422,33 @@ def lemma5_check(
     of the (alpha+1, beta) segment to the (alpha, beta) segment cannot
     decrease when moving from [s, t] to [u, v].
     """
-    if not (0 <= s < t <= 1 and 0 <= u < v <= 1 and s <= u and t <= v):
-        raise DomainError("need admissible ordered intervals")
-    lhs = math.exp(
-        log_beta_segment(alpha + 1, beta, s, t)
-        - log_beta_segment(alpha, beta, s, t)
-    )
-    rhs = math.exp(
-        log_beta_segment(alpha + 1, beta, u, v)
-        - log_beta_segment(alpha, beta, u, v)
-    )
-    slack = SLACK_FACTOR * 1e-12 * (lhs + rhs)
-    violation = lhs - rhs - slack
-    return LemmaReport(
-        5, 1, violation,
-        {"alpha": alpha, "beta": beta, "s": s, "t": t, "u": u, "v": v,
-         "lhs": lhs, "rhs": rhs},
-        None, {"slack_factor": SLACK_FACTOR},
-    )
+    return _lemma5_reports([(alpha, beta, s, t, u, v)])[0]
+
+
+def _lemma5_reports(draws: list) -> list:
+    """lemma5_check for each (alpha, beta, s, t, u, v) of draws, with every
+    Beta segment from one numkernel.log_beta_segments call."""
+    segments = []
+    for alpha, beta, s, t, u, v in draws:
+        if not (0 <= s < t <= 1 and 0 <= u < v <= 1 and s <= u and t <= v):
+            raise DomainError("need admissible ordered intervals")
+        if not (alpha > 0 and beta > 0):
+            raise DomainError("shape parameters must be positive")
+        segments += [(alpha + 1, beta, s, t), (alpha, beta, s, t),
+                     (alpha + 1, beta, u, v), (alpha, beta, u, v)]
+    logs = log_beta_segments(*np.array(segments, dtype=float).T).tolist()
+    reports = []
+    for j, (alpha, beta, s, t, u, v) in enumerate(draws):
+        lhs = math.exp(logs[4 * j] - logs[4 * j + 1])
+        rhs = math.exp(logs[4 * j + 2] - logs[4 * j + 3])
+        slack = SLACK_FACTOR * 1e-12 * (lhs + rhs)
+        reports.append(LemmaReport(
+            5, 1, lhs - rhs - slack,
+            {"alpha": alpha, "beta": beta, "s": s, "t": t, "u": u, "v": v,
+             "lhs": lhs, "rhs": rhs},
+            None, {"slack_factor": SLACK_FACTOR},
+        ))
+    return reports
 
 
 def lemma6_check(alphas, eps: float) -> LemmaReport:
@@ -373,22 +458,26 @@ def lemma6_check(alphas, eps: float) -> LemmaReport:
     parameter is bounded by the corresponding one-dimensional segment ratio
     on [eps, 1] with the remaining parameters pooled.
     """
-    alphas = tuple(float(v) for v in alphas)
-    rest_sum = stable_sum(alphas[1:])
-    b0 = b_trunc(alphas, eps)
-    b1 = b_trunc((alphas[0] + 1.0,) + alphas[1:], eps)
-    lhs = math.exp(b1.value_log - b0.value_log)
-    rhs = math.exp(
-        log_beta_segment(alphas[0] + 1.0, rest_sum, eps, 1.0)
-        - log_beta_segment(alphas[0], rest_sum, eps, 1.0)
-    )
-    slack = SLACK_FACTOR * (b0.error_estimate + b1.error_estimate + 2e-12) * (lhs + rhs)
-    violation = lhs - rhs - slack
-    return LemmaReport(
-        6, 1, violation,
-        {"alphas": list(alphas), "eps": eps, "lhs": lhs, "rhs": rhs},
-        None, {"slack_factor": SLACK_FACTOR},
-    )
+    return _lemma6_reports([(alphas, eps)])[0]
+
+
+def _lemma6_reports(draws: list) -> list:
+    """lemma6_check for each (alphas, eps) of draws."""
+    reports = []
+    for (alphas, eps), b0, b1 in zip(*_bumped_integrals(draws)):
+        rest_sum = stable_sum(alphas[1:])
+        lhs = math.exp(b1.value_log - b0.value_log)
+        rhs = math.exp(
+            log_beta_segment(alphas[0] + 1.0, rest_sum, eps, 1.0)
+            - log_beta_segment(alphas[0], rest_sum, eps, 1.0)
+        )
+        slack = SLACK_FACTOR * (b0.error_estimate + b1.error_estimate + 2e-12) * (lhs + rhs)
+        reports.append(LemmaReport(
+            6, 1, lhs - rhs - slack,
+            {"alphas": list(alphas), "eps": eps, "lhs": lhs, "rhs": rhs},
+            None, {"slack_factor": SLACK_FACTOR},
+        ))
+    return reports
 
 
 def lemma7_check(alphas, N: int, x1: int) -> LemmaReport:
@@ -461,6 +550,59 @@ def lemma8_check(alpha: float, beta: float, eps: float) -> LemmaReport:
     )
 
 
+def _draw_lemma1(rng) -> tuple:
+    return int(rng.integers(0, 6)), [float(rng.uniform(-0.99, 10.0))]
+
+
+def _draw_simplex(rng) -> tuple:
+    # the lemma 4 and 6 suites: k = 2 or 3, shape parameters log-uniform
+    k = 2 if rng.random() < 0.7 else 3
+    alphas = np.exp(rng.uniform(math.log(0.2), math.log(8.0), size=k))
+    return tuple(alphas), float(rng.uniform(1e-3, 0.95 / k))
+
+
+def _draw_lemma5(rng) -> tuple:
+    alpha = float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
+    beta = float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
+    s = float(rng.uniform(0.0, 0.8))
+    u = float(rng.uniform(s, 0.9))
+    t = float(rng.uniform(s + 0.01, 1.0))
+    v = float(rng.uniform(max(t, u + 0.01), 1.0))
+    return alpha, beta, s, t, u, v
+
+
+def _draw_lemma7(rng) -> tuple:
+    k = int(rng.integers(2, 5))
+    N = int(rng.integers(1, 21))
+    alphas = np.exp(rng.uniform(math.log(0.2), math.log(8.0), size=k))
+    return tuple(alphas), N, int(rng.integers(0, N + 1))
+
+
+def _draw_lemma8(rng) -> tuple:
+    # the linear bound is provably false for alpha < 1 (see the README and
+    # lemma8_check docstring), so the suite samples the bound's domain of
+    # validity; the identity part is universal
+    alpha = float(np.exp(rng.uniform(0.0, math.log(20.0))))
+    beta = float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
+    return alpha, beta, float(rng.uniform(0.0, 0.95))
+
+
+def _each(check):
+    return lambda draws: [check(*d) for d in draws]
+
+
+#: per suite: one trial's draw from the stream, and the checks of a list of
+#: draws
+_SUITES = {
+    1: (_draw_lemma1, _each(lemma1_check)),
+    4: (_draw_simplex, _lemma4_reports),
+    5: (_draw_lemma5, _lemma5_reports),
+    6: (_draw_simplex, _lemma6_reports),
+    7: (_draw_lemma7, _each(lemma7_check)),
+    8: (_draw_lemma8, _each(lemma8_check)),
+}
+
+
 def run_lemma_suite(
     lemma: int,
     trials: int,
@@ -470,57 +612,23 @@ def run_lemma_suite(
 
     Draws are taken from a single counter-based stream keyed on
     (seed, lemma number), so reports are reproducible and independent of
-    any parallelism in the caller.
+    any parallelism in the caller.  Every trial is drawn first, in stream
+    order; the checks then run on the whole list, so the lemma 4 and 6
+    suites integrate all their k = 3 integrals in one lockstep batch and
+    the lemma 5 suite takes its Beta segments from one array pass.  Every
+    trial's report is the one its check gives alone, and the reports are
+    merged in trial order.
     """
     if trials < 1:
         raise DomainError(f"trials must be a positive integer, got {trials}")
     rng = seeded_stream(seed, lemma)
-    report: LemmaReport | None = None
-
-    def fold(r: LemmaReport):
-        nonlocal report
-        report = r if report is None else report.merge(r)
-
-    for _ in range(trials):
-        if lemma == 1:
-            m = int(rng.integers(0, 6))
-            x = float(rng.uniform(-0.99, 10.0))
-            fold(lemma1_check(m, [x]))
-        elif lemma == 4:
-            k = 2 if rng.random() < 0.7 else 3
-            alphas = np.exp(rng.uniform(math.log(0.2), math.log(8.0), size=k))
-            eps = float(rng.uniform(1e-3, 0.95 / k))
-            fold(lemma4_check(tuple(alphas), eps))
-        elif lemma == 5:
-            alpha = float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
-            beta = float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
-            s = float(rng.uniform(0.0, 0.8))
-            u = float(rng.uniform(s, 0.9))
-            t = float(rng.uniform(s + 0.01, 1.0))
-            v = float(rng.uniform(max(t, u + 0.01), 1.0))
-            fold(lemma5_check(alpha, beta, s, t, u, v))
-        elif lemma == 6:
-            k = 2 if rng.random() < 0.7 else 3
-            alphas = np.exp(rng.uniform(math.log(0.2), math.log(8.0), size=k))
-            eps = float(rng.uniform(1e-3, 0.95 / k))
-            fold(lemma6_check(tuple(alphas), eps))
-        elif lemma == 7:
-            k = int(rng.integers(2, 5))
-            N = int(rng.integers(1, 21))
-            alphas = np.exp(rng.uniform(math.log(0.2), math.log(8.0), size=k))
-            x1 = int(rng.integers(0, N + 1))
-            fold(lemma7_check(tuple(alphas), N, x1))
-        elif lemma == 8:
-            # the linear bound is provably false for alpha < 1 (see the
-            # README and lemma8_check docstring), so the suite samples the
-            # bound's domain of validity; the identity part is universal
-            alpha = float(np.exp(rng.uniform(0.0, math.log(20.0))))
-            beta = float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
-            eps = float(rng.uniform(0.0, 0.95))
-            fold(lemma8_check(alpha, beta, eps))
-        else:
-            raise DomainError(f"no randomized suite for lemma {lemma}")
-
+    if lemma not in _SUITES:
+        raise DomainError(f"no randomized suite for lemma {lemma}")
+    draw, checks = _SUITES[lemma]
+    reports = checks([draw(rng) for _ in range(trials)])
+    report = reports[0]
+    for r in reports[1:]:
+        report = report.merge(r)
     report.trials = trials
     report.seed = seed
     return report

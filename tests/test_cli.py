@@ -1,5 +1,6 @@
 """Command-line contract: payloads, exit codes, determinism, formats."""
 
+import ast
 import json
 import math
 import os
@@ -297,11 +298,14 @@ class TestErrorHandling:
          "risk"),
         (["compare-priors", "--k", "2", "--N", "64", "--priors", "1e-17",
           "--grid-size", "16"], "sup_risk"),
-    ], ids=["risk", "compare-priors"])
+        (["risk", "--k", "2", "--N", "0", "--a", "1e-17,1", "--theta", "0.5"],
+         "risk"),
+    ], ids=["risk", "compare-priors", "risk-N0"])
     def test_tiny_prior_weight_raises_no_numpy_warning(self, capsys, argv,
                                                        field):
-        """At a weight this small w rounds to -1 at x = 0; the kernel's
-        x = 0 term is still finite, and no numpy warning is printed."""
+        """At a weight this small w rounds to -1 at x = 0, and with no data
+        s = (a_i - A t)/(A t) rounds to -1; the kernel's x = 0 term and
+        head are still finite, and no numpy warning is printed."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv, "--format", "json")
@@ -416,11 +420,44 @@ def _loads_quadrature(*argv) -> bool:
     return "scipy.integrate" in _scipy_modules(*argv)
 
 
+def _quadrature_imports() -> list:
+    """module.function for every import of scipy.integrate in src/, by the
+    functions (or classes) that enclose it."""
+    found = []
+    for path in sorted(Path(minimax_multinom.__file__).parent.glob("*.py")):
+
+        def visit(node, scope):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                names = []
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    scope = scope + [node.name]
+            if any(n == "scipy.integrate" or n.startswith("scipy.integrate.")
+                   for n in names):
+                found.append(".".join([path.stem] + scope))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text()), [])
+    return found
+
+
+def test_quad_is_imported_only_by_the_bayes_quadrature():
+    """The floored Bayes risk's nested quadrature is the one caller of
+    scipy's quad left; every other integral runs on gauss_kronrod."""
+    assert _quadrature_imports() == ["risk._bayes_numerator"]
+
+
 class TestImportIsolation:
-    """scipy.integrate is imported only by runs that call its quad (the
-    floored Bayes risks, and the Beta segments' fallback for thin slices),
-    and scipy.special only by runs that integrate, take a Beta segment or
-    build a truncated-predictive table."""
+    """scipy.integrate is imported only by runs that call its quad, the
+    floored Bayes risks (every other integral, the Beta segments' fallback
+    for thin slices included, runs on numkernel.gauss_kronrod), and
+    scipy.special only by runs that integrate, take a Beta segment or build
+    a truncated-predictive table."""
 
     def test_import_loads_no_scipy(self):
         assert _scipy_modules() == set()
@@ -462,14 +499,16 @@ class TestImportIsolation:
                       "--prior", "minimax"], id="expansion-error"),
         pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
                       "--alpha-grid", "1:1.2:0.1"], id="optimal-alpha"),
+        pytest.param(["verify-lemmas", "--lemma", "all"], id="verify-lemmas-all"),
+        # this run reaches the Beta-segment fallback for thin slices
+        pytest.param(["verify-lemmas", "--lemma", "4", "--seed", "7"],
+                     id="verify-lemmas-4-seed-7"),
     ])
     def test_non_integrating_run_skips_quadrature(self, argv):
         assert not _loads_quadrature(*argv)
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["sandwich", "--k", "2", "--N", "8"], id="sandwich"),
-        # the lemma 5 suite's thin slices take log_beta_segment's fallback
-        pytest.param(["verify-lemmas", "--lemma", "5"], id="verify-lemmas"),
     ])
     def test_integrating_run_loads_quadrature(self, argv):
         assert _loads_quadrature(*argv)

@@ -1,7 +1,11 @@
 """Special-function and summation primitives against independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -27,8 +31,8 @@ mpmath.mp.dps = 40
 class TestLogMultivariateBeta:
     def test_trivial_values(self):
         assert log_multivariate_beta((1, 1)) == pytest.approx(0.0, abs=1e-15)
-        assert log_multivariate_beta((1, 1, 1)) == pytest.approx(math.log(0.5), rel=1e-14)
-        assert log_multivariate_beta((0.5, 0.5)) == pytest.approx(math.log(math.pi), rel=1e-14)
+        assert log_multivariate_beta((1, 1, 1)) == pytest.approx(math.log(0.5), rel=1e-14, abs=0)
+        assert log_multivariate_beta((0.5, 0.5)) == pytest.approx(math.log(math.pi), rel=1e-14, abs=0)
 
     @given(
         st.floats(min_value=1e-3, max_value=1e3),
@@ -53,23 +57,23 @@ class TestLogMultinomial:
         # C(N; x1, x2, x3) = C(N, x1) * C(N - x1, x2)
         lhs = log_multinomial(10, (3, 5, 2))
         rhs = math.log(math.comb(10, 3)) + math.log(math.comb(7, 5))
-        assert lhs == pytest.approx(rhs, rel=1e-14)
+        assert lhs == pytest.approx(rhs, rel=1e-14, abs=0)
 
     def test_binomial_trivial_values(self):
         assert log_multinomial(5, (0, 5)) == 0.0
-        assert log_multinomial(4, (2, 2)) == pytest.approx(math.log(6), rel=1e-15)
+        assert log_multinomial(4, (2, 2)) == pytest.approx(math.log(6), rel=1e-15, abs=0)
 
     def test_binomial_exact_bigint_oracle(self):
         """ln C(100, 50) against the exact integer binomial."""
         exact = math.log(math.comb(100, 50))
-        assert log_multinomial(100, (50, 50)) == pytest.approx(exact, rel=1e-14)
-        assert exact == pytest.approx(66.78384165201743, rel=1e-12)
+        assert log_multinomial(100, (50, 50)) == pytest.approx(exact, rel=1e-14, abs=0)
+        assert exact == pytest.approx(66.78384165201743, rel=1e-12, abs=0)
 
     def test_binomial_gammaln_path_matches_exact(self):
         # N above the exact-integer cutoff
         got = log_multinomial(15000, (7500, 7500))
         exact = math.log(math.comb(15000, 7500))
-        assert got == pytest.approx(exact, rel=1e-13)
+        assert got == pytest.approx(exact, rel=1e-13, abs=0)
 
     def test_binomial_domain(self):
         with pytest.raises(DomainError):
@@ -105,7 +109,7 @@ class TestLogBinomialRow:
 
 class TestBetaSegment:
     def test_uniform_full_interval(self):
-        assert math.exp(log_beta_segment(1, 1, 0, 1)) == pytest.approx(1.0, rel=1e-14)
+        assert math.exp(log_beta_segment(1, 1, 0, 1)) == pytest.approx(1.0, rel=1e-14, abs=0)
 
     def test_full_interval_equals_beta(self):
         rng = np.random.default_rng(7)
@@ -113,14 +117,14 @@ class TestBetaSegment:
             a, b = np.exp(rng.uniform(np.log(0.1), np.log(50.0), size=2))
             full = math.exp(log_beta_segment(a, b, 0.0, 1.0))
             assert full == pytest.approx(
-                math.exp(log_multivariate_beta((a, b))), rel=1e-12
+                math.exp(log_multivariate_beta((a, b))), rel=1e-12, abs=0
             )
 
     def test_polynomial_antiderivative_oracle(self):
         """theta (1-theta)^2 integrates to 11/192 over [1/4, 3/4]."""
         exact = Fraction(11, 192)
         got = math.exp(log_beta_segment(2, 3, 0.25, 0.75))
-        assert got == pytest.approx(float(exact), rel=1e-12)
+        assert got == pytest.approx(float(exact), rel=1e-12, abs=0)
 
     def test_tiny_upper_tail_against_mpmath(self):
         # mass ~ 2e-9: the naive incomplete-beta difference loses 8 digits
@@ -129,7 +133,7 @@ class TestBetaSegment:
             lambda t: t ** (a - 1) * (1 - t) ** (b - 1), [mpmath.mpf(s), 1]
         ))
         got = math.exp(log_beta_segment(a, b, s, 1.0))
-        assert got == pytest.approx(ref, rel=1e-11)
+        assert got == pytest.approx(ref, rel=1e-11, abs=0)
 
     def test_interior_sliver_against_mpmath(self):
         a, b = 3.0, 40.0
@@ -137,7 +141,7 @@ class TestBetaSegment:
         ref = float(mpmath.quad(
             lambda u: u ** (a - 1) * (1 - u) ** (b - 1), [mpmath.mpf(s), mpmath.mpf(t)]
         ))
-        assert math.exp(log_beta_segment(a, b, s, t)) == pytest.approx(ref, rel=1e-9)
+        assert math.exp(log_beta_segment(a, b, s, t)) == pytest.approx(ref, rel=1e-9, abs=0)
 
     @given(
         st.floats(min_value=0.2, max_value=5.0),
@@ -189,6 +193,93 @@ class TestBetaSegments:
         assert got[3:].tolist() == want[3:]
 
 
+def _thin_slices(n: int) -> list:
+    """(alpha, beta, s, t) of the first n Beta segments drawn as the lemma 5
+    suite draws them that fail the cancellation guard, and so are
+    integrated by quadrature."""
+    rng = seeded_stream(20, 5)
+    found = []
+    while len(found) < n:
+        alpha, beta = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=2))
+        s = rng.uniform(0.0, 0.8)
+        t = rng.uniform(s + 0.01, 1.0)
+        for a in (alpha, alpha + 1):
+            upper = numkernel._betainc(a, beta, t)
+            if upper - numkernel._betainc(a, beta, s) <= numkernel._SEGMENT_GUARD * upper:
+                found.append((float(a), float(beta), float(s), float(t)))
+    return found[:n]
+
+
+def _mp_log_segment(a, b, s, t):
+    """ln of the Beta-kernel integral over [s, t] at 60 digits, room for a
+    thin slice's cancellation; an upper tail is taken by the reflection
+    theta -> 1 - theta, as a lower one."""
+    with mpmath.workdps(60):
+        if t == 1.0:
+            return mpmath.log(mpmath.betainc(b, a, 0, 1 - mpmath.mpf(s)))
+        return mpmath.log(mpmath.betainc(a, b, s, t))
+
+
+numkernel.special_functions()
+
+#: thin slices the suites integrate by quadrature, and the one of 2,619
+#: (seeds 0-19 of the lemma 4, 5, 6 and 8 suites) where gauss_kronrod and
+#: scipy's quad differ most: 2.1e-14 in the log
+_FALLBACK_PINS = [
+    pytest.param(11.54596594585388, 19.397395027102505, 0.8958685608624478,
+                 0.9246960998375731, id="widest-disagreement"),
+] + [pytest.param(*case, id=f"suite-5-draw-{j}")
+     for j, case in enumerate(_thin_slices(16))]
+
+
+class TestBetaSegmentFallback:
+    """log_beta_segment integrates a segment the incomplete beta difference
+    cannot give with numkernel.gauss_kronrod, not with scipy's quad."""
+
+    @pytest.mark.parametrize("a, b, s, t", _FALLBACK_PINS)
+    def test_against_mpmath(self, a, b, s, t):
+        """Within 1e-13 in the log of 60-digit values."""
+        got = log_beta_segment(a, b, s, t)
+        assert got == pytest.approx(float(_mp_log_segment(a, b, s, t)),
+                                    rel=0, abs=1e-13)
+
+    def test_widest_error_of_the_suites(self):
+        """The worst of the 2,619 suite fallbacks against mpmath: 2.0e-13 in
+        the log, as quad was.  Both stop at the same two 21-point panels,
+        whose qk21 estimate (3.0e-11 relative) is within QUAD_REL_TOL."""
+        a, b = 0.11474965540770261, 3.901440637723238
+        s, t = 0.8917115433088442, 0.9999483482746332
+        assert abs(log_beta_segment(a, b, s, t) - _mp_log_segment(a, b, s, t)) < 3e-13
+
+    @pytest.mark.parametrize("a, b, s", [(1.5, 400.0, 0.9), (19.0, 700.0, 0.75)])
+    def test_underflowed_upper_tail(self, a, b, s):
+        """Past the complemented function's underflow, the lemma 8 suite's
+        route (s = eps, t = 1) is integrated by quadrature too, at shapes
+        beyond its draws.  The log is below -700 there, so it is pinned to
+        4 of its ulps (quad is as far off: 2.6e-13 and 8.4e-14)."""
+        ref = float(_mp_log_segment(a, b, s, 1.0))
+        assert abs(log_beta_segment(a, b, s, 1.0) - ref) <= 4 * math.ulp(ref)
+
+    def test_batch_equals_scalar(self):
+        """One log_beta_segments call takes every thin slice in one
+        gauss_kronrod batch, and each gets the scalar route's float."""
+        cases = np.array([p.values for p in _FALLBACK_PINS] + [(1.5, 400.0, 0.9, 0.999)])
+        got = numkernel.log_beta_segments(*cases.T)
+        assert got.tolist() == [log_beta_segment(*c) for c in cases.tolist()]
+
+    def test_no_quadrature_import(self):
+        """A fresh process that takes the fallback loads no scipy.integrate."""
+        upper = numkernel._betainc(2.0, 40.0, 0.62)
+        assert upper - numkernel._betainc(2.0, 40.0, 0.6) < numkernel._SEGMENT_GUARD * upper
+        code = ("import sys; from minimax_multinom.numkernel import "
+                "log_beta_segment; log_beta_segment(2.0, 40.0, 0.6, 0.62); "
+                "print('scipy.integrate' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(numkernel.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, check=True).stdout
+        assert out.split() == ["False"]
+
+
 class TestGaussKronrod:
     def test_rule(self):
         """The embedded rule is 10-point Gauss-Legendre, and the 21-point
@@ -207,23 +298,79 @@ class TestGaussKronrod:
         one call of f each, and the result meets the tolerance it reports."""
         levels = []
 
-        def f(t):
+        def f(t, _):
             levels.append(t.size)
             return t ** -0.6
 
-        val, err = numkernel.gauss_kronrod(f, 1e-3, 1.0)
+        (val,), (err,) = numkernel.gauss_kronrod(f, 1e-3, 1.0)
         exact = (1 - 1e-3 ** 0.4) / 0.4
         assert abs(val - exact) <= err <= numkernel.QUAD_REL_TOL * exact
         assert levels[0] == 42 and len(levels) > 2
         assert all(n % 21 == 0 for n in levels)
 
     @pytest.mark.parametrize("f, message", [
-        (lambda t: np.sign(np.sin(500 * t)), "did not converge"),
-        (lambda t: np.full(t.shape, np.nan), "non-finite"),
+        (lambda t, _: np.sign(np.sin(500 * t)), "did not converge"),
+        (lambda t, _: np.full(t.shape, np.nan), "non-finite"),
     ], ids=["160-jumps", "nan"])
     def test_failure_raises(self, f, message):
         with pytest.raises(IntegrationError, match=message):
             numkernel.gauss_kronrod(f, 0.0, 1.0)
+
+    def test_failing_members_raise_as_alone(self):
+        """In a batch the jumps (member 3) and the NaN (member 1) fail
+        without stopping the others, and the first failing member's error
+        is raised: the one a run of it alone raises."""
+        bad = {1: lambda t: np.full(t.shape, np.nan),
+               3: lambda t: np.sign(np.sin(500 * t))}
+
+        def f(t, j):
+            out = t ** -0.6
+            for member, g in bad.items():
+                out[j == member] = g(t[j == member])
+            return out
+
+        lo, hi = [1e-3, 0.1, 0.2, 0.0, 0.5], [1.0, 1.0, 0.7, 1.0, 0.9]
+        with pytest.raises(IntegrationError) as alone:
+            numkernel.gauss_kronrod(lambda t, _: bad[1](t), lo[1], hi[1])
+        with pytest.raises(IntegrationError) as batch:
+            numkernel.gauss_kronrod(f, lo, hi)
+        assert str(batch.value) == str(alone.value)
+        assert "non-finite" in str(batch.value) and math.isnan(batch.value.achieved)
+        del bad[1]
+        with pytest.raises(IntegrationError) as alone:
+            numkernel.gauss_kronrod(lambda t, _: bad[3](t), lo[3], hi[3])
+        with pytest.raises(IntegrationError) as batch:
+            numkernel.gauss_kronrod(f, lo, hi)
+        assert str(batch.value) == str(alone.value)
+        assert batch.value.achieved == alone.value.achieved
+
+    def test_members_equal_runs_alone(self):
+        """Bit for bit, each integral of a batch equals its run alone, at
+        every depth of bisection the batch reaches."""
+        powers = np.array([-0.6, 0.5, -0.3, 2.0, -0.9, 0.0])
+        lo = np.array([1e-3, 0.0, 1e-6, 0.1, 1e-4, 0.3])
+        hi = np.array([1.0, 2.0, 0.5, 0.2, 1.0, 0.4])
+        depths = []
+
+        def f(t, j):
+            return t ** powers[j]
+
+        def alone(m):
+            levels = []
+
+            def g(t, _):
+                levels.append(t.size)
+                return t ** powers[m]
+
+            out = numkernel.gauss_kronrod(g, lo[m], hi[m])
+            depths.append(len(levels))
+            return out
+
+        values, errors = numkernel.gauss_kronrod(f, lo, hi)
+        for m in range(powers.size):
+            (value,), (error,) = alone(m)
+            assert (values[m], errors[m]) == (value, error)
+        assert len(set(depths)) >= 3
 
 
 class TestStableSum:

@@ -219,6 +219,14 @@ def _log1p_w(x, N, tj, a_i):
     return log1p_w
 
 
+def _head(tj, a_i, A, N):
+    """-t log(1 + s), with the kernel's expression for 1 + s below 1/2."""
+    s = (a_i - A * tj) / ((N + A) * tj)
+    if s < -0.5:
+        return -tj * math.log((N * tj + a_i) / ((N + A) * tj))
+    return -tj * math.log1p(s)
+
+
 def _full_support_coordinate(ev, i, t):
     """h_i(t) summed over the whole binomial support: the kernel before
     windowing, kept as the reference for the windowed one."""
@@ -226,10 +234,9 @@ def _full_support_coordinate(ev, i, t):
     x = np.arange(N + 1, dtype=float)
     out = []
     for tj in np.atleast_1d(np.asarray(t, dtype=float)).tolist():
-        s = (a_i - A * tj) / ((N + A) * tj)
         logpmf = ev._lg + x * math.log(tj) + (N - x) * math.log1p(-tj)
         ew = math.fsum(np.exp(logpmf) * _log1p_w(x, N, tj, a_i))
-        out.append(-tj * math.log1p(s) - tj * ew)
+        out.append(_head(tj, a_i, A, N) - tj * ew)
     return np.array(out)
 
 
@@ -318,10 +325,9 @@ def _per_point_coordinate(ev, i, t):
         lo = max(0, math.ceil(N * tj - d))
         hi = min(N, math.floor(N * tj + d)) + 1
         x = x_all[lo:hi]
-        s = (a_i - A * tj) / ((N + A) * tj)
         logpmf = ev._lg[lo:hi] + x * math.log(tj) + (N - x) * math.log1p(-tj)
         ew = stable_sum(np.exp(logpmf) * _log1p_w(x, N, tj, a_i))
-        out.append(-tj * math.log1p(s) - tj * ew)
+        out.append(_head(tj, a_i, A, N) - tj * ew)
     return np.array(out)
 
 
@@ -451,6 +457,18 @@ class TestOnePassKernel:
         got = float(ev.coordinate(0, t)[0])
         ref = _mp_coordinate(a_i, prior.A, N, t)
         assert abs(got - ref) <= 2e-11 * abs(ref), (got, ref)
+
+    @pytest.mark.parametrize("a_i", [1e-6, 1e-12, 1e-15, 1e-17])
+    def test_no_data_risk_with_tiny_prior_weight(self, a_i):
+        """At N = 0, 1 + s = a_i/(A t) cancels in s = (a_i - A t)/(A t);
+        the risk at theta = (1/2, 1/2) is within 1e-14 of its 40-digit
+        value (log1p(s) was 2.4e-5 off at a_i = 1e-15, and a domain error
+        at 1e-17)."""
+        prior = PriorSpec((a_i, 1.0))
+        got = risk_coordinatewise(prior, ModelSpec(2, 0),
+                                  ThetaPoint((0.5, 0.5))).exact_risk
+        ref = sum(_mp_coordinate(a, prior.A, 0, 0.5) for a in prior.a)
+        assert got == pytest.approx(ref, rel=1e-14, abs=0)
 
     def test_tiny_prior_weight_raises_no_numpy_warning(self):
         """Below about 1e-16 N t the weight makes w = -1 at x = 0; a direct

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import minimax_multinom.simplex as simplex_module
 from minimax_multinom import (
     DEFAULT_SEED,
     DomainError,
@@ -25,6 +26,7 @@ from minimax_multinom import (
     log_multivariate_beta,
     run_lemma_suite,
 )
+from minimax_multinom.numkernel import gauss_kronrod
 
 
 def _beta_seg_exact(a: int, b: int, s: Fraction, t: Fraction) -> Fraction:
@@ -235,6 +237,70 @@ class TestK3AgainstMpmath:
         3.7e-13 at the first case, which a single 21-point panel passes with
         the same error, and by 1.5e-6 at the second."""
         assert abs(b_trunc(alphas, eps).value_log - ref) <= 1e-13
+
+
+class TestLockstepBatch:
+    """Batches of floored-simplex integrals: each member gets the floats of
+    its run alone, whatever else is in the batch."""
+
+    @staticmethod
+    def _draws(seed: int, k: int, n: int) -> tuple:
+        rng = np.random.default_rng(seed)
+        alphas = np.exp(rng.uniform(math.log(0.2), math.log(8.0), size=(n, k)))
+        # floors from 1e-7 to near 1/k, for a range of bisection depths
+        return alphas, np.exp(rng.uniform(math.log(1e-7), math.log(0.9 / k), size=n))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mixed_k3_and_nested_k4_batch(self, seed):
+        """One gauss_kronrod batch of k = 3 integrals and nested k = 4 ones
+        (each level of those is itself a batch of k = 3 integrals), in a
+        shuffled order, against each integral run alone."""
+        draws = {3: self._draws(seed, 3, 12), 4: self._draws(seed + 10, 4, 4)}
+        parts = {k: simplex_module._outer_integrand(*draws[k])[:3] for k in draws}
+        members = [(k, j) for k in draws for j in range(draws[k][1].size)]
+        members = [members[p] for p in np.random.default_rng(seed).permutation(16)]
+        kind = np.array([k for k, _ in members])
+        local = np.array([j for _, j in members])
+
+        def f(t, idx):
+            out = np.empty(t.size)
+            for k, (fk, _, _) in parts.items():
+                mask = kind[idx] == k
+                out[mask] = fk(t[mask], local[idx[mask]])
+            return out
+
+        values, errors = gauss_kronrod(
+            f, [parts[k][1][j] for k, j in members], [parts[k][2][j] for k, j in members])
+        depths = set()
+        for m, (k, j) in enumerate(members):
+            alphas, eps = draws[k]
+            g, lo, hi = simplex_module._outer_integrand(alphas[j:j + 1], eps[j:j + 1])[:3]
+            levels = []
+
+            def counted(t, idx):
+                levels.append(t.size)
+                return g(t, idx)
+
+            (value,), (error,) = gauss_kronrod(counted, lo, hi)
+            depths.add(len(levels))
+            assert (values[m], errors[m]) == (value, error), (k, j)
+        assert len(depths) >= 3
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_recursive_batch_equals_singles(self, k):
+        alphas, eps = self._draws(7, k, 10 if k == 3 else 3)
+        logs, rel = simplex_module._recursive_b_log(alphas, eps)
+        for j in range(eps.size):
+            (log1,), (rel1,) = simplex_module._recursive_b_log(alphas[j:j + 1], eps[j:j + 1])
+            assert (logs[j], rel[j]) == (log1, rel1)
+
+    def test_b_trunc_batch_equals_b_trunc(self):
+        """The suites' batch of k = 2 and k = 3 integrals returns b_trunc's
+        results."""
+        params = [(tuple(a), float(e)) for a, e in zip(*self._draws(8, 3, 8))]
+        params += [(tuple(a), float(e)) for a, e in zip(*self._draws(9, 2, 8))]
+        params = params[::2] + params[1::2]
+        assert simplex_module._b_trunc_batch(params) == [b_trunc(*p) for p in params]
 
 
 class TestLemma1:
