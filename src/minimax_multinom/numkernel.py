@@ -90,7 +90,7 @@ _EPS50 = 50.0 * np.finfo(float).eps
 
 
 def gauss_kronrod(f, lo, hi) -> tuple:
-    """(integrals, absolute error estimates) of a batch of integrals by
+    """(integrals, absolute error estimates), as lists, of a batch of integrals by
     adaptive 21-point Gauss-Kronrod quadrature, bisecting a level at a time
     in lockstep.
 
@@ -133,7 +133,7 @@ def gauss_kronrod(f, lo, hi) -> tuple:
         left, right = np.array(a), np.array(b)
         mid, half = 0.5 * (left + right), 0.5 * (right - left)
         fx = np.asarray(f((mid[:, None] + half[:, None] * _GK21_X).ravel(),
-                          np.repeat(np.array(own), 21)), dtype=float).reshape(len(own), 21)
+                          np.array(own).repeat(21)), dtype=float).reshape(len(own), 21)
         kron = np.vecdot(fx, _GK21_K)
         # per panel: its ends, value, Kronrod - Gauss, resasc and resabs
         rule = zip(
@@ -181,7 +181,7 @@ def gauss_kronrod(f, lo, hi) -> tuple:
                     own += [j, j]
     if failed:
         raise failed[min(failed)]
-    return np.array(values), np.array(errors)
+    return values, errors
 
 
 @dataclass(frozen=True)
@@ -398,7 +398,7 @@ def _log_segments_by_quadrature(alpha, beta, s, t) -> np.ndarray:
         return np.exp(am1[j] * np.log(th) + bm1[j] * np.log1p(-th) - scale[j])
 
     val, err = gauss_kronrod(scaled, s, t)
-    for j in range(val.size):
+    for j in range(len(val)):
         if val[j] <= 0.0:
             raise IntegrationError(
                 f"beta segment integral underflowed on [{s[j]}, {t[j]}]",

@@ -101,14 +101,16 @@ def _outer_integrand(alphas: np.ndarray, eps: np.ndarray) -> tuple:
         mid_inner = [log_beta_segment(row[1], row[2], e, 1.0 - e)
                      for row, e in zip(rows, mid_eps)]
     else:
-        mid_inner = _recursive_b_log(rest, np.array(mid_eps))[0].tolist()
+        mid_inner = _recursive_b_log(rest, np.array(mid_eps))[0]
     e1, e2, scale = [], [], []
     for row, m, inner in zip(rows, mid, mid_inner):
         e1.append(row[0] - 1)
         e2.append(stable_sum(row[1:]) - 1)
         scale.append(e1[-1] * math.log(m) + e2[-1] * math.log1p(-m) + inner)
-    e1, e2, scale_at = np.array(e1), np.array(e2), np.array(scale)
-    inner_err = np.zeros(eps.size) + (_SEGMENT_REL_ERR if k == 3 else 0.0)
+    # one array of per-integral rows, the last updated by f at k >= 4
+    e1, e2, scale_at, inner_err = np.array(
+        e1 + e2 + scale + [_SEGMENT_REL_ERR if k == 3 else 0.0] * eps.size
+    ).reshape(4, eps.size)
 
     def f(t1: np.ndarray, idx: np.ndarray) -> np.ndarray:
         # a batch of one broadcasts its parameters instead of gathering them
@@ -126,15 +128,16 @@ def _outer_integrand(alphas: np.ndarray, eps: np.ndarray) -> tuple:
         else:
             inner, ierr = _recursive_b_log(rest[idx], inner_eps)
             np.maximum.at(inner_err, idx, ierr)
-        return np.exp(e1[at] * np.log(t1) + e2[at] * np.log1p(-t1) + inner - scale_at[at])
+        return np.exp(e1[at] * np.log(t1) + e2[at] * np.log1p(-t1) + inner
+                      - scale_at[at])
 
     return f, lo, hi, scale, inner_err
 
 
 def _recursive_b_log(alphas: np.ndarray, eps: np.ndarray) -> tuple:
-    """(log values, relative error estimates) of a batch of floored-simplex
-    integrals by nested quadrature: row j of alphas floored at eps[j], all
-    rows of one k >= 3.
+    """(log values, relative error estimates), as lists, of a batch of
+    floored-simplex integrals by nested quadrature: row j of alphas floored
+    at eps[j], all rows of one k >= 3.
 
     Peels off the first coordinate: conditionally on theta_1, the remaining
     coordinates rescaled by 1/(1 - theta_1) fill a (k-1)-simplex floored at
@@ -147,13 +150,12 @@ def _recursive_b_log(alphas: np.ndarray, eps: np.ndarray) -> tuple:
     f, lo, hi, scale, inner_err = _outer_integrand(alphas, eps)
     val, err = gauss_kronrod(f, lo, hi)
     logs, rel = [], []
-    for s, v, e, ie, ep in zip(scale, val.tolist(), err.tolist(),
-                               inner_err.tolist(), lo):
+    for s, v, e, ie, ep in zip(scale, val, err, inner_err.tolist(), lo):
         if v <= 0:
             raise DomainError(f"truncated simplex integral degenerated at eps={ep!r}")
         logs.append(s + math.log(v))
         rel.append(e / v + ie)
-    return np.array(logs), np.array(rel)
+    return logs, rel
 
 
 #: b_trunc's Monte Carlo budget when no settings are passed
@@ -173,19 +175,13 @@ def _checked(alphas, eps: float) -> tuple:
     return alphas
 
 
-def _integral(alphas: tuple, eps: float, value_log: float,
-              method: IntegrationMethod, err: float) -> TruncatedDirichletIntegral:
-    # truncation can only shrink the integral; clamp rounding overshoot
-    value_log = min(value_log, log_multivariate_beta(alphas))
-    return TruncatedDirichletIntegral(alphas, eps, value_log, method, err)
-
-
-def _b_trunc_batch(params: list) -> list:
-    """b_trunc(alphas, eps) under the automatic method for each checked
-    (alphas, eps) of params: every k = 2 segment from one _log_beta_pairs
-    batch, and every k = 3 integral in one lockstep _recursive_b_log batch,
-    where b_trunc takes each as a batch of one; so each result is the one
-    b_trunc gives alone."""
+def _b_trunc_batch(params: list) -> tuple:
+    """(b_trunc(alphas, eps) under the automatic method, ln B(alphas)) for
+    each checked (alphas, eps) of params: every k = 2 segment from one
+    _log_beta_pairs batch, and every k = 3 integral in one lockstep
+    _recursive_b_log batch, where b_trunc takes each as a batch of one; so
+    each result is the one b_trunc gives alone."""
+    log_full = [log_multivariate_beta(alphas) for alphas, _ in params]
     out = [None] * len(params)
     for k, method, batch in ((2, IntegrationMethod.EXACT_1D, _log_beta_pairs),
                              (3, IntegrationMethod.RECURSIVE_QUAD, _recursive_b_log)):
@@ -193,19 +189,23 @@ def _b_trunc_batch(params: list) -> list:
         if rows:
             logs, errs = batch(np.array([params[j][0] for j in rows]),
                                np.array([params[j][1] for j in rows]))
-            for j, value_log, err in zip(rows, logs.tolist(), errs.tolist()):
-                out[j] = _integral(*params[j], value_log, method, err)
+            for j, value_log, err in zip(rows, logs, errs):
+                # truncation can only shrink the integral; clamp rounding
+                # overshoot, as b_trunc does
+                out[j] = TruncatedDirichletIntegral(
+                    *params[j], min(value_log, log_full[j]), method, err)
     for j, (alphas, eps) in enumerate(params):
         if len(alphas) > 3:
             out[j] = b_trunc(alphas, eps)
-    return out
+    return out, log_full
 
 
 def _log_beta_pairs(alphas: np.ndarray, eps: np.ndarray) -> tuple:
-    """(log values, relative errors) of a batch of k = 2 floored integrals:
-    Beta segments over [eps, 1 - eps], from one array betainc pass."""
+    """(log values, relative errors), as lists, of a batch of k = 2
+    floored integrals: Beta segments over [eps, 1 - eps], from one array
+    betainc pass."""
     logs = log_beta_segments(alphas[:, 0], alphas[:, 1], eps, 1.0 - eps)
-    return logs, np.full(eps.size, _SEGMENT_REL_ERR)
+    return logs.tolist(), [_SEGMENT_REL_ERR] * eps.size
 
 
 def b_trunc(
@@ -228,6 +228,7 @@ def b_trunc(
     """
     alphas = _checked(alphas, eps)
     k = len(alphas)
+    log_full = log_multivariate_beta(alphas)
     if method is None:
         if k == 2:
             method = IntegrationMethod.EXACT_1D
@@ -241,19 +242,17 @@ def b_trunc(
     if method is IntegrationMethod.EXACT_1D:
         if k != 2:
             raise DomainError("EXACT_1D applies to k = 2 only")
-        logs, errs = _log_beta_pairs(np.array([alphas]), np.array([eps]))
-        value_log, err = float(logs[0]), float(errs[0])
+        (value_log,), (err,) = _log_beta_pairs(np.array([alphas]), np.array([eps]))
     elif method is IntegrationMethod.RECURSIVE_QUAD:
         if k == 2:
             # forced path for cross-checks: integrate the raw kernel
             def integrand(t, _):
                 return t ** (alphas[0] - 1) * (1 - t) ** (alphas[1] - 1)
 
-            val, aerr = gauss_kronrod(integrand, eps, 1 - eps)
-            value_log, err = math.log(val[0]), float(aerr[0] / val[0])
+            (val,), (aerr,) = gauss_kronrod(integrand, eps, 1 - eps)
+            value_log, err = math.log(val), aerr / val
         else:
-            values, errs = _recursive_b_log(np.array([alphas]), np.array([eps]))
-            value_log, err = float(values[0]), float(errs[0])
+            (value_log,), (err,) = _recursive_b_log(np.array([alphas]), np.array([eps]))
     elif method is IntegrationMethod.MONTE_CARLO:
         mc = mc or _B_TRUNC_MC
         accepted = proposed = 0
@@ -273,11 +272,13 @@ def b_trunc(
                 f"standard error {se:.3e} above ceiling {mc.stderr_ceiling:.3e}",
                 frac, se,
             )
-        value_log = math.log(frac) + log_multivariate_beta(alphas)
+        value_log = math.log(frac) + log_full
         err = 3.0 * se / frac
     else:  # pragma: no cover
         raise DomainError(f"unknown method {method!r}")
-    return _integral(alphas, eps, value_log, method, err)
+    # truncation can only shrink the integral; clamp rounding overshoot
+    return TruncatedDirichletIntegral(alphas, eps, min(value_log, log_full),
+                                      method, err)
 
 
 def log_i_trunc(
@@ -378,23 +379,25 @@ def lemma4_check(alphas, eps: float) -> LemmaReport:
     return _lemma4_reports([(alphas, eps)])[0]
 
 
-def _bumped_integrals(draws: list) -> tuple:
-    """(checked draws, b_trunc of each, b_trunc with the first shape
-    parameter raised by one) for a list of (alphas, eps), all integrals in
-    one _b_trunc_batch."""
+def _bumped_integrals(draws: list) -> list:
+    """(alphas, eps, b0, b1, ln B(alphas), ln B(bumped)) for each (alphas,
+    eps) of draws, checked: b0 is b_trunc(alphas, eps) and b1 the same with
+    the first shape parameter raised by one, all from one _b_trunc_batch."""
     draws = [(_checked(alphas, eps), eps) for alphas, eps in draws]
     bumped = [((alphas[0] + 1.0,) + alphas[1:], eps) for alphas, eps in draws]
-    ints = _b_trunc_batch(draws + bumped)
-    return draws, ints[:len(draws)], ints[len(draws):]
+    ints, log_full = _b_trunc_batch(draws + bumped)
+    n = len(draws)
+    return [(alphas, eps, ints[j], ints[n + j], log_full[j], log_full[n + j])
+            for j, (alphas, eps) in enumerate(draws)]
 
 
 def _lemma4_reports(draws: list) -> list:
     """lemma4_check for each (alphas, eps) of draws."""
     reports = []
-    for (alphas, eps), b0, b1 in zip(*_bumped_integrals(draws)):
+    for alphas, eps, b0, b1, full0, full1 in _bumped_integrals(draws):
         rest_sum = stable_sum(alphas[1:])
-        i0 = math.exp(b0.value_log - log_multivariate_beta(alphas))
-        i1 = math.exp(b1.value_log - log_multivariate_beta(b1.alphas))
+        i0 = math.exp(b0.value_log - full0)
+        i1 = math.exp(b1.value_log - full1)
         lhs = i1 - i0
         rhs = math.exp(
             math.lgamma(stable_sum(alphas))
@@ -464,14 +467,15 @@ def lemma6_check(alphas, eps: float) -> LemmaReport:
 def _lemma6_reports(draws: list) -> list:
     """lemma6_check for each (alphas, eps) of draws."""
     reports = []
-    for (alphas, eps), b0, b1 in zip(*_bumped_integrals(draws)):
+    for alphas, eps, b0, b1, _, _ in _bumped_integrals(draws):
         rest_sum = stable_sum(alphas[1:])
         lhs = math.exp(b1.value_log - b0.value_log)
         rhs = math.exp(
             log_beta_segment(alphas[0] + 1.0, rest_sum, eps, 1.0)
             - log_beta_segment(alphas[0], rest_sum, eps, 1.0)
         )
-        slack = SLACK_FACTOR * (b0.error_estimate + b1.error_estimate + 2e-12) * (lhs + rhs)
+        slack = (SLACK_FACTOR * (b0.error_estimate + b1.error_estimate + 2e-12)
+                 * (lhs + rhs))
         reports.append(LemmaReport(
             6, 1, lhs - rhs - slack,
             {"alphas": list(alphas), "eps": eps, "lhs": lhs, "rhs": rhs},

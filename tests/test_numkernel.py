@@ -32,7 +32,8 @@ class TestLogMultivariateBeta:
     def test_trivial_values(self):
         assert log_multivariate_beta((1, 1)) == pytest.approx(0.0, abs=1e-15)
         assert log_multivariate_beta((1, 1, 1)) == pytest.approx(math.log(0.5), rel=1e-14, abs=0)
-        assert log_multivariate_beta((0.5, 0.5)) == pytest.approx(math.log(math.pi), rel=1e-14, abs=0)
+        assert log_multivariate_beta((0.5, 0.5)) == pytest.approx(
+            math.log(math.pi), rel=1e-14, abs=0)
 
     @given(
         st.floats(min_value=1e-3, max_value=1e3),

@@ -300,7 +300,9 @@ class TestLockstepBatch:
         params = [(tuple(a), float(e)) for a, e in zip(*self._draws(8, 3, 8))]
         params += [(tuple(a), float(e)) for a, e in zip(*self._draws(9, 2, 8))]
         params = params[::2] + params[1::2]
-        assert simplex_module._b_trunc_batch(params) == [b_trunc(*p) for p in params]
+        ints, log_full = simplex_module._b_trunc_batch(params)
+        assert ints == [b_trunc(*p) for p in params]
+        assert log_full == [log_multivariate_beta(a) for a, _ in params]
 
 
 class TestLemma1:
