@@ -424,25 +424,24 @@ def _quadrature_imports() -> list:
     """module.function for every import of scipy.integrate in src/, by the
     functions (or classes) that enclose it."""
     found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            names = []
+        if any(n == "scipy.integrate" or n.startswith("scipy.integrate.")
+               for n in names):
+            found.append(".".join(where))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = where + [node.name]
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
     for path in sorted(Path(minimax_multinom.__file__).parent.glob("*.py")):
-
-        def visit(node, scope):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
-            else:
-                names = []
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                    scope = scope + [node.name]
-            if any(n == "scipy.integrate" or n.startswith("scipy.integrate.")
-                   for n in names):
-                found.append(".".join([path.stem] + scope))
-            for child in ast.iter_child_nodes(node):
-                visit(child, scope)
-
-        visit(ast.parse(path.read_text()), [])
+        visit(ast.parse(path.read_text()), [path.stem])
     return found
 
 
