@@ -14,10 +14,8 @@ from .analysis import (
 from .errors import (
     CheckFailure,
     DomainError,
-    InfeasibleRegionError,
     IntegrationError,
     SizeError,
-    StatisticalPrecisionError,
 )
 from .expansion import (
     ExpansionTerms,
@@ -39,14 +37,10 @@ from .model import (
     SQRT6,
     EpsilonSchedule,
     ModelSpec,
-    Observation,
-    OutcomeLabel,
     PriorSpec,
     ScheduleMode,
     SymmetricPrior,
     TruncatedSimplex,
-    predictive_density,
-    truncated_predictive_density,
 )
 from .moments import (
     BoundReport,
@@ -59,14 +53,12 @@ from .moments import (
     moment_recurrence,
 )
 from .numkernel import (
-    MonteCarloSettings,
     log_beta_segment,
     log_multinomial,
     log_multivariate_beta,
     stable_sum,
 )
 from .risk import (
-    Predictive,
     RiskMethod,
     RiskReport,
     SupRiskReport,
@@ -76,12 +68,10 @@ from .risk import (
     compositions,
     risk_coordinatewise,
     risk_enumeration,
-    risk_truncated_predictive,
     sup_risk,
     truncation_bayes_gap,
 )
 from .simplex import (
-    IntegrationMethod,
     LemmaReport,
     SLACK_FACTOR,
     TruncatedDirichletIntegral,

@@ -30,7 +30,7 @@ from .model import (
     ScheduleMode,
     SymmetricPrior,
 )
-from .risk import Predictive, bayes_risk, sup_risk, truncation_bayes_gap
+from .risk import bayes_risk, sup_risk, truncation_bayes_gap
 
 
 def prior_label(alpha: float) -> str:
@@ -155,7 +155,7 @@ def minimax_sandwich(
             prior.expand(), model, trunc,
             grid_size=grid_size, seed=seed,
         ).sup_value
-        bayes_full = bayes_risk(prior, model, Predictive.FULL, trunc)
+        bayes_full = bayes_risk(prior, model, trunc)
         lower = bayes_full - truncation_bayes_gap(prior, trunc, model)
         return upper, lower, bayes_full
 

@@ -17,19 +17,6 @@ class IntegrationError(RuntimeError):
         self.achieved = achieved
 
 
-class StatisticalPrecisionError(RuntimeError):
-    """A Monte Carlo estimate did not meet the requested standard-error ceiling."""
-
-    def __init__(self, message: str, estimate: float, stderr: float):
-        super().__init__(message)
-        self.estimate = estimate
-        self.stderr = stderr
-
-
-class InfeasibleRegionError(RuntimeError):
-    """Rejection sampling accepted too few draws to estimate anything."""
-
-
 class CheckFailure(AssertionError):
     """A numerical verification (inequality or identity check) was violated."""
 

@@ -1,4 +1,5 @@
-"""Multinomial observation model, Dirichlet priors, and predictive densities.
+"""Multinomial observation model, Dirichlet priors, floor regions and
+floor schedules.
 
 The model: counts x = (x_1, ..., x_k) from N draws over k categories, with
 cell probabilities theta on the simplex.  The quantity predicted is the next
@@ -6,7 +7,7 @@ single outcome y (one-hot over the k categories).  Under a Dirichlet prior
 with parameters a the predictive mass of category i is (x_i + a_i)/(N + A),
 A = sum(a); under the same prior restricted to the truncated simplex
 {theta_i >= eps} the predictive picks up a ratio of truncated Dirichlet
-integrals.
+integrals (risk.TruncatedPredictiveTable).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from . import simplex
 from .errors import DomainError
 # DEFAULT_SEED is re-exported as part of the model API
 from .numkernel import DEFAULT_SEED, stable_sum
@@ -63,7 +63,11 @@ class PriorSpec:
         if not all(math.isfinite(v) and v > 0 for v in a):
             raise DomainError("Dirichlet parameters must be positive and finite")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "A", stable_sum(a))
+        try:
+            object.__setattr__(self, "A", stable_sum(a))
+        except OverflowError:
+            raise DomainError(
+                "Dirichlet parameters must have a finite total") from None
 
     @property
     def k(self) -> int:
@@ -72,9 +76,6 @@ class PriorSpec:
     @property
     def is_symmetric(self) -> bool:
         return all(v == self.a[0] for v in self.a)
-
-    def permuted(self, perm) -> "PriorSpec":
-        return PriorSpec(tuple(self.a[p] for p in perm))
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,8 @@ class SymmetricPrior:
             raise DomainError("concentration must be positive and finite")
         if self.k < 2:
             raise DomainError("need at least two categories")
+        if not math.isfinite(self.k * self.alpha):
+            raise DomainError("Dirichlet parameters must have a finite total")
 
     @classmethod
     def jeffreys(cls, k: int) -> "SymmetricPrior":
@@ -171,80 +174,3 @@ class EpsilonSchedule:
     def truncation(self, N: int, k: int) -> TruncatedSimplex:
         """The floor region at sample size N; raises if eps_N >= 1/k."""
         return TruncatedSimplex(k, self.eps(N))
-
-
-@dataclass(frozen=True)
-class Observation:
-    """Observed count vector; must total the model's N."""
-
-    x: tuple
-
-    def __post_init__(self):
-        x = tuple(int(v) for v in self.x)
-        if any(v < 0 for v in x):
-            raise DomainError("counts must be nonnegative")
-        object.__setattr__(self, "x", x)
-
-    @property
-    def total(self) -> int:
-        return sum(self.x)
-
-    def check_against(self, model: ModelSpec) -> None:
-        if len(self.x) != model.k:
-            raise DomainError(f"expected {model.k} counts, got {len(self.x)}")
-        if self.total != model.N:
-            raise DomainError(f"counts sum to {self.total}, expected N={model.N}")
-
-
-@dataclass(frozen=True)
-class OutcomeLabel:
-    """The predicted category (0-based index into the k cells)."""
-
-    index: int
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise DomainError("category index must be nonnegative")
-
-    def check_against(self, model: ModelSpec) -> None:
-        if self.index >= model.k:
-            raise DomainError(f"category {self.index} out of range for k={model.k}")
-
-
-def predictive_density(
-    prior: PriorSpec, model: ModelSpec, x: Observation, y: OutcomeLabel
-) -> float:
-    """Posterior predictive mass of category y: (x_i + a_i) / (N + A)."""
-    x.check_against(model)
-    y.check_against(model)
-    if prior.k != model.k:
-        raise DomainError("prior and model disagree on k")
-    i = y.index
-    return (x.x[i] + prior.a[i]) / (model.N + prior.A)
-
-
-def truncated_predictive_density(
-    alpha: SymmetricPrior,
-    trunc: TruncatedSimplex,
-    model: ModelSpec,
-    x: Observation,
-    y: OutcomeLabel,
-) -> float:
-    """Predictive mass of category y under the prior restricted to the floor
-    region, i.e. the full-prior predictive times the ratio of retained
-    Dirichlet mass after adding the predicted count.
-    """
-    x.check_against(model)
-    y.check_against(model)
-    if alpha.k != model.k or trunc.k != model.k:
-        raise DomainError("prior, truncation and model disagree on k")
-    i = y.index
-    base = (x.x[i] + alpha.alpha) / (model.N + alpha.k * alpha.alpha)
-    post = tuple(v + alpha.alpha for v in x.x)
-    bumped = tuple(
-        v + 1.0 if j == i else v for j, v in enumerate(post)
-    )
-    log_ratio = simplex.log_i_trunc(bumped, trunc.eps) - simplex.log_i_trunc(
-        post, trunc.eps
-    )
-    return base * math.exp(log_ratio)

@@ -1,6 +1,6 @@
 """Stable special functions, count-vector enumeration and deterministic
-summation primitives, plus the package-wide default seed, quadrature
-tolerances, vectorized Gauss-Kronrod quadrature and Monte Carlo sampler.
+summation primitives, plus the package-wide default seed and seeded
+streams, quadrature tolerances and vectorized Gauss-Kronrod quadrature.
 
 Everything downstream (risk evaluation, simplex integrals, expansions) is
 built on the handful of functions in this module, so their contracts are
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,31 +183,6 @@ def gauss_kronrod(f, lo, hi) -> tuple:
     return values, errors
 
 
-@dataclass(frozen=True)
-class MonteCarloSettings:
-    """Draw budget and stream seed for Monte Carlo integration.
-
-    n_draws counts proposals; batches are fixed-size and each owns a
-    counter-based stream keyed on (seed, batch index), so these settings
-    alone fix every draw and the estimate.  If stderr_ceiling is set,
-    estimates whose standard error exceeds it raise
-    StatisticalPrecisionError.
-    """
-
-    n_draws: int = 200_000
-    batch_size: int = 16_384
-    seed: int = DEFAULT_SEED
-    stderr_ceiling: float | None = None
-
-    def __post_init__(self):
-        if self.n_draws < 1 or self.batch_size < 1:
-            raise DomainError("draw counts must be positive")
-
-    @property
-    def n_batches(self) -> int:
-        return (self.n_draws + self.batch_size - 1) // self.batch_size
-
-
 def check_seed(seed: int) -> int:
     """seed itself if it is a Philox key word, an integer in [0, 2**64);
     DomainError otherwise, so no two seeds name the same stream."""
@@ -221,20 +195,6 @@ def seeded_stream(seed: int, index: int) -> np.random.Generator:
     """The counter-based Philox stream keyed on (seed, index)."""
     key = np.array([check_seed(seed), index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def dirichlet_batch(a, eps: float, mc: MonteCarloSettings, b: int) -> tuple:
-    """(accepted rows, proposal count) of batch b of rejection sampling
-    from Dirichlet(a) onto the simplex floored at eps.
-
-    A row is accepted when its smallest coordinate is >= eps, or > 0 when
-    eps = 0 (a draw can underflow to an exact zero).
-    """
-    size = min(mc.batch_size, mc.n_draws - b * mc.batch_size)
-    rng = seeded_stream(mc.seed, b)
-    draws = rng.dirichlet(np.asarray(a, dtype=float), size=size)
-    low = draws.min(axis=1)
-    return draws[low >= eps if eps > 0.0 else low > 0.0], size
 
 
 def log_multivariate_beta(a) -> float:

@@ -18,6 +18,12 @@ Risks are in nats.  Two independent routes compute the same risk:
 
 The two must agree to high accuracy; the enumeration route serves as the
 oracle for the fast one throughout the test suite.
+
+Bayes risks average the separable risk under a Dirichlet weight: in closed
+form over the whole simplex, by nested quadrature over a floored simplex at
+k <= 3.  The truncated-prior predictive's Bayes risk is that of the full
+predictive less an exact finite sum over its table of truncated-integral
+ratios (truncation_bayes_gap).
 """
 
 from __future__ import annotations
@@ -30,12 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pool import ordered_map
-from .errors import (
-    DomainError,
-    IntegrationError,
-    SizeError,
-    StatisticalPrecisionError,
-)
+from .errors import DomainError, IntegrationError, SizeError
 from .model import (
     ModelSpec,
     PriorSpec,
@@ -47,9 +48,7 @@ from .numkernel import (
     QUAD_ABS_TOL,
     QUAD_MAX_SUBDIVISIONS,
     QUAD_REL_TOL,
-    MonteCarloSettings,
     compositions,
-    dirichlet_batch,
     log_binomial_row,
     log_multinomial_rows,
     seeded_stream,
@@ -62,7 +61,8 @@ from .simplex import b_trunc, log_i_trunc
 #: default cap on the number of count vectors risk_enumeration will visit
 ENUMERATION_CAP = 2_000_000
 
-#: caps for predictive densities that need a truncated-integral table per x
+#: caps on N for the truncated-predictive table, which holds a row of
+#: truncated-integral ratios per count vector x
 TRUNCATED_PREDICTIVE_CAPS = {2: 64, 3: 24}
 
 _TIE_TOL = 1e-13
@@ -112,9 +112,6 @@ class ThetaPoint:
         first = [float(v) for v in first_coords]
         return cls(tuple(first + [1.0 - stable_sum(first)]))
 
-    def permuted(self, perm) -> "ThetaPoint":
-        return ThetaPoint(tuple(self.theta[p] for p in perm))
-
 
 class RiskMethod(enum.Enum):
     ENUMERATION = "enumeration"
@@ -134,11 +131,6 @@ class SupRiskReport:
     sup_value: float
     argmax_theta: ThetaPoint
     search_trace: tuple
-
-
-class Predictive(enum.Enum):
-    FULL = "full"
-    TRUNCATED = "truncated"
 
 
 def risk_enumeration(
@@ -754,19 +746,10 @@ class TruncatedPredictiveTable:
             self._memo[key] = log_i_trunc(key, self.eps)
         return self._memo[key]
 
-    def correction(self, theta: ThetaPoint) -> float:
-        """E_x[ sum_i theta_i log-ratio_i(x) ] at the given theta.
-
-        This is exactly risk(full predictive) - risk(truncated predictive)
-        at the point; positive when the truncated predictive is better.
-        """
-        th = np.asarray(theta.theta)
-        pmf = np.exp(self._log_coef + self.comps @ np.log(th))
-        return stable_sum(pmf * (self.log_ratio @ th))
-
     def bayes_gap(self) -> float:
-        """The correction averaged over the floored prior weight, exactly:
-        sum_x m(x) sum_i q_full(i|x) (r e^r - e^r + 1), with r the log ratio,
+        """The full predictive's Bayes risk less the truncated one's under
+        the floored prior weight, exactly: sum_x m(x) sum_i q_full(i|x)
+        (r e^r - e^r + 1), with r the log ratio,
         m(x) = C(N, x) B_eps(alpha + x)/B_eps(alpha) (B_eps the Dirichlet
         integral over the floored simplex) and q_full(i|x) = (x_i + alpha)/
         (N + k alpha): the weight-averaged KL divergence between the two
@@ -782,20 +765,6 @@ class TruncatedPredictiveTable:
         m_q_full = np.exp(log_m[:, None] + np.log(post / (N + k * alpha)))
         r = self.log_ratio
         return stable_sum((m_q_full * (r * np.exp(r) - np.expm1(r))).ravel())
-
-
-def risk_truncated_predictive(
-    alpha: SymmetricPrior,
-    trunc: TruncatedSimplex,
-    model: ModelSpec,
-    theta: ThetaPoint,
-    table: TruncatedPredictiveTable | None = None,
-) -> float:
-    """Pointwise risk of the truncated-prior predictive density."""
-    if table is None:
-        table = TruncatedPredictiveTable(alpha, trunc, model)
-    base = risk_coordinatewise(alpha.expand(), model, theta).exact_risk
-    return base - table.correction(theta)
 
 
 def _bayes_numerator(a: tuple, eps: float, risk_fn, head: tuple = (),
@@ -870,25 +839,18 @@ def _bayes_risk_whole_simplex(a: tuple, N: int) -> float:
 def bayes_risk(
     weight,
     model: ModelSpec,
-    predictive: Predictive = Predictive.FULL,
     trunc: TruncatedSimplex | None = None,
-    mc: MonteCarloSettings | None = None,
 ) -> float:
-    """Average risk under a prior weight.
+    """Bayes risk of the weight's own predictive: its risk averaged under
+    the weight.
 
     weight is a PriorSpec or a SymmetricPrior; with trunc it is
     renormalized over the floored simplex, without it it weighs the whole
-    simplex.  predictive selects whose risk is averaged: the full-prior
-    predictive or the truncated-prior predictive, which needs a
-    SymmetricPrior weight and trunc and is the full one's Bayes risk less
-    the exact truncation_bayes_gap: only the full risk is integrated.
-
-    The full risk takes Monte Carlo when mc is passed.  Otherwise the whole
-    simplex has a closed form for every k (_bayes_risk_whole_simplex), and a
-    floored one takes nested quadrature for k <= 3 and Monte Carlo above.
-    Monte Carlo batches run in index order, each scored in one kernel call.
+    simplex.  The whole simplex has a closed form for every k
+    (_bayes_risk_whole_simplex); a floored weight takes nested quadrature
+    at k <= 3 and raises SizeError above.  The truncated-prior predictive's
+    Bayes risk is this one's less truncation_bayes_gap.
     """
-    predictive = Predictive(predictive)
     if isinstance(weight, SymmetricPrior):
         weight_prior = weight.expand()
     elif isinstance(weight, PriorSpec):
@@ -899,58 +861,25 @@ def bayes_risk(
         raise DomainError("weight and truncation disagree on k")
     if weight_prior.k != model.k:
         raise DomainError("weight and model disagree on k")
-
-    if predictive is Predictive.TRUNCATED:
-        gap = truncation_bayes_gap(weight, trunc, model)
-        return bayes_risk(weight, model, Predictive.FULL, trunc, mc) - gap
-    if trunc is None and mc is None:
+    if trunc is None:
         return _bayes_risk_whole_simplex(weight_prior.a, model.N)
+    if model.k > 3:
+        raise SizeError(f"floored Bayes risks support k <= 3, got k={model.k}")
 
     ev = CoordinateRiskEvaluator(weight_prior, model)
-    eps = trunc.eps if trunc else 0.0
-    if mc is not None or model.k > 3:
-        return _bayes_mc(weight_prior.a, eps, ev, mc or MonteCarloSettings())
 
     def risk_of(head) -> float:
         return ev.risk(ThetaPoint.complete(head)).exact_risk
 
     a = weight_prior.a
-    num, rel = _bayes_numerator(a, eps, risk_of)
-    den = b_trunc(a, eps)
+    num, rel = _bayes_numerator(a, trunc.eps, risk_of)
+    den = b_trunc(a, trunc.eps)
     rel += den.error_estimate
     if rel > 1e3 * QUAD_REL_TOL:
         raise IntegrationError(
             "Bayes-risk quadrature did not converge", achieved=rel
         )
     return num / math.exp(den.value_log)
-
-
-def _bayes_mc(a: tuple, eps: float, ev: CoordinateRiskEvaluator,
-              mc: MonteCarloSettings) -> float:
-    """Mean risk over the accepted draws, batch by batch in index order: one
-    kernel call per batch, then each draw's k contributions summed alone, in
-    coordinate order, as ev.risk sums them."""
-    k = len(a)
-    parts = []
-    for b in range(mc.n_batches):
-        draws, _ = dirichlet_batch(a, eps, mc, b)
-        per = ev.coordinate(np.tile(np.arange(k), len(draws)), draws.ravel())
-        vals = [_risk_total(row) for row in per.reshape(-1, k).tolist()]
-        parts.append((stable_sum(vals), stable_sum(v * v for v in vals), len(vals)))
-    total = stable_sum(p[0] for p in parts)
-    total_sq = stable_sum(p[1] for p in parts)
-    n = sum(p[2] for p in parts)
-    if n == 0:
-        raise StatisticalPrecisionError("no draws accepted", math.nan, math.inf)
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    stderr = math.sqrt(var / n)
-    if mc.stderr_ceiling is not None and stderr > mc.stderr_ceiling:
-        raise StatisticalPrecisionError(
-            f"standard error {stderr:.3e} above ceiling {mc.stderr_ceiling:.3e}",
-            mean, stderr,
-        )
-    return mean
 
 
 def truncation_bayes_gap(
@@ -968,7 +897,7 @@ def truncation_bayes_gap(
     is nonnegative; it measures how little is lost by ignoring the
     truncation when building the predictive.  It is an exact finite sum
     over the table (TruncatedPredictiveTable.bayes_gap), and the truncated
-    predictive's Bayes risk is defined as the full one's less it.
+    predictive's Bayes risk is bayes_risk's less it.
     """
     if trunc is None or not isinstance(alpha, SymmetricPrior):
         raise DomainError(

@@ -8,14 +8,13 @@ The central objects are
     log_i_trunc           = ln of that integral over the full multivariate
                             Beta value, i.e. of the retained mass fraction.
 
-For k = 2 the integral is a Beta-kernel segment and is evaluated in closed
-form.  For k = 3 it is one adaptive Gauss-Kronrod integral over theta_1
-(numkernel.gauss_kronrod) of Beta segments, each level's nodes evaluated in
-one array pass; a batch of such integrals runs in lockstep, one array pass
-per level for all of them, and each gets the floats of its run alone.  For
-larger k it is estimated by rejection sampling from the untruncated
-Dirichlet with seeded counter-based streams; forced quadrature there nests
-the same integral k - 2 deep, down to the k = 3 one, each level one batch.
+Each k has one route.  For k = 2 the integral is a Beta-kernel segment and
+is evaluated in closed form.  For k = 3 it is one adaptive Gauss-Kronrod
+integral over theta_1 (numkernel.gauss_kronrod) of Beta segments, each
+level's nodes evaluated in one array pass; for larger k the same integral
+nests k - 2 deep, down to the k = 3 one, each level one batch.  A batch of
+such integrals runs in lockstep, one array pass per level for all of them,
+and each gets the floats of its run alone.
 
 The module also hosts the numbered inequality/identity checks (the "lemma"
 suite exposed by the CLI); see the README for the catalogue of what each
@@ -26,18 +25,15 @@ suite runs on every trial at once.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleRegionError, StatisticalPrecisionError
+from .errors import DomainError
 from .numkernel import (
     DEFAULT_SEED,
-    MonteCarloSettings,
     compositions,
-    dirichlet_batch,
     gauss_kronrod,
     log_beta_segment,
     log_beta_segments,
@@ -49,24 +45,17 @@ from .numkernel import (
 )
 
 
-class IntegrationMethod(enum.Enum):
-    EXACT_1D = "exact-1d"
-    RECURSIVE_QUAD = "recursive-quad"
-    MONTE_CARLO = "monte-carlo"
-
-
 @dataclass(frozen=True)
 class TruncatedDirichletIntegral:
     """Result of a floored-simplex Dirichlet integral, on the log scale.
 
-    error_estimate is relative (3 standard errors for Monte Carlo, the
-    integrator's own estimate otherwise).
+    error_estimate is relative: the integrator's own estimate, or the
+    credit of a Beta segment at k = 2.
     """
 
     alphas: tuple
     eps: float
     value_log: float
-    method: IntegrationMethod
     error_estimate: float
 
     @property
@@ -158,10 +147,6 @@ def _recursive_b_log(alphas: np.ndarray, eps: np.ndarray) -> tuple:
     return logs, rel
 
 
-#: b_trunc's Monte Carlo budget when no settings are passed
-_B_TRUNC_MC = MonteCarloSettings(n_draws=1_000_000, batch_size=65_536)
-
-
 def _checked(alphas, eps: float) -> tuple:
     """alphas as a tuple of floats, once b_trunc's domain checks pass."""
     alphas = tuple(float(v) for v in alphas)
@@ -176,27 +161,22 @@ def _checked(alphas, eps: float) -> tuple:
 
 
 def _b_trunc_batch(params: list) -> tuple:
-    """(b_trunc(alphas, eps) under the automatic method, ln B(alphas)) for
-    each checked (alphas, eps) of params: every k = 2 segment from one
-    _log_beta_pairs batch, and every k = 3 integral in one lockstep
-    _recursive_b_log batch, where b_trunc takes each as a batch of one; so
-    each result is the one b_trunc gives alone."""
+    """(b_trunc(alphas, eps), ln B(alphas)) for each checked (alphas, eps)
+    of params: every k = 2 segment from one _log_beta_pairs batch, and the
+    integrals of each k >= 3 in one lockstep _recursive_b_log batch; b_trunc
+    is a batch of one, and each result is the one it gives alone."""
     log_full = [log_multivariate_beta(alphas) for alphas, _ in params]
     out = [None] * len(params)
-    for k, method, batch in ((2, IntegrationMethod.EXACT_1D, _log_beta_pairs),
-                             (3, IntegrationMethod.RECURSIVE_QUAD, _recursive_b_log)):
+    for k in sorted({len(alphas) for alphas, _ in params}):
         rows = [j for j, (alphas, _) in enumerate(params) if len(alphas) == k]
-        if rows:
-            logs, errs = batch(np.array([params[j][0] for j in rows]),
-                               np.array([params[j][1] for j in rows]))
-            for j, value_log, err in zip(rows, logs, errs):
-                # truncation can only shrink the integral; clamp rounding
-                # overshoot, as b_trunc does
-                out[j] = TruncatedDirichletIntegral(
-                    *params[j], min(value_log, log_full[j]), method, err)
-    for j, (alphas, eps) in enumerate(params):
-        if len(alphas) > 3:
-            out[j] = b_trunc(alphas, eps)
+        batch = _log_beta_pairs if k == 2 else _recursive_b_log
+        logs, errs = batch(np.array([params[j][0] for j in rows]),
+                           np.array([params[j][1] for j in rows]))
+        for j, value_log, err in zip(rows, logs, errs):
+            # truncation can only shrink the integral; clamp rounding
+            # overshoot
+            out[j] = TruncatedDirichletIntegral(
+                *params[j], min(value_log, log_full[j]), err)
     return out, log_full
 
 
@@ -208,88 +188,20 @@ def _log_beta_pairs(alphas: np.ndarray, eps: np.ndarray) -> tuple:
     return logs.tolist(), [_SEGMENT_REL_ERR] * eps.size
 
 
-def b_trunc(
-    alphas,
-    eps: float,
-    method: IntegrationMethod | None = None,
-    mc: MonteCarloSettings | None = None,
-) -> TruncatedDirichletIntegral:
+def b_trunc(alphas, eps: float) -> TruncatedDirichletIntegral:
     """Dirichlet-kernel integral over the simplex floored at eps.
 
-    Method selection is automatic by dimension (closed form for k = 2, one
-    vectorized Gauss-Kronrod integral of Beta segments for k = 3, Monte
-    Carlo beyond) and can be forced for cross-validation: forced quadrature
-    integrates the raw kernel at k = 2 and nests the k = 3 integral at
-    k >= 4.  Quadrature that does not converge raises IntegrationError.
-    mc sets the Monte Carlo draws (default 1,000,000 in
-    batches of 65,536); passing it when the method is not Monte Carlo raises
-    DomainError, and its stderr_ceiling bounds the standard error of the
-    retained fraction.
+    Closed form for k = 2, one vectorized Gauss-Kronrod integral of Beta
+    segments for k = 3, and that integral nested k - 2 deep above.
+    Quadrature that does not converge raises IntegrationError.
     """
-    alphas = _checked(alphas, eps)
-    k = len(alphas)
-    log_full = log_multivariate_beta(alphas)
-    if method is None:
-        if k == 2:
-            method = IntegrationMethod.EXACT_1D
-        elif k == 3:
-            method = IntegrationMethod.RECURSIVE_QUAD
-        else:
-            method = IntegrationMethod.MONTE_CARLO
-    if mc is not None and method is not IntegrationMethod.MONTE_CARLO:
-        raise DomainError(f"Monte Carlo settings given for method {method.value}")
-
-    if method is IntegrationMethod.EXACT_1D:
-        if k != 2:
-            raise DomainError("EXACT_1D applies to k = 2 only")
-        (value_log,), (err,) = _log_beta_pairs(np.array([alphas]), np.array([eps]))
-    elif method is IntegrationMethod.RECURSIVE_QUAD:
-        if k == 2:
-            # forced path for cross-checks: integrate the raw kernel
-            def integrand(t, _):
-                return t ** (alphas[0] - 1) * (1 - t) ** (alphas[1] - 1)
-
-            (val,), (aerr,) = gauss_kronrod(integrand, eps, 1 - eps)
-            value_log, err = math.log(val), aerr / val
-        else:
-            (value_log,), (err,) = _recursive_b_log(np.array([alphas]), np.array([eps]))
-    elif method is IntegrationMethod.MONTE_CARLO:
-        mc = mc or _B_TRUNC_MC
-        accepted = proposed = 0
-        for b in range(mc.n_batches):
-            rows, size = dirichlet_batch(alphas, eps, mc, b)
-            accepted += len(rows)
-            proposed += size
-        frac = accepted / proposed
-        if frac < 1e-6:
-            raise InfeasibleRegionError(
-                f"acceptance rate {frac:.2e} too low at eps={eps!r} "
-                f"({accepted}/{proposed} draws)"
-            )
-        se = math.sqrt(frac * (1 - frac) / proposed)
-        if mc.stderr_ceiling is not None and se > mc.stderr_ceiling:
-            raise StatisticalPrecisionError(
-                f"standard error {se:.3e} above ceiling {mc.stderr_ceiling:.3e}",
-                frac, se,
-            )
-        value_log = math.log(frac) + log_full
-        err = 3.0 * se / frac
-    else:  # pragma: no cover
-        raise DomainError(f"unknown method {method!r}")
-    # truncation can only shrink the integral; clamp rounding overshoot
-    return TruncatedDirichletIntegral(alphas, eps, min(value_log, log_full),
-                                      method, err)
+    return _b_trunc_batch([(_checked(alphas, eps), eps)])[0][0]
 
 
-def log_i_trunc(
-    alphas,
-    eps: float,
-    method: IntegrationMethod | None = None,
-    mc: MonteCarloSettings | None = None,
-) -> float:
+def log_i_trunc(alphas, eps: float) -> float:
     """ln of the retained mass fraction; always <= 0."""
-    b = b_trunc(alphas, eps, method, mc)
-    return b.value_log - log_multivariate_beta(b.alphas)
+    (b,), (log_full,) = _b_trunc_batch([(_checked(alphas, eps), eps)])
+    return b.value_log - log_full
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from minimax_multinom import (
     DomainError,
     EpsilonSchedule,
     ModelSpec,
-    Predictive,
     ScheduleMode,
     SymmetricPrior,
     bayes_risk,
@@ -18,6 +17,7 @@ from minimax_multinom import (
     minimax_sandwich,
     optimal_alpha_search,
     prior_label,
+    truncation_bayes_gap,
 )
 
 SCHED = EpsilonSchedule(1.0, 0.73, ScheduleMode.MINIMAX)
@@ -34,7 +34,7 @@ class TestCompareRows:
         for r in rows:
             assert r.excess_over_t1 == r.sup_risk - 0.5 / r.N
             assert r.scaled_excess == r.N**2 * r.excess_over_t1
-            assert r.eps == pytest.approx(float(r.N) ** -0.73, rel=1e-15)
+            assert r.eps == pytest.approx(float(r.N) ** -0.73, rel=1e-15, abs=0)
 
     def test_reproducible_bit_for_bit(self):
         priors = [SymmetricPrior.minimax(2)]
@@ -82,8 +82,8 @@ class TestSandwich:
 
     def test_one_bayes_risk_per_n(self, monkeypatch):
         """Each N integrates one Bayes risk, the full predictive's; the
-        lower end is that risk less the exact gap, which is the float the
-        truncated predictive's Bayes risk is."""
+        lower end, the truncated predictive's Bayes risk, is that risk less
+        the exact gap."""
         calls = []
 
         def counting(*args, **kwargs):
@@ -94,10 +94,10 @@ class TestSandwich:
         res = minimax_sandwich(2, [8, 16, 24], SCHED, grid_size=48)
         assert calls == [8, 16, 24]
         for row in res.rows:
+            prior, model = SymmetricPrior.minimax(2), ModelSpec(2, row.N)
             trunc = SCHED.truncation(row.N, 2)
-            assert row.lower == bayes_risk(
-                SymmetricPrior.minimax(2), ModelSpec(2, row.N),
-                Predictive.TRUNCATED, trunc)
+            assert row.lower == (bayes_risk(prior, model, trunc)
+                                 - truncation_bayes_gap(prior, trunc, model))
 
     def test_deterministic(self):
         a = minimax_sandwich(2, [8, 16, 24], SCHED, grid_size=48)

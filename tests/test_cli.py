@@ -63,7 +63,7 @@ class TestRiskCommand:
                                  "--alpha", "1", "--theta", "0.5,0.5", "--bits")
         nats = json.loads(out_nats)["results"][0]["risk"]
         bits = json.loads(out_bits)["results"][0]["risk"]
-        assert bits == pytest.approx(nats / math.log(2), rel=1e-15)
+        assert bits == pytest.approx(nats / math.log(2), rel=1e-15, abs=0)
         assert json.loads(out_bits)["units"] == "bits"
 
 
@@ -164,8 +164,8 @@ class TestOtherCommands:
         rows = json.loads(out)["results"]
         assert len(rows) == 9
         four = next(r for r in rows if r["order"] == 4)
-        assert four["value"] == pytest.approx(12.684, rel=1e-11)
-        assert four["closed_form"] == pytest.approx(12.684, rel=1e-11)
+        assert four["value"] == pytest.approx(12.684, rel=1e-11, abs=0)
+        assert four["closed_form"] == pytest.approx(12.684, rel=1e-11, abs=0)
         assert "mu_2" in rows[2]["pretty"]
 
     def test_optimal_alpha(self, capsys):
@@ -245,6 +245,14 @@ class TestErrorHandling:
         pytest.param(["compare-priors", "--k", "2", "--N", "64",
                       "--priors", "1e-400", "--grid-size", "16"], {},
                      id="compare-priors-tiny-prior-weight"),
+        # finite weights whose total overflows a double
+        pytest.param(["risk", "--k", "2", "--N", "5", "--theta", "0.3",
+                      "--alpha", "1e308"], {}, id="risk-prior-total-overflows"),
+        pytest.param(["sup-risk", "--k", "2", "--N", "8", "--a", "9e307,9e307",
+                      "--eps", "0.1"], {}, id="sup-risk-prior-total-overflows"),
+        pytest.param(["compare-priors", "--k", "2", "--N", "8",
+                      "--priors", "1e308"], {},
+                     id="compare-priors-prior-total-overflows"),
         # a Philox key word is 64 bits; a seed outside would alias another
         pytest.param(["sup-risk", "--k", "2", "--N", "8", "--prior", "minimax",
                       "--seed", "-1"], {}, id="sup-risk-seed-negative"),

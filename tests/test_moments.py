@@ -86,25 +86,25 @@ class TestExactAgreement:
     def test_float_pmf_oracle_consistency(self):
         # the float oracle agrees with the exact one away from cancellation
         assert moment_pmf_oracle(4, 20, 0.3) == pytest.approx(
-            float(moment_pmf_oracle_exact(4, 20, Fraction(3, 10))), rel=1e-12
-        )
+            float(moment_pmf_oracle_exact(4, 20, Fraction(3, 10))), rel=1e-12, abs=0)
 
 
 class TestClosedForms:
     def test_low_orders(self):
         assert moment_closed_form(0, 9, 0.4) == 1.0
         assert moment_closed_form(1, 9, 0.4) == 0.0
-        assert moment_closed_form(2, 9, 0.4) == pytest.approx(9 * 0.4 * 0.6, rel=1e-15)
+        assert moment_closed_form(2, 9, 0.4) == pytest.approx(9 * 0.4 * 0.6,
+                                                              rel=1e-15, abs=0)
         assert moment_closed_form(3, 11, 0.5) == 0.0
 
     def test_fourth_moment_hand_value(self):
         # 3 (N t (1-t))^2 + N t (1-t) (1 - 6t + 6t^2) at N=10, t=0.3
-        assert moment_closed_form(4, 10, 0.3) == pytest.approx(12.684, rel=1e-12)
+        assert moment_closed_form(4, 10, 0.3) == pytest.approx(12.684, rel=1e-12, abs=0)
 
     def test_fifth_moment_against_pmf(self):
         got = moment_closed_form(5, 7, 0.4)
         ref = float(moment_pmf_oracle_exact(5, 7, Fraction(2, 5)))
-        assert got == pytest.approx(ref, rel=1e-10)
+        assert got == pytest.approx(ref, rel=1e-10, abs=0)
 
     def test_matches_recurrence_everywhere(self):
         """Closed forms (orders <= 8) against the recurrence, 200 draws."""
@@ -124,8 +124,7 @@ class TestClosedForms:
 
     def test_above_eight_delegates_to_recurrence(self):
         assert moment_closed_form(10, 14, 0.27) == pytest.approx(
-            float(POLYS[10].evaluate(14, 0.27)), rel=1e-14
-        )
+            float(POLYS[10].evaluate(14, 0.27)), rel=1e-14, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -204,7 +203,7 @@ class TestLemma3Bound:
                   + x * math.log(0.5) + (N - x) * math.log(0.5))
         w = (x - N * 0.5) / (N * 0.5 + a)
         val = float(np.sum(np.exp(logpmf) * (-(w ** 3) / (1 + w)))) * (N * 0.5)
-        assert val == pytest.approx(exact, rel=1e-12)
+        assert val == pytest.approx(exact, rel=1e-12, abs=0)
 
     def test_trend_passes(self):
         rep = lemma3_bound_check(1, 0.7, SCHEDULE, [128, 256, 512, 1024],

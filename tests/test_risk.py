@@ -24,28 +24,20 @@ from minimax_multinom import (
     DomainError,
     EpsilonSchedule,
     ModelSpec,
-    MonteCarloSettings,
-    Observation,
-    OutcomeLabel,
-    Predictive,
     PriorSpec,
     RiskMethod,
     SizeError,
-    StatisticalPrecisionError,
     SymmetricPrior,
     ThetaPoint,
-    TruncatedPredictiveTable,
     TruncatedSimplex,
     bayes_risk,
     compositions,
     risk_coordinatewise,
     risk_enumeration,
-    risk_truncated_predictive,
     sup_risk,
-    truncated_predictive_density,
     truncation_bayes_gap,
 )
-from minimax_multinom.numkernel import dirichlet_batch, seeded_stream, stable_sum
+from minimax_multinom.numkernel import seeded_stream, stable_sum
 
 HAND_RISK = 0.5 * math.log(9.0 / 8.0)  # k=2, N=1, uniform prior, theta=(1/2,1/2)
 
@@ -142,8 +134,9 @@ class TestRiskEngines:
         prior, model, theta = _random_case(rng, 3, 5)
         perm = (2, 0, 1)
         base = risk_coordinatewise(prior, model, theta)
-        permuted = risk_coordinatewise(prior.permuted(perm), model,
-                                       theta.permuted(perm))
+        permuted = risk_coordinatewise(
+            PriorSpec(tuple(prior.a[p] for p in perm)), model,
+            ThetaPoint(tuple(theta.theta[p] for p in perm)))
         for i, p in enumerate(perm):
             assert permuted.per_coordinate[i] == pytest.approx(
                 base.per_coordinate[p], rel=1e-12, abs=1e-15
@@ -196,8 +189,8 @@ class TestRiskProperties:
         prior, model, theta = case
         perm = data.draw(st.permutations(range(model.k)))
         base = _risk_or_typed_error(prior, model, theta)
-        permuted = _risk_or_typed_error(prior.permuted(perm), model,
-                                        tuple(theta[p] for p in perm))
+        permuted = _risk_or_typed_error(PriorSpec(tuple(prior.a[p] for p in perm)),
+                                        model, tuple(theta[p] for p in perm))
         if isinstance(base, type):
             assert permuted is base
         else:
@@ -825,64 +818,51 @@ class TestFloorNearCenter:
 
 
 class TestBayesRisk:
-    def test_quadrature_vs_monte_carlo(self):
-        """k=2, N=8, uniform prior, floored weight: the two integration
-        routes agree (the Monte Carlo run is seeded, so the difference is a
-        fixed number well inside three standard errors)."""
+    def test_k2_floored_quadrature_vs_whole_simplex(self):
+        """k = 2, N = 8, floor eps = 1e-9: the nested quadrature against the
+        whole-simplex closed form.  The floor cuts the uniform weight's mass
+        2 eps at the two vertices, where the risk tends to R0 = log((N + 2)
+        / (N + 1)), which moves the Bayes risk by 2 eps (whole - R0) to
+        first order (-1.19e-10); the rest is 6e-16 relative.  The minimax
+        weight's cut mass is O(eps^1.41), and the two differ by 2.2e-12
+        relative, inside the quadrature's 1e-10."""
+        eps, N = 1e-9, 8
+        model, trunc = ModelSpec(2, N), TruncatedSimplex(2, eps)
         w = SymmetricPrior.uniform(2)
-        model = ModelSpec(2, 8)
-        trunc = TruncatedSimplex(2, 0.05)
-        q = bayes_risk(w, model, Predictive.FULL, trunc)
-        m = bayes_risk(w, model, Predictive.FULL, trunc,
-                       mc=MonteCarloSettings(n_draws=200_000))
-        assert abs(q - m) <= 2e-5
+        whole = bayes_risk(w, model)
+        cut = whole + 2 * eps * (whole - math.log((N + 2) / (N + 1)))
+        assert bayes_risk(w, model, trunc) == pytest.approx(cut, rel=1e-13, abs=0)
+        w = SymmetricPrior.minimax(2)
+        assert bayes_risk(w, model, trunc) == pytest.approx(
+            bayes_risk(w, model), rel=1e-11, abs=0)
 
-    def test_mc_pinned_value(self):
-        w = SymmetricPrior.uniform(2)
-        model = ModelSpec(2, 6)
-        trunc = TruncatedSimplex(2, 0.05)
-        mc = MonteCarloSettings(n_draws=60_000, seed=11)
-        a = bayes_risk(w, model, Predictive.FULL, trunc, mc=mc)
-        assert a == 0.05263575811803261  # pinned to the last bit
-
-    def test_stderr_ceiling(self):
-        w = SymmetricPrior.uniform(2)
-        with pytest.raises(StatisticalPrecisionError):
-            bayes_risk(w, ModelSpec(2, 6), Predictive.FULL,
-                       TruncatedSimplex(2, 0.05),
-                       mc=MonteCarloSettings(n_draws=5_000,
-                                             stderr_ceiling=1e-12))
-
-    @pytest.mark.parametrize("mc", [None, MonteCarloSettings(n_draws=5_000)],
-                             ids=["quadrature", "monte-carlo"])
-    def test_prior_spec_weight_honours_truncation(self, mc):
+    def test_prior_spec_weight_honours_truncation(self):
         """The same weight as a PriorSpec or a SymmetricPrior gives the
-        same floored Bayes risk, on both integration routes."""
+        same floored Bayes risk."""
         w = SymmetricPrior.uniform(2)
         model = ModelSpec(2, 8)
         trunc = TruncatedSimplex(2, 0.2)
-        spec = bayes_risk(w.expand(), model, Predictive.FULL, trunc, mc=mc)
-        assert spec == bayes_risk(w, model, Predictive.FULL, trunc, mc=mc)
-        assert spec != bayes_risk(w.expand(), model, Predictive.FULL, mc=mc)
+        spec = bayes_risk(w.expand(), model, trunc)
+        assert spec == bayes_risk(w, model, trunc)
+        assert spec != bayes_risk(w.expand(), model)
 
     def test_aitchison_optimality(self):
         """Under the floored weight, the floored-prior predictive is the
-        Bayes rule, so its Bayes risk cannot exceed the full one's."""
+        Bayes rule, so its Bayes risk, the full one's less the gap, cannot
+        exceed the full one's: the gap is nonnegative."""
         for k, N in ((2, 4), (2, 8), (3, 5)):
             for alpha in (0.5, 1.0, ALPHA_MINIMAX):
                 for eps in (0.05, 0.2):
-                    w = SymmetricPrior(alpha, k)
-                    trunc = TruncatedSimplex(k, eps)
-                    model = ModelSpec(k, N)
-                    full = bayes_risk(w, model, Predictive.FULL, trunc)
-                    restricted = bayes_risk(w, model, Predictive.TRUNCATED, trunc)
-                    assert restricted <= full + 1e-12
+                    gap = truncation_bayes_gap(SymmetricPrior(alpha, k),
+                                               TruncatedSimplex(k, eps),
+                                               ModelSpec(k, N))
+                    assert gap >= 0.0
 
     def test_bayes_below_sup_over_support(self):
         w = SymmetricPrior.uniform(2)
         model = ModelSpec(2, 8)
         trunc = TruncatedSimplex(2, 0.05)
-        bayes = bayes_risk(w, model, Predictive.FULL, trunc)
+        bayes = bayes_risk(w, model, trunc)
         sup = sup_risk(w.expand(), model, trunc, grid_size=64).sup_value
         assert bayes <= sup + 1e-10
 
@@ -890,7 +870,7 @@ class TestBayesRisk:
         """As the floor approaches 1/k the weight pins the central point."""
         w = SymmetricPrior.uniform(2)
         model = ModelSpec(2, 8)
-        bayes = bayes_risk(w, model, Predictive.FULL, TruncatedSimplex(2, 0.49))
+        bayes = bayes_risk(w, model, TruncatedSimplex(2, 0.49))
         center = risk_coordinatewise(w.expand(), model,
                                      ThetaPoint.complete([0.5])).exact_risk
         spread = abs(
@@ -902,16 +882,32 @@ class TestBayesRisk:
     def test_full_simplex_weight_with_singular_kernel(self):
         # Jeffreys weight has integrable endpoint singularities
         w = SymmetricPrior.jeffreys(2)
-        val = bayes_risk(w, ModelSpec(2, 4), Predictive.FULL)
+        val = bayes_risk(w, ModelSpec(2, 4))
         assert 0.0 < val < 1.0
 
     def test_k3_quadrature(self):
+        """k = 3, N = 4, uniform weight floored at 0.08, against a 40 x 40
+        Gauss-Legendre product rule over the floored triangle (theta_1, then
+        theta_2 on [eps, 1 - theta_1 - eps]) of risk_enumeration: the
+        integrand is smooth there, and the two agree within 4e-16."""
+        eps, model = 0.08, ModelSpec(3, 4)
         w = SymmetricPrior.uniform(3)
-        trunc = TruncatedSimplex(3, 0.08)
-        val = bayes_risk(w, ModelSpec(3, 4), Predictive.FULL, trunc)
-        mc = bayes_risk(w, ModelSpec(3, 4), Predictive.FULL, trunc,
-                        mc=MonteCarloSettings(n_draws=150_000))
-        assert val == pytest.approx(mc, abs=3e-4)
+        x, wx = np.polynomial.legendre.leggauss(40)
+        num = []
+        lo, hi = eps, 1.0 - 2 * eps
+        for u, wu in zip(x, wx):
+            t1 = lo + (hi - lo) * (u + 1) / 2
+            lo2, hi2 = eps, 1.0 - t1 - eps
+            row = [wv * risk_enumeration(
+                w.expand(), model,
+                ThetaPoint.complete([t1, lo2 + (hi2 - lo2) * (v + 1) / 2])).exact_risk
+                for v, wv in zip(x, wx)]
+            num.append(wu * (hi2 - lo2) * stable_sum(row))
+        # the triangle's area is (1 - 3 eps)^2 / 2; the inner and outer
+        # Jacobians are (hi2 - lo2)/2 and (hi - lo)/2
+        ref = stable_sum(num) * (hi - lo) / 4 / ((1 - 3 * eps) ** 2 / 2)
+        val = bayes_risk(w, model, TruncatedSimplex(3, eps))
+        assert val == pytest.approx(ref, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("alpha, k, N, floored, predictive, expected", [
         (ALPHA_MINIMAX, 2, 14, True, "full", 0.026862818372937986),
@@ -924,10 +920,13 @@ class TestBayesRisk:
     def test_pinned_quadrature_values(self, alpha, k, N, floored, predictive,
                                       expected):
         """Regression pins: minimax weight floored at eps = N^-0.73 (the
-        sandwich's lower end), and the whole simplex (eps = 0)."""
+        sandwich's lower end), and the whole simplex (eps = 0).  The
+        truncated predictive's Bayes risk is the full one's less the gap."""
         trunc = TruncatedSimplex(k, N ** -0.73) if floored else None
-        val = bayes_risk(SymmetricPrior(alpha, k), ModelSpec(k, N),
-                         Predictive(predictive), trunc)
+        w, model = SymmetricPrior(alpha, k), ModelSpec(k, N)
+        val = bayes_risk(w, model, trunc)
+        if predictive == "truncated":
+            val -= truncation_bayes_gap(w, trunc, model)
         assert val == pytest.approx(expected, rel=1e-12 if floored else 1e-9,
                                     abs=0)
 
@@ -939,117 +938,45 @@ class TestBayesRisk:
                                                           expected):
         """k = 3 over the whole simplex: the closed form against values the
         nested quadrature it replaced gave."""
-        val = bayes_risk(weight, ModelSpec(3, N), Predictive.FULL)
+        val = bayes_risk(weight, ModelSpec(3, N))
         assert val == pytest.approx(expected, rel=1e-12, abs=0)
 
-    def test_whole_simplex_jeffreys_k3_is_fast_and_matches_mc(self):
+    def test_whole_simplex_jeffreys_k3_is_fast_and_matches_mpmath(self):
         """The Jeffreys weight's boundary singularities once cost nested
-        quadrature about a minute here; the closed form must agree with a
-        seeded Monte Carlo run within 4 of its standard errors, bounded by
-        the run's stderr_ceiling."""
+        quadrature about a minute here.  At N = 1 the Bayes risk is
+        E[sum_i theta_i log theta_i] - sum_x m(x) sum_i q_i(x) log q_i(x),
+        over the k outcomes x = e_j with m(e_j) = a_j / A and q_i(e_j) =
+        (a_i + [i = j]) / (1 + A); the closed form matches that at 30
+        digits."""
         w, model = SymmetricPrior.jeffreys(3), ModelSpec(3, 1)
         start = time.perf_counter()
-        exact = bayes_risk(w, model, Predictive.FULL)
+        exact = bayes_risk(w, model)
         assert time.perf_counter() - start < 1.0
-        ceiling = 2.7e-4
-        mc = bayes_risk(w, model, Predictive.FULL,
-                        mc=MonteCarloSettings(n_draws=100_000,
-                                              stderr_ceiling=ceiling))
-        assert abs(exact - mc) <= 4 * ceiling
+        with mpmath.workdps(30):
+            a, k = mpmath.mpf(w.alpha), w.k
+            A = k * a
+            want = k * a / A * (mpmath.digamma(a + 1) - mpmath.digamma(A + 1))
+            for j in range(k):
+                for i in range(k):
+                    q = (a + (i == j)) / (1 + A)
+                    want -= a / A * q * mpmath.log(q)
+        assert exact == pytest.approx(float(want), rel=1e-13, abs=0)
 
-    def test_truncated_predictive_needs_truncation(self):
-        with pytest.raises(DomainError):
-            bayes_risk(SymmetricPrior.uniform(2), ModelSpec(2, 4),
-                       Predictive.TRUNCATED)
+    def test_floored_k4_is_a_size_error(self):
+        """Floored Bayes risks stop at k = 3; the whole simplex has its
+        closed form at every k."""
+        w, model = SymmetricPrior.minimax(4), ModelSpec(4, 4)
+        with pytest.raises(SizeError):
+            bayes_risk(w, model, TruncatedSimplex(4, 0.05))
+        assert bayes_risk(w, model) > 0.0
 
     def test_caps(self):
         w = SymmetricPrior.uniform(2)
         with pytest.raises(SizeError):
-            bayes_risk(w, ModelSpec(2, 65), Predictive.TRUNCATED,
-                       TruncatedSimplex(2, 0.05))
+            truncation_bayes_gap(w, TruncatedSimplex(2, 0.05), ModelSpec(2, 65))
         with pytest.raises(SizeError):
-            bayes_risk(SymmetricPrior.uniform(4), ModelSpec(4, 4),
-                       Predictive.TRUNCATED, TruncatedSimplex(4, 0.05))
-
-
-def _per_draw_bayes_mc(weight, model, trunc, mc):
-    """Monte Carlo Bayes risk of the full predictive as a loop over draws,
-    one risk() call each: kept as the reference for the batched
-    estimator."""
-    prior = weight.expand() if isinstance(weight, SymmetricPrior) else weight
-    ev = risk_module.CoordinateRiskEvaluator(prior, model)
-    eps = trunc.eps if trunc else 0.0
-    sums, n = [], 0
-    for b in range(mc.n_batches):
-        draws, _ = dirichlet_batch(prior.a, eps, mc, b)
-        vals = [ev.risk(ThetaPoint(tuple(row))).exact_risk for row in draws]
-        sums.append(stable_sum(vals))
-        n += len(vals)
-    return stable_sum(sums) / n
-
-
-class TestBatchedMonteCarlo:
-    """Monte Carlo Bayes risk scores each batch in one kernel call and
-    equals the per-draw loop exactly."""
-
-    @pytest.mark.parametrize("weight, N, eps", [
-        (SymmetricPrior.uniform(2), 6, 0.05),
-        (SymmetricPrior.jeffreys(2), 9, 0.0),
-        (PriorSpec((0.4, 1.3, 2.2)), 5, 0.0),
-        (SymmetricPrior.minimax(4), 12, 0.02),
-        (PriorSpec((0.5, 0.9, 1.6, 3.0)), 8, 0.0),
-    ], ids=["weight0-6-full-0.05", "weight1-9-full-0.0", "weight3-5-full-0.0",
-            "weight5-12-full-0.02", "weight6-8-full-0.0"])
-    def test_equals_per_draw_loop(self, monkeypatch, weight, N, eps):
-        model = ModelSpec(weight.k, N)
-        trunc = TruncatedSimplex(weight.k, eps) if eps else None
-        mc = MonteCarloSettings(n_draws=3_000, batch_size=700, seed=N)
-        want = _per_draw_bayes_mc(weight, model, trunc, mc)
-        calls = []
-        coordinate = risk_module.CoordinateRiskEvaluator.coordinate
-
-        def counting(ev, i, t):
-            calls.append(np.size(t))
-            return coordinate(ev, i, t)
-
-        monkeypatch.setattr(risk_module.CoordinateRiskEvaluator, "coordinate",
-                            counting)
-        got = bayes_risk(weight, model, Predictive.FULL, trunc, mc=mc)
-        assert got == want
-        assert len(calls) == mc.n_batches == 5
-        assert sum(calls) > 0 and sum(calls) % weight.k == 0
-
-
-class TestTruncatedPredictiveRisk:
-    def test_pointwise_against_direct_definition(self):
-        """risk of the floored predictive recomputed from its definition
-        via the model-level truncated predictive density."""
-        alpha = SymmetricPrior.uniform(2)
-        trunc = TruncatedSimplex(2, 0.1)
-        model = ModelSpec(2, 5)
-        theta = ThetaPoint.complete([0.35])
-        fast = risk_truncated_predictive(alpha, trunc, model, theta)
-
-        direct = 0.0
-        th = theta.theta
-        for x1 in range(6):
-            x = (x1, 5 - x1)
-            px = math.comb(5, x1) * th[0] ** x1 * th[1] ** (5 - x1)
-            for i in range(2):
-                q = truncated_predictive_density(alpha, trunc, model,
-                                                 Observation(x), OutcomeLabel(i))
-                direct += px * th[i] * math.log(th[i] / q)
-        assert fast == pytest.approx(direct, rel=1e-9, abs=0)
-
-    def test_table_reuse_matches(self):
-        alpha = SymmetricPrior.minimax(2)
-        trunc = TruncatedSimplex(2, 0.08)
-        model = ModelSpec(2, 6)
-        table = TruncatedPredictiveTable(alpha, trunc, model)
-        theta = ThetaPoint.complete([0.25])
-        a = risk_truncated_predictive(alpha, trunc, model, theta, table)
-        b = risk_truncated_predictive(alpha, trunc, model, theta)
-        assert a == b
+            truncation_bayes_gap(SymmetricPrior.uniform(4),
+                                 TruncatedSimplex(4, 0.05), ModelSpec(4, 4))
 
 
 class TestTruncationBayesGap:
@@ -1143,23 +1070,6 @@ class TestTruncationBayesGap:
         gap = truncation_bayes_gap(SymmetricPrior.minimax(3),
                                    TruncatedSimplex(3, 0.05), ModelSpec(3, 6))
         assert gap > 0.0
-
-    @pytest.mark.parametrize("k, N, eps, mc", [
-        (2, 7, 0.04, None),
-        (3, 6, 0.05, None),
-        (2, 7, 0.04, MonteCarloSettings(n_draws=3_000, batch_size=700, seed=7)),
-        (3, 6, 0.05, MonteCarloSettings(n_draws=3_000, batch_size=700, seed=6)),
-    ], ids=["quadrature-k2", "quadrature-k3", "monte-carlo-k2",
-            "monte-carlo-k3"])
-    def test_truncated_bayes_risk_is_full_less_gap(self, k, N, eps, mc):
-        """The truncated predictive's Bayes risk is the full one's less the
-        gap, to the last bit, on both integration routes."""
-        w, model = SymmetricPrior.minimax(k), ModelSpec(k, N)
-        trunc = TruncatedSimplex(k, eps)
-        full = bayes_risk(w, model, Predictive.FULL, trunc, mc=mc)
-        gap = truncation_bayes_gap(w, trunc, model)
-        got = bayes_risk(w, model, Predictive.TRUNCATED, trunc, mc=mc)
-        assert got == full - gap
 
     @pytest.mark.parametrize("weight, trunc", [
         (PriorSpec((1.0, 1.0)), TruncatedSimplex(2, 0.1)),

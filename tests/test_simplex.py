@@ -11,10 +11,6 @@ import minimax_multinom.simplex as simplex_module
 from minimax_multinom import (
     DEFAULT_SEED,
     DomainError,
-    InfeasibleRegionError,
-    IntegrationMethod,
-    MonteCarloSettings,
-    StatisticalPrecisionError,
     b_trunc,
     lemma1_check,
     lemma4_check,
@@ -84,80 +80,28 @@ class TestTruncatedIntegrals:
                 for e in (0.01, 0.05, 0.1, 0.2, 0.3)]
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
-    def test_exact_vs_forced_quadrature_k2(self):
+    def test_k2_against_exact_rationals(self):
+        """k = 2 at integer shapes against the segment integral as an exact
+        rational over the floats' own ends [eps, 1 - eps]: within 1.8e-15
+        in the log on these draws, under the 1e-13 a segment is credited."""
         rng = np.random.default_rng(17)
-        for _ in range(20):
-            alphas = tuple(np.exp(rng.uniform(-1, 2, size=2)))
+        for _ in range(30):
+            a, b = (int(v) for v in rng.integers(1, 13, size=2))
             eps = float(rng.uniform(1e-3, 0.45))
-            a = b_trunc(alphas, eps, method=IntegrationMethod.EXACT_1D)
-            b = b_trunc(alphas, eps, method=IntegrationMethod.RECURSIVE_QUAD)
-            assert a.value == pytest.approx(b.value, rel=1e-9, abs=0)
+            exact = _beta_seg_exact(a, b, Fraction(eps), Fraction(1.0 - eps))
+            got = b_trunc((a, b), eps).value_log
+            assert abs(got - math.log(exact)) <= 1e-14, (a, b, eps)
 
-    def test_quadrature_vs_monte_carlo_k3(self):
-        rng = np.random.default_rng(23)
-        for _ in range(3):
-            alphas = tuple(np.exp(rng.uniform(-0.5, 1.0, size=3)))
-            eps = float(rng.uniform(0.02, 0.2))
-            q = b_trunc(alphas, eps, method=IntegrationMethod.RECURSIVE_QUAD)
-            m = b_trunc(
-                alphas, eps, method=IntegrationMethod.MONTE_CARLO,
-                mc=MonteCarloSettings(n_draws=400_000, seed=DEFAULT_SEED,
-                                      batch_size=65_536),
-            )
-            # MC error_estimate is 3 standard errors, relative
-            tol = m.error_estimate + 1e-8
-            assert abs(m.value - q.value) / q.value <= tol
-
-    def test_monte_carlo_k4(self):
-        res = b_trunc((1.0, 1.0, 1.0, 1.0), 0.05,
-                      method=IntegrationMethod.MONTE_CARLO,
-                      mc=MonteCarloSettings(n_draws=200_000, batch_size=65_536))
-        assert res.method is IntegrationMethod.MONTE_CARLO
-        assert 0.0 < res.value <= math.exp(log_multivariate_beta((1,) * 4))
-
-    def test_monte_carlo_determinism(self):
-        kw = dict(method=IntegrationMethod.MONTE_CARLO,
-                  mc=MonteCarloSettings(n_draws=100_000, seed=42,
-                                        batch_size=65_536))
-        a = b_trunc((1.0, 2.0, 0.5, 1.5), 0.03, **kw)
-        b = b_trunc((1.0, 2.0, 0.5, 1.5), 0.03, **kw)
-        assert a.value_log == b.value_log
-
-    def test_infeasible_region(self):
-        # nearly all mass on the first cell: the floored region is unreachable
-        with pytest.raises(InfeasibleRegionError):
-            b_trunc((60.0, 0.2, 0.2, 0.2), 0.24,
-                    method=IntegrationMethod.MONTE_CARLO,
-                    mc=MonteCarloSettings(n_draws=100_000, batch_size=65_536))
-
-    def test_monte_carlo_pinned_k4(self):
-        """The default k = 4 route: 1,000,000 seeded draws in batches of
-        65,536, pinned to the last bit."""
-        res = b_trunc((1, 1, 1, 1), 0.05)
-        assert res.method is IntegrationMethod.MONTE_CARLO
-        assert res.value_log == -2.462701029640222
-        assert res.error_estimate == 0.0029333775714869416
-
-    def test_monte_carlo_settings_need_monte_carlo(self):
-        """Settings that the chosen method would not use are rejected."""
-        mc = MonteCarloSettings(n_draws=1_000)
-        for alphas, method in (((1.0, 2.0, 0.5), IntegrationMethod.RECURSIVE_QUAD),
-                               ((1.0, 2.0), IntegrationMethod.EXACT_1D),
-                               ((1.0, 2.0, 0.5), None)):
-            with pytest.raises(DomainError):
-                b_trunc(alphas, 0.1, method=method, mc=mc)
-            with pytest.raises(DomainError):
-                log_i_trunc(alphas, 0.1, method=method, mc=mc)
-
-    def test_monte_carlo_stderr_ceiling(self):
-        mc = MonteCarloSettings(n_draws=5_000, stderr_ceiling=1e-6)
-        with pytest.raises(StatisticalPrecisionError) as info:
-            b_trunc((1.0, 1.0, 1.0, 1.0), 0.05, mc=mc)
-        # the fraction's standard error with 5,000 proposals is ~7e-3
-        assert 1e-3 < info.value.stderr < 1e-2
-        assert 0.0 < info.value.estimate < 1.0
-        loose = MonteCarloSettings(n_draws=5_000, stderr_ceiling=1e-2)
-        assert b_trunc((1.0, 1.0, 1.0, 1.0), 0.05, mc=loose).value > 0.0
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_uniform_similar_simplex_nested(self, k):
+        """The nested quadrature at k >= 4: flooring the uniform simplex
+        shrinks it by (1 - k eps)^(k - 1)."""
+        for eps in (0.01, 0.05, 0.1, 0.15):
+            if eps < 1.0 / k:
+                want = (k - 1) * math.log1p(-k * eps)
+                assert abs(log_i_trunc((1.0,) * k, eps) - want) <= 1e-12
+                assert abs(b_trunc((1.0,) * k, eps).value_log
+                           - (want - math.lgamma(k))) <= 1e-12
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -165,7 +109,7 @@ class TestTruncatedIntegrals:
         with pytest.raises(DomainError):
             b_trunc((1.0, -1.0), 0.1)
         with pytest.raises(DomainError):
-            b_trunc((1.0, 1.0, 1.0), 0.1, method=IntegrationMethod.EXACT_1D)
+            b_trunc((1.0, 1.0, 1.0, 1.0), 0.25)
 
 
 def _k3_suite_draws():
@@ -295,10 +239,11 @@ class TestLockstepBatch:
             assert (logs[j], rel[j]) == (log1, rel1)
 
     def test_b_trunc_batch_equals_b_trunc(self):
-        """The suites' batch of k = 2 and k = 3 integrals returns b_trunc's
-        results."""
+        """A batch of k = 2, 3 and 4 integrals, as the suites take them,
+        returns b_trunc's results bit for bit."""
         params = [(tuple(a), float(e)) for a, e in zip(*self._draws(8, 3, 8))]
         params += [(tuple(a), float(e)) for a, e in zip(*self._draws(9, 2, 8))]
+        params += [(tuple(a), float(e)) for a, e in zip(*self._draws(10, 4, 3))]
         params = params[::2] + params[1::2]
         ints, log_full = simplex_module._b_trunc_batch(params)
         assert ints == [b_trunc(*p) for p in params]
