@@ -20,10 +20,12 @@ The two must agree to high accuracy; the enumeration route serves as the
 oracle for the fast one throughout the test suite.
 
 Bayes risks average the separable risk under a Dirichlet weight: in closed
-form over the whole simplex, by nested quadrature over a floored simplex at
-k <= 3.  The truncated-prior predictive's Bayes risk is that of the full
-predictive less an exact finite sum over its table of truncated-integral
-ratios (truncation_bayes_gap).
+form over the whole simplex, and over a floored simplex at k <= 3 by nested
+lockstep Gauss-Kronrod integrals (numkernel.gauss_kronrod) whose every level
+takes the risk at all its nodes from one CoordinateRiskEvaluator.risk call.
+The truncated-prior predictive's Bayes risk is that of the full predictive
+less an exact finite sum over its table of truncated-integral ratios
+(truncation_bayes_gap).
 """
 
 from __future__ import annotations
@@ -45,10 +47,9 @@ from .model import (
 )
 from .numkernel import (
     DEFAULT_SEED,
-    QUAD_ABS_TOL,
-    QUAD_MAX_SUBDIVISIONS,
     QUAD_REL_TOL,
     compositions,
+    gauss_kronrod,
     log_binomial_row,
     log_multinomial_rows,
     seeded_stream,
@@ -182,7 +183,8 @@ class CoordinateRiskEvaluator:
     coordinate(i, t) returns h_i(t) = -t log(1+s_i) - t E log(1+w_i) for an
     array of candidate values t of theta_i, where i is one coordinate index
     or one index per value; the full risk at a point is the compensated sum
-    of the k contributions, taken from one call.  A call walks its points in
+    of the k contributions, taken from one call, and risk(thetas) takes it
+    at every column of a (k, n) array of points.  A call walks its points in
     order and gathers the summation windows of consecutive points into one
     flat array until the next window would push it past _PASS_TERMS = 4096
     terms (a longer window gets a pass of its own); every pass evaluates all
@@ -300,9 +302,37 @@ class CoordinateRiskEvaluator:
             start += n
         return sums
 
-    def risk(self, theta: ThetaPoint) -> RiskReport:
-        per = tuple(self.coordinate(range(self.model.k), theta.theta).tolist())
-        return RiskReport(_risk_total(per), per, theta, RiskMethod.COORDINATEWISE)
+    def risk(self, thetas) -> np.ndarray:
+        """The risk at each column of a (k, n) array of points, from one
+        coordinate call.
+
+        h is evaluated once per distinct (shape parameter, value) pair:
+        the coordinates that share a shape parameter share their values'
+        np.unique, so a symmetric prior's points cost one h per distinct
+        value.  coordinate gives each point its own float whatever the
+        batch holds, so every column's total is the float
+        risk_coordinatewise gives its point, and each passes its finiteness
+        and sign check.
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        k, n = thetas.shape
+        if k != self.model.k:
+            raise DomainError("points and model disagree on k")
+        a = self.prior.a
+        # per shape parameter: its coordinates and where each of their
+        # values sits among the distinct values ts
+        groups, idx, ts = [], [], []
+        for a_i in dict.fromkeys(a):
+            rows = [i for i in range(k) if a[i] == a_i]
+            values, at = np.unique(thetas[rows], return_inverse=True)
+            groups.append((rows, len(ts) + at.reshape(len(rows), n)))
+            idx += [rows[0]] * values.size
+            ts += values.tolist()
+        h = self.coordinate(idx, ts)
+        per = np.empty((k, n))
+        for rows, at in groups:
+            per[rows] = h[at]
+        return np.array([_risk_total(col) for col in per.T.tolist()])
 
 
 def risk_coordinatewise(
@@ -310,7 +340,9 @@ def risk_coordinatewise(
 ) -> RiskReport:
     """Risk via the separable per-coordinate form; O(N k) time."""
     _check_kabc(prior, model, theta)
-    return CoordinateRiskEvaluator(prior, model).risk(theta)
+    ev = CoordinateRiskEvaluator(prior, model)
+    per = tuple(ev.coordinate(range(model.k), theta.theta).tolist())
+    return RiskReport(_risk_total(per), per, theta, RiskMethod.COORDINATEWISE)
 
 
 def _check_kabc(prior: PriorSpec, model: ModelSpec, theta: ThetaPoint) -> None:
@@ -767,46 +799,57 @@ class TruncatedPredictiveTable:
         return stable_sum((m_q_full * (r * np.exp(r) - np.expm1(r))).ravel())
 
 
-def _bayes_numerator(a: tuple, eps: float, risk_fn, head: tuple = (),
-                     mass: float = 1.0) -> tuple:
+def _bayes_numerator(a: tuple, eps: float, risk) -> tuple:
     """(integral, relative error estimate) of the Dirichlet kernel
-    prod theta_i^(a_i - 1) times the risk over the simplex floored at eps.
+    prod theta_i^(a_i - 1) times the risk over the simplex floored at eps,
+    at k = 2 or 3; risk(points) is the risk at each column of a (k, n)
+    array (CoordinateRiskEvaluator.risk).
 
     Peels off the first coordinate by stick-breaking, as
-    simplex._recursive_b_log does, but with scipy's scalar quad at each
-    level, one risk per node: with theta_1 = v, the remaining coordinates
-    are (1 - v) phi with phi on the (k-1)-simplex floored at eps/(1 - v), so
-    each level is one integral of v^(a_1 - 1) (1 - v)^(a_2 + ... + a_k - 1)
-    against the inner value.  head holds the coordinates the enclosing
-    levels fixed and mass the probability left to the rest; risk_fn takes
-    the first k - 1 coordinates.  The outermost level runs at QUAD_REL_TOL,
-    inner levels at 10 QUAD_REL_TOL.  eps must be positive: the whole
-    simplex has a closed form (_bayes_risk_whole_simplex).
+    simplex._recursive_b_log does: with theta_1 = v, the remaining
+    coordinates are (1 - v) phi with phi on the (k-1)-simplex floored at
+    eps/(1 - v), so the integral is one over v of
+    v^(a_1 - 1) (1 - v)^(a_2 + ... + a_k - 1) against the inner value.  At
+    k = 2 that is the risk at (v, 1 - v); at k = 3 it is the integral over
+    phi_1 = w of w^(a_2 - 1) (1 - w)^(a_3 - 1) times the risk at
+    (v, (1 - v) w, 1 - v - (1 - v) w), and the inner integrals of all the
+    outer nodes of a level are one lockstep numkernel.gauss_kronrod batch.
+    So each level of either integral makes one risk call for all its
+    nodes, and every level runs at QUAD_REL_TOL.  The relative error is
+    the outer integral's plus the worst inner integral's.  eps must be
+    positive: the whole simplex has a closed form
+    (_bayes_risk_whole_simplex).
     """
-    if len(a) == 1:
-        return risk_fn(head), 0.0
-    # imported on first use: most commands never integrate
-    from scipy.integrate import quad
-
-    e1 = a[0] - 1.0
-    e2 = stable_sum(a[1:]) - 1.0
+    e1, e2 = a[0] - 1.0, stable_sum(a[1:]) - 1.0
     inner_err = 0.0
 
-    def inner(v: float) -> float:
+    def inner(v: np.ndarray) -> np.ndarray:
+        # the inner value at each outer node v
         nonlocal inner_err
-        val, err = _bayes_numerator(
-            a[1:], eps / (1.0 - v), risk_fn, head + (mass * v,), mass * (1.0 - v)
-        )
-        inner_err = max(inner_err, err)
-        return val
+        if len(a) == 2:
+            return risk(np.stack([v, 1.0 - v]))
+        c2, c3 = a[1] - 1.0, a[2] - 1.0
+        e = eps / (1.0 - v)
+        # the inner simplex is empty from e = 1/2 on, which rounding can
+        # reach at nodes next to the upper end
+        live = np.flatnonzero(e < 0.5)
 
-    val, err = quad(
-        lambda v: math.exp(e1 * math.log(v) + e2 * math.log1p(-v)) * inner(v),
-        eps, 1.0 - (len(a) - 1) * eps,
-        epsabs=QUAD_ABS_TOL,
-        epsrel=QUAD_REL_TOL * (10 if head else 1),
-        limit=QUAD_MAX_SUBDIVISIONS,
-    )
+        def g(w: np.ndarray, j: np.ndarray) -> np.ndarray:
+            t1 = v[live[j]]
+            t2 = (1.0 - t1) * w
+            return (np.exp(c2 * np.log(w) + c3 * np.log1p(-w))
+                    * risk(np.stack([t1, t2, 1.0 - (t1 + t2)])))
+
+        vals, errs = gauss_kronrod(g, e[live], 1.0 - e[live])
+        inner_err = max([inner_err] + [d / x for d, x in zip(errs, vals)])
+        out = np.zeros(v.size)
+        out[live] = vals
+        return out
+
+    def f(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return np.exp(e1 * np.log(v) + e2 * np.log1p(-v)) * inner(v)
+
+    (val,), (err,) = gauss_kronrod(f, eps, 1.0 - (len(a) - 1) * eps)
     return val, err / val + inner_err
 
 
@@ -847,9 +890,12 @@ def bayes_risk(
     weight is a PriorSpec or a SymmetricPrior; with trunc it is
     renormalized over the floored simplex, without it it weighs the whole
     simplex.  The whole simplex has a closed form for every k
-    (_bayes_risk_whole_simplex); a floored weight takes nested quadrature
-    at k <= 3 and raises SizeError above.  The truncated-prior predictive's
-    Bayes risk is this one's less truncation_bayes_gap.
+    (_bayes_risk_whole_simplex); a floored weight takes nested lockstep
+    Gauss-Kronrod integrals at k <= 3 (_bayes_numerator, over b_trunc) and
+    raises SizeError above.  Integrals that do not converge, or whose
+    summed relative error estimate exceeds 1e3 QUAD_REL_TOL, raise
+    IntegrationError.  The truncated-prior predictive's Bayes risk is this
+    one's less truncation_bayes_gap.
     """
     if isinstance(weight, SymmetricPrior):
         weight_prior = weight.expand()
@@ -866,13 +912,9 @@ def bayes_risk(
     if model.k > 3:
         raise SizeError(f"floored Bayes risks support k <= 3, got k={model.k}")
 
-    ev = CoordinateRiskEvaluator(weight_prior, model)
-
-    def risk_of(head) -> float:
-        return ev.risk(ThetaPoint.complete(head)).exact_risk
-
     a = weight_prior.a
-    num, rel = _bayes_numerator(a, trunc.eps, risk_of)
+    num, rel = _bayes_numerator(
+        a, trunc.eps, CoordinateRiskEvaluator(weight_prior, model).risk)
     den = b_trunc(a, trunc.eps)
     rel += den.error_estimate
     if rel > 1e3 * QUAD_REL_TOL:

@@ -453,18 +453,19 @@ def _quadrature_imports() -> list:
     return found
 
 
-def test_quad_is_imported_only_by_the_bayes_quadrature():
-    """The floored Bayes risk's nested quadrature is the one caller of
-    scipy's quad left; every other integral runs on gauss_kronrod."""
-    assert _quadrature_imports() == ["risk._bayes_numerator"]
+def test_no_module_imports_scipy_integrate():
+    """Every integral, the floored Bayes risks' included, runs on
+    numkernel.gauss_kronrod; no module of the package imports
+    scipy.integrate."""
+    assert _quadrature_imports() == []
 
 
 class TestImportIsolation:
-    """scipy.integrate is imported only by runs that call its quad, the
-    floored Bayes risks (every other integral, the Beta segments' fallback
-    for thin slices included, runs on numkernel.gauss_kronrod), and
-    scipy.special only by runs that integrate, take a Beta segment or build
-    a truncated-predictive table."""
+    """No run imports scipy.integrate: every integral, the floored Bayes
+    risks and the Beta segments' fallback for thin slices included, runs on
+    numkernel.gauss_kronrod.  scipy.special is imported only by runs that
+    integrate, take a Beta segment or build a truncated-predictive
+    table."""
 
     def test_import_loads_no_scipy(self):
         assert _scipy_modules() == set()
@@ -514,11 +515,11 @@ class TestImportIsolation:
     def test_non_integrating_run_skips_quadrature(self, argv):
         assert not _loads_quadrature(*argv)
 
-    @pytest.mark.parametrize("argv", [
-        pytest.param(["sandwich", "--k", "2", "--N", "8"], id="sandwich"),
-    ])
-    def test_integrating_run_loads_quadrature(self, argv):
-        assert _loads_quadrature(*argv)
+    @pytest.mark.parametrize("k", ["2", "3"])
+    def test_integrating_run_skips_quadrature(self, k):
+        """The sandwich's floored Bayes risks are nested gauss_kronrod
+        integrals, not quad."""
+        assert not _loads_quadrature("sandwich", "--k", k, "--N", "8")
 
     @pytest.mark.parametrize("lemma", ["4", "6"])
     def test_k3_integrals_skip_quadrature(self, lemma):

@@ -23,6 +23,7 @@ from minimax_multinom import (
     ALPHA_MINIMAX,
     DomainError,
     EpsilonSchedule,
+    IntegrationError,
     ModelSpec,
     PriorSpec,
     RiskMethod,
@@ -417,13 +418,19 @@ class TestOnePassKernel:
 
     @pytest.mark.parametrize("N", [0, 1, 24, 1024])
     def test_risk_is_the_single_coordinate_values(self, N):
-        ev = risk_module.CoordinateRiskEvaluator(self.PRIOR, ModelSpec(3, N))
+        """risk_coordinatewise's contributions are the single-point kernel
+        values, and the batch risk of its one point is their sum."""
+        model = ModelSpec(3, N)
+        ev = risk_module.CoordinateRiskEvaluator(self.PRIOR, model)
         theta = ThetaPoint((0.2, 0.7, 0.1))
-        per = ev.risk(theta).per_coordinate
+        report = risk_coordinatewise(self.PRIOR, model, theta)
+        per = report.per_coordinate
         assert per == tuple(float(ev.coordinate(i, theta.theta[i])[0])
                             for i in range(3))
         assert per == tuple(float(_per_point_coordinate(ev, i, theta.theta[i])[0])
                             for i in range(3))
+        batch = ev.risk(np.array(theta.theta)[:, None])
+        assert batch.tolist() == [math.fsum(per)] == [report.exact_risk]
 
     @pytest.mark.parametrize("N, alpha, t", [
         pytest.param(N, alpha, t, id=f"N={N}-{name}-t={label}")
@@ -484,6 +491,99 @@ _K2_PRIORS = {
     "a=(0.3,2.5)": PriorSpec((0.3, 2.5)),
     "a=(3,0.7)": PriorSpec((3.0, 0.7)),
 }
+
+
+class TestBatchRisk:
+    """CoordinateRiskEvaluator.risk takes a (k, n) array of points and
+    gives each column the float risk_coordinatewise gives its point, from
+    one kernel call that evaluates each distinct (shape parameter, value)
+    pair once."""
+
+    @staticmethod
+    def _points():
+        """Columns of random interior points with repeated values: whole
+        columns twice, coordinates shared across columns and across rows,
+        and a column with two equal coordinates."""
+        rng = seeded_stream(11, 3)
+        th = rng.dirichlet(np.ones(3), size=8).T
+        th[:, 5] = th[:, 2]
+        th[0, 6] = th[0, 1]
+        th[1:, 6] = (1.0 - th[0, 6]) * np.array([0.25, 0.75])
+        th[:, 7] = (0.3, 0.3, 1.0 - (0.3 + 0.3))
+        th = np.hstack([th, th[:, :3], th[[1, 0, 2]][:, 3:5]])
+        return th
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The (coordinate indices, values) of every kernel call."""
+        calls = []
+        coordinate = risk_module.CoordinateRiskEvaluator.coordinate
+
+        def recording(ev, i, t):
+            calls.append((list(i), list(t)))
+            return coordinate(ev, i, t)
+
+        monkeypatch.setattr(risk_module.CoordinateRiskEvaluator, "coordinate",
+                            recording)
+        return calls
+
+    @pytest.mark.parametrize("N", [0, 1, 24, 64])
+    @pytest.mark.parametrize("prior", [
+        SymmetricPrior(ALPHA_MINIMAX, 3).expand(),
+        PriorSpec((0.3, 2.5, 0.3)),
+        PriorSpec((0.3, 2.5, 1e-6)),
+    ], ids=["symmetric", "two-equal", "asymmetric"])
+    def test_each_column_is_its_coordinatewise_risk(self, prior, N, calls):
+        model = ModelSpec(3, N)
+        th = self._points()
+        got = risk_module.CoordinateRiskEvaluator(prior, model).risk(th)
+        assert len(calls) == 1
+        want = [risk_coordinatewise(prior, model,
+                                    ThetaPoint(tuple(col))).exact_risk
+                for col in th.T.tolist()]
+        assert got.dtype == np.float64 and got.tolist() == want
+
+    def test_one_value_per_distinct_pair(self, calls):
+        """A symmetric prior evaluates np.unique of all the values at one
+        index; an asymmetric one each coordinate's own unique values, and
+        coordinates that share a shape parameter share theirs."""
+        th = self._points()
+        for a, groups in [((1.5,) * 3, [[0, 1, 2]]),
+                          ((0.3, 2.5, 0.3), [[0, 2], [1]]),
+                          ((0.3, 2.5, 1e-6), [[0], [1], [2]])]:
+            calls.clear()
+            risk_module.CoordinateRiskEvaluator(
+                PriorSpec(a), ModelSpec(3, 8)).risk(th)
+            (idx, ts), = calls
+            want_idx, want_ts = [], []
+            for rows in groups:
+                values = np.unique(th[rows]).tolist()
+                want_idx += [rows[0]] * len(values)
+                want_ts += values
+            assert idx == want_idx and ts == want_ts
+        assert len(np.unique(th)) < th.size
+
+    def test_empty_batch(self):
+        ev = risk_module.CoordinateRiskEvaluator(PriorSpec((0.3, 2.5)),
+                                                 ModelSpec(2, 8))
+        out = ev.risk(np.empty((2, 0)))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_rows_must_match_k(self):
+        ev = risk_module.CoordinateRiskEvaluator(PriorSpec((0.3, 2.5, 1.0)),
+                                                 ModelSpec(3, 8))
+        with pytest.raises(DomainError):
+            ev.risk(np.full((2, 4), 0.5))
+
+    def test_every_point_is_checked(self):
+        """A point outside the open simplex raises, wherever it sits in the
+        batch."""
+        ev = risk_module.CoordinateRiskEvaluator(PriorSpec((0.3, 2.5)),
+                                                 ModelSpec(2, 8))
+        th = np.full((2, 5), 0.5)
+        th[:, 3] = (1.0, 0.0)
+        with pytest.raises(DomainError):
+            ev.risk(th)
 
 
 class TestK2SearchCoversAscent:
@@ -817,6 +917,35 @@ class TestFloorNearCenter:
         assert rep.sup_value >= center.exact_risk - risk_module._TIE_TOL
 
 
+def _mp_floored_bayes_k2(alpha: float, N: int, eps: float) -> float:
+    """The k = 2 Bayes risk of the symmetric Dirichlet(alpha) predictive
+    under its own weight floored at eps, at 30 digits: mpmath quadrature of
+    the kernel (v (1 - v))^(alpha - 1) times the risk, summed over the whole
+    binomial support, over the kernel's own integral."""
+    with mpmath.workdps(30):
+        a, e = mpmath.mpf(alpha), mpmath.mpf(eps)
+        logs = [mpmath.log(x + a) for x in range(N + 1)]
+        coef = [mpmath.binomial(N, x) for x in range(N + 1)]
+
+        def risk(v):
+            u = 1 - v
+            r = v * mpmath.log(v) + u * mpmath.log(u) + mpmath.log(N + 2 * a)
+            for x in range(N + 1):
+                r -= coef[x] * v**x * u**(N - x) * (v * logs[x] + u * logs[N - x])
+            return r
+
+        def kernel(v):
+            return (v * (1 - v)) ** (a - 1)
+
+        # the kernel is singular at the vertices when alpha < 1: panels
+        # that shrink geometrically toward the floors
+        ends = [e] + [e + (mpmath.mpf(1) / 2 - e) * mpmath.mpf(4) ** -j
+                      for j in range(16, -1, -1)]
+        ends += [1 - x for x in reversed(ends[:-1])]
+        num = mpmath.quad(lambda v: kernel(v) * risk(v), ends)
+        return float(num / mpmath.quad(kernel, ends))
+
+
 class TestBayesRisk:
     def test_k2_floored_quadrature_vs_whole_simplex(self):
         """k = 2, N = 8, floor eps = 1e-9: the nested quadrature against the
@@ -910,7 +1039,7 @@ class TestBayesRisk:
         assert val == pytest.approx(ref, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("alpha, k, N, floored, predictive, expected", [
-        (ALPHA_MINIMAX, 2, 14, True, "full", 0.026862818372937986),
+        (ALPHA_MINIMAX, 2, 14, True, "full", 0.026862818372937917),
         (ALPHA_MINIMAX, 2, 14, True, "truncated", 0.023650372263742926),
         (ALPHA_MINIMAX, 3, 22, True, "full", 0.03458902401221635),
         (ALPHA_MINIMAX, 3, 22, True, "truncated", 0.029786137628711032),
@@ -919,9 +1048,11 @@ class TestBayesRisk:
     ])
     def test_pinned_quadrature_values(self, alpha, k, N, floored, predictive,
                                       expected):
-        """Regression pins: minimax weight floored at eps = N^-0.73 (the
-        sandwich's lower end), and the whole simplex (eps = 0).  The
-        truncated predictive's Bayes risk is the full one's less the gap."""
+        """Pins: minimax weight floored at eps = N^-0.73 (the sandwich's
+        lower end), and the whole simplex (eps = 0).  The truncated
+        predictive's Bayes risk is the full one's less the gap.  The
+        floored k = 2 full row is the 30-digit _mp_floored_bayes_k2 value;
+        the other rows are regression pins of earlier outputs."""
         trunc = TruncatedSimplex(k, N ** -0.73) if floored else None
         w, model = SymmetricPrior(alpha, k), ModelSpec(k, N)
         val = bayes_risk(w, model, trunc)
@@ -929,6 +1060,45 @@ class TestBayesRisk:
             val -= truncation_bayes_gap(w, trunc, model)
         assert val == pytest.approx(expected, rel=1e-12 if floored else 1e-9,
                                     abs=0)
+
+    def test_floored_k2_against_30_digits(self):
+        """k = 2, minimax weight, N = 31, eps = 0.0798...: scipy's quad,
+        which took this integral before, was 1.11e-12 relative off the
+        30-digit value 0.014141477854019121796; the lockstep Gauss-Kronrod
+        integral is 1.1e-15 off."""
+        eps = 0.07983781766389819
+        want = _mp_floored_bayes_k2(ALPHA_MINIMAX, 31, eps)
+        assert want == pytest.approx(0.014141477854019121796, rel=1e-15, abs=0)
+        got = bayes_risk(SymmetricPrior.minimax(2), ModelSpec(2, 31),
+                         TruncatedSimplex(2, eps))
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, ALPHA_MINIMAX, 3.0])
+    def test_k3_floor_near_center(self, alpha):
+        """At eps = 1/3 - 1e-9 the k = 3 weight sits within 1e-9 of the
+        uniform point, where the risk is flat to first order, so the Bayes
+        risk is the risk there to about 1e-18.  scipy's quad, which took
+        the numerator before, was 9.9e-9 relative off at every alpha."""
+        w, model = SymmetricPrior(alpha, 3), ModelSpec(3, 5)
+        center = risk_coordinatewise(w.expand(), model, ThetaPoint.uniform(3))
+        val = bayes_risk(w, model, TruncatedSimplex(3, 1.0 / 3 - 1e-9))
+        assert val == pytest.approx(center.exact_risk, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("N", [6, 7, 8, 9, 10])
+    def test_singular_weight_at_a_tiny_floor_raises_or_is_accurate(self, N):
+        """The Jeffreys weight floored at 1e-9 has integrable singularities
+        at both floors.  scipy's quad, which took this integral before,
+        returned a value 4.9e-5 relative off at N = 7-9 and only warned;
+        the Bayes risk must now raise IntegrationError or lie within 1e-10
+        of the 30-digit value (at N = 6-10 the 60-panel cap makes it
+        raise)."""
+        try:
+            got = bayes_risk(SymmetricPrior(0.5, 2), ModelSpec(2, N),
+                             TruncatedSimplex(2, 1e-9))
+        except IntegrationError:
+            return
+        want = _mp_floored_bayes_k2(0.5, N, 1e-9)
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("weight, N, expected", [
         (SymmetricPrior.uniform(3), 4, 0.12485588733277497),
