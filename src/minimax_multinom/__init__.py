@@ -54,7 +54,6 @@ from .moments import (
 )
 from .numkernel import (
     log_beta_segment,
-    log_multinomial,
     log_multivariate_beta,
     stable_sum,
 )

@@ -228,21 +228,6 @@ def compositions(N: int, k: int) -> np.ndarray:
     return np.diff(edges, axis=1) - 1
 
 
-def log_multinomial(N: int, x) -> float:
-    """ln of the multinomial coefficient N! / (x_1! ... x_k!)."""
-    x = tuple(int(v) for v in x)
-    if any(v < 0 for v in x) or sum(x) != N:
-        raise DomainError("counts must be nonnegative and sum to N")
-    if N <= _EXACT_COMB_LIMIT:
-        num = math.factorial(N)
-        for v in x:
-            num //= math.factorial(v)
-        return math.log(num)
-    if _gammaln is None:
-        special_functions()
-    return float(_gammaln(N + 1)) - stable_sum([_gammaln(v + 1) for v in x])
-
-
 def log_binomial_row(N: int) -> np.ndarray:
     """ln C(N, x) for x = 0, ..., N.
 
@@ -303,42 +288,49 @@ def _log_beta_integrand_max(alpha: float, beta: float, s: float, t: float) -> fl
 _SEGMENT_GUARD = 1e-5
 
 
-def log_beta_segment(
-    alpha: float,
-    beta: float,
-    s: float,
-    t: float,
-) -> float:
-    """ln of the Beta-density-kernel integral over a subinterval of [0, 1].
+def log_beta_segment(alpha, beta, s, t):
+    """ln of int_s^t th^(alpha-1) (1-th)^(beta-1) dth, elementwise over
+    broadcastable arrays; a float for scalar input.
 
-    Computes ln of int_s^t th^(alpha-1) (1-th)^(beta-1) dth.  The primary
-    route is a difference of regularized incomplete beta values (the
-    complemented function for an upper end of 1); when that difference
-    loses too many significant digits (a thin slice in a region of
-    negligible mass) the integral is redone by gauss_kronrod, as a batch of
-    one of _log_segments_by_quadrature.
+    The primary route is a difference of regularized incomplete beta
+    values, or for an upper end of 1 the complemented function, which
+    carries full relative precision even when the tail mass is tiny.  The
+    segments where that fails (a difference that loses too many
+    significant digits, i.e. a thin slice in a region of negligible mass,
+    or a tail past betaincc's underflow) are redone together by one
+    gauss_kronrod batch (_log_segments_by_quadrature), so each gets the
+    float it gets alone.  Any element with a shape parameter <= 0 or
+    outside 0 <= s < t <= 1 raises DomainError.
     """
-    if not (alpha > 0 and beta > 0):
+    alpha, beta, s, t = (np.asarray(v, dtype=float) for v in (alpha, beta, s, t))
+    shape = np.broadcast_shapes(alpha.shape, beta.shape, s.shape, t.shape)
+    alpha, beta, s, t = (np.broadcast_to(v, shape).ravel()
+                         for v in (alpha, beta, s, t))
+    if not ((alpha > 0) & (beta > 0)).all():
         raise DomainError("shape parameters must be positive")
-    if not (0.0 <= s < t <= 1.0):
-        raise DomainError(f"need 0 <= s < t <= 1, got s={s!r}, t={t!r}")
+    bad = np.flatnonzero(~((0.0 <= s) & (s < t) & (t <= 1.0)))
+    if bad.size:
+        j = bad[0]
+        raise DomainError(f"need 0 <= s < t <= 1, got s={float(s[j])!r}, "
+                          f"t={float(t[j])!r}")
     if _betaln is None:
         special_functions()
-
-    if t == 1.0:
-        # upper-tail segment: the complemented function carries full
-        # relative precision even when the tail mass is tiny
-        diff = 1.0 if s == 0.0 else float(_betaincc(alpha, beta, s))
-        if diff > 0.0:
-            return float(_betaln(alpha, beta)) + math.log(diff)
+    upper = _betainc(alpha, beta, t)
+    diff = upper - _betainc(alpha, beta, s)
+    ok = diff > _SEGMENT_GUARD * np.maximum(upper, 1e-300)
+    tail = np.flatnonzero(t == 1.0)
+    if tail.size:
+        diff[tail] = _betaincc(alpha[tail], beta[tail], s[tail])
+        ok[tail] = diff[tail] > 0.0
+    if ok.all():
+        out = _betaln(alpha, beta) + np.log(diff)
     else:
-        upper = float(_betainc(alpha, beta, t))
-        lower = 0.0 if s == 0.0 else float(_betainc(alpha, beta, s))
-        diff = upper - lower
-        if diff > _SEGMENT_GUARD * max(upper, 1e-300):
-            return float(_betaln(alpha, beta)) + math.log(diff)
-    return float(_log_segments_by_quadrature(
-        np.array([alpha]), np.array([beta]), np.array([s]), np.array([t]))[0])
+        out = np.empty(diff.shape)
+        out[ok] = _betaln(alpha[ok], beta[ok]) + np.log(diff[ok])
+        thin = ~ok
+        out[thin] = _log_segments_by_quadrature(alpha[thin], beta[thin],
+                                                s[thin], t[thin])
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def _log_segments_by_quadrature(alpha, beta, s, t) -> np.ndarray:
@@ -370,36 +362,6 @@ def _log_segments_by_quadrature(alpha, beta, s, t) -> np.ndarray:
                 achieved=float(err[j] / abs(val[j])),
             )
     return scale + np.log(val)
-
-
-def log_beta_segments(alpha, beta, s, t) -> np.ndarray:
-    """log_beta_segment(alpha[j], beta[j], s[j], t[j]) for broadcastable
-    arrays with 0 <= s < t <= 1, from one array betainc pass per end.
-
-    The segments that fail the cancellation guard go to
-    _log_segments_by_quadrature together, in one gauss_kronrod batch, and
-    each gets the float log_beta_segment gives it.  A segment whose upper
-    end is 1 (the complemented route) is taken from the scalar
-    log_beta_segment.
-    """
-    if _betaln is None:
-        special_functions()
-    upper = _betainc(alpha, beta, t)
-    diff = upper - _betainc(alpha, beta, s)
-    ok = (diff > _SEGMENT_GUARD * np.maximum(upper, 1e-300)) & (t < 1.0)
-    if np.count_nonzero(ok) == ok.size:
-        return _betaln(alpha, beta) + np.log(diff)
-    alpha, beta, s, t = np.broadcast_arrays(alpha, beta, s, t)
-    out = np.empty(diff.shape)
-    out[ok] = _betaln(alpha[ok], beta[ok]) + np.log(diff[ok])
-    thin = ~ok & (t < 1.0)
-    if thin.any():
-        out[thin] = _log_segments_by_quadrature(alpha[thin], beta[thin],
-                                                s[thin], t[thin])
-    for j in np.flatnonzero(t == 1.0).tolist():
-        out[j] = log_beta_segment(float(alpha[j]), float(beta[j]),
-                                  float(s[j]), float(t[j]))
-    return out
 
 
 def stable_sum(terms) -> float:

@@ -57,7 +57,7 @@ from .numkernel import (
     stable_sum,
     window_fsums,
 )
-from .simplex import b_trunc, log_i_trunc
+from .simplex import _b_trunc_batch, _checked, b_trunc, log_i_trunc
 
 #: default cap on the number of count vectors risk_enumeration will visit
 ENUMERATION_CAP = 2_000_000
@@ -739,11 +739,13 @@ def _truncated_caps_check(model: ModelSpec) -> None:
 
 
 class TruncatedPredictiveTable:
-    """Cached log ratios log[I(x + e_i + alpha) / I(x + alpha)] per count
-    vector x, shared by every theta during risk integration.
+    """Log ratios log[I(x + e_i + alpha) / I(x + alpha)] per count vector
+    x, shared by every theta during risk integration.
 
     Truncated integrals are permutation-symmetric in their parameters, so
-    values are memoized on the sorted parameter vector.
+    the table takes each distinct sorted parameter vector of its rows and
+    their bumps once, all from one simplex._b_trunc_batch call; each value
+    is the one log_i_trunc gives alone.
     """
 
     def __init__(
@@ -760,23 +762,20 @@ class TruncatedPredictiveTable:
         self.eps = trunc.eps
         self.comps = compositions(model.N, model.k)
         self._log_coef = log_multinomial_rows(model.N, self.comps)
-        self._memo: dict = {}
         n, k = self.comps.shape
-        self.log_ratio = np.empty((n, k))
+        # per row: x + alpha, then x + alpha + e_i for each i, sorted
+        post = self.comps + self.alpha
+        keys = np.sort(np.concatenate(
+            [post[:, None, :], post[:, None, :] + np.eye(k)], axis=1), axis=2)
+        distinct, where = np.unique(keys.reshape(-1, k), axis=0,
+                                    return_inverse=True)
+        ints, log_full = _b_trunc_batch(
+            [(_checked(key, self.eps), self.eps) for key in distinct.tolist()])
+        log_i = np.array([b.value_log - full for b, full in zip(ints, log_full)])
+        log_i = log_i[where].reshape(n, k + 1)
         # log I(x + alpha) per row, the base of that row's ratios
-        self._log_i_post = np.empty(n)
-        for r in range(n):
-            post = tuple(self.comps[r] + self.alpha)
-            base = self._log_i_post[r] = self._log_i(post)
-            for i in range(k):
-                bumped = post[:i] + (post[i] + 1.0,) + post[i + 1:]
-                self.log_ratio[r, i] = self._log_i(bumped) - base
-
-    def _log_i(self, alphas: tuple) -> float:
-        key = tuple(sorted(alphas))
-        if key not in self._memo:
-            self._memo[key] = log_i_trunc(key, self.eps)
-        return self._memo[key]
+        self._log_i_post = log_i[:, 0]
+        self.log_ratio = log_i[:, 1:] - log_i[:, :1]
 
     def bayes_gap(self) -> float:
         """The full predictive's Bayes risk less the truncated one's under
@@ -791,7 +790,8 @@ class TruncatedPredictiveTable:
         k, N, alpha = self.model.k, self.model.N, self.alpha
         post = self.comps + alpha
         # log m(x), from B_eps = I B with I the retained fraction
-        log_m = (self._log_coef + self._log_i_post - self._log_i((alpha,) * k)
+        log_m = (self._log_coef + self._log_i_post
+                 - log_i_trunc((alpha,) * k, self.eps)
                  + (gammaln(post) - gammaln(alpha)).sum(axis=1)
                  - gammaln(N + k * alpha) + gammaln(k * alpha))
         m_q_full = np.exp(log_m[:, None] + np.log(post / (N + k * alpha)))

@@ -11,15 +11,17 @@ The central objects are
 Each k has one route.  For k = 2 the integral is a Beta-kernel segment and
 is evaluated in closed form.  For k = 3 it is one adaptive Gauss-Kronrod
 integral over theta_1 (numkernel.gauss_kronrod) of Beta segments, each
-level's nodes evaluated in one array pass; for larger k the same integral
-nests k - 2 deep, down to the k = 3 one, each level one batch.  A batch of
-such integrals runs in lockstep, one array pass per level for all of them,
-and each gets the floats of its run alone.
+level's nodes evaluated in one array call of numkernel.log_beta_segment;
+for larger k the same integral nests k - 2 deep, down to the k = 3 one,
+each level one batch.  A batch of such integrals (_b_trunc_batch, which
+the check suites and risk.TruncatedPredictiveTable call) runs in lockstep,
+one array pass per level for all of them, and each gets the floats of its
+run alone.
 
 The module also hosts the numbered inequality/identity checks (the "lemma"
 suite exposed by the CLI); see the README for the catalogue of what each
-number asserts.  Each check is a batch of one of the code its randomized
-suite runs on every trial at once.
+number asserts.  Checks 4, 5, 6 and 8 are each a batch of one of the code
+their randomized suite runs on every trial at once.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from .numkernel import (
     compositions,
     gauss_kronrod,
     log_beta_segment,
-    log_beta_segments,
-    log_multinomial,
+    log_binomial_row,
     log_multivariate_beta,
     seeded_stream,
     special_functions,
@@ -75,8 +76,8 @@ def _outer_integrand(alphas: np.ndarray, eps: np.ndarray) -> tuple:
     f(t1, idx) is the integrand of integral idx at theta_1 = t1, divided by
     exp(scale[idx]), its magnitude at the midpoint of [lo, hi], which keeps
     the rule in a comfortable floating range.  At k = 3 the inner values
-    are Beta segments, taken for every node at once
-    (numkernel.log_beta_segments); above it they are one batch of
+    are Beta segments, taken for every node (and every midpoint) at once
+    by numkernel.log_beta_segment; above it they are one batch of
     _recursive_b_log over the nodes, whose worst relative error estimate
     per integral f keeps in inner_err.
     """
@@ -85,12 +86,12 @@ def _outer_integrand(alphas: np.ndarray, eps: np.ndarray) -> tuple:
     rows, lo = alphas.tolist(), eps.tolist()
     hi = [1.0 - (k - 1) * e for e in lo]
     mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
-    mid_eps = [e / (1.0 - m) for e, m in zip(lo, mid)]
+    mid_eps = np.array([e / (1.0 - m) for e, m in zip(lo, mid)])
     if k == 3:
-        mid_inner = [log_beta_segment(row[1], row[2], e, 1.0 - e)
-                     for row, e in zip(rows, mid_eps)]
+        mid_inner = log_beta_segment(rest[:, 0], rest[:, 1], mid_eps,
+                                     1.0 - mid_eps).tolist()
     else:
-        mid_inner = _recursive_b_log(rest, np.array(mid_eps))[0]
+        mid_inner = _recursive_b_log(rest, mid_eps)[0]
     e1, e2, scale = [], [], []
     for row, m, inner in zip(rows, mid, mid_inner):
         e1.append(row[0] - 1)
@@ -112,8 +113,8 @@ def _outer_integrand(alphas: np.ndarray, eps: np.ndarray) -> tuple:
             out[live] = f(t1[live], idx[live])
             return out
         if k == 3:
-            inner = log_beta_segments(rest[at, 0], rest[at, 1], inner_eps,
-                                      1.0 - inner_eps)
+            inner = log_beta_segment(rest[at, 0], rest[at, 1], inner_eps,
+                                     1.0 - inner_eps)
         else:
             inner, ierr = _recursive_b_log(rest[idx], inner_eps)
             np.maximum.at(inner_err, idx, ierr)
@@ -162,30 +163,28 @@ def _checked(alphas, eps: float) -> tuple:
 
 def _b_trunc_batch(params: list) -> tuple:
     """(b_trunc(alphas, eps), ln B(alphas)) for each checked (alphas, eps)
-    of params: every k = 2 segment from one _log_beta_pairs batch, and the
-    integrals of each k >= 3 in one lockstep _recursive_b_log batch; b_trunc
-    is a batch of one, and each result is the one it gives alone."""
+    of params: every k = 2 integral, a Beta segment over [eps, 1 - eps],
+    from one log_beta_segment call, and the integrals of each k >= 3 in one
+    lockstep _recursive_b_log batch; b_trunc is a batch of one, and each
+    result is the one it gives alone."""
     log_full = [log_multivariate_beta(alphas) for alphas, _ in params]
     out = [None] * len(params)
     for k in sorted({len(alphas) for alphas, _ in params}):
         rows = [j for j, (alphas, _) in enumerate(params) if len(alphas) == k]
-        batch = _log_beta_pairs if k == 2 else _recursive_b_log
-        logs, errs = batch(np.array([params[j][0] for j in rows]),
-                           np.array([params[j][1] for j in rows]))
+        alphas = np.array([params[j][0] for j in rows])
+        eps = np.array([params[j][1] for j in rows])
+        if k == 2:
+            logs = log_beta_segment(alphas[:, 0], alphas[:, 1], eps,
+                                    1.0 - eps).tolist()
+            errs = [_SEGMENT_REL_ERR] * eps.size
+        else:
+            logs, errs = _recursive_b_log(alphas, eps)
         for j, value_log, err in zip(rows, logs, errs):
             # truncation can only shrink the integral; clamp rounding
             # overshoot
             out[j] = TruncatedDirichletIntegral(
                 *params[j], min(value_log, log_full[j]), err)
     return out, log_full
-
-
-def _log_beta_pairs(alphas: np.ndarray, eps: np.ndarray) -> tuple:
-    """(log values, relative errors), as lists, of a batch of k = 2
-    floored integrals: Beta segments over [eps, 1 - eps], from one array
-    betainc pass."""
-    logs = log_beta_segments(alphas[:, 0], alphas[:, 1], eps, 1.0 - eps)
-    return logs.tolist(), [_SEGMENT_REL_ERR] * eps.size
 
 
 def b_trunc(alphas, eps: float) -> TruncatedDirichletIntegral:
@@ -342,7 +341,7 @@ def lemma5_check(
 
 def _lemma5_reports(draws: list) -> list:
     """lemma5_check for each (alpha, beta, s, t, u, v) of draws, with every
-    Beta segment from one numkernel.log_beta_segments call."""
+    Beta segment from one numkernel.log_beta_segment call."""
     segments = []
     for alpha, beta, s, t, u, v in draws:
         if not (0 <= s < t <= 1 and 0 <= u < v <= 1 and s <= u and t <= v):
@@ -351,7 +350,7 @@ def _lemma5_reports(draws: list) -> list:
             raise DomainError("shape parameters must be positive")
         segments += [(alpha + 1, beta, s, t), (alpha, beta, s, t),
                      (alpha + 1, beta, u, v), (alpha, beta, u, v)]
-    logs = log_beta_segments(*np.array(segments, dtype=float).T).tolist()
+    logs = log_beta_segment(*np.array(segments, dtype=float).T).tolist()
     reports = []
     for j, (alpha, beta, s, t, u, v) in enumerate(draws):
         lhs = math.exp(logs[4 * j] - logs[4 * j + 1])
@@ -377,15 +376,18 @@ def lemma6_check(alphas, eps: float) -> LemmaReport:
 
 
 def _lemma6_reports(draws: list) -> list:
-    """lemma6_check for each (alphas, eps) of draws."""
-    reports = []
-    for alphas, eps, b0, b1, _, _ in _bumped_integrals(draws):
+    """lemma6_check for each (alphas, eps) of draws, with every upper-tail
+    Beta segment from one numkernel.log_beta_segment call."""
+    integrals = _bumped_integrals(draws)
+    segments = []
+    for alphas, eps, *_ in integrals:
         rest_sum = stable_sum(alphas[1:])
+        segments += [(alphas[0] + 1.0, rest_sum, eps), (alphas[0], rest_sum, eps)]
+    logs = log_beta_segment(*np.array(segments).T, 1.0).tolist()
+    reports = []
+    for j, (alphas, eps, b0, b1, _, _) in enumerate(integrals):
         lhs = math.exp(b1.value_log - b0.value_log)
-        rhs = math.exp(
-            log_beta_segment(alphas[0] + 1.0, rest_sum, eps, 1.0)
-            - log_beta_segment(alphas[0], rest_sum, eps, 1.0)
-        )
+        rhs = math.exp(logs[2 * j] - logs[2 * j + 1])
         slack = (SLACK_FACTOR * (b0.error_estimate + b1.error_estimate + 2e-12)
                  * (lhs + rhs))
         reports.append(LemmaReport(
@@ -422,7 +424,7 @@ def lemma7_check(alphas, N: int, x1: int) -> LemmaReport:
     rhs = math.exp(
         log_multivariate_beta([x1 + alphas[0], N - x1 + rest_sum])
         - log_multivariate_beta([alphas[0], rest_sum])
-        + log_multinomial(N, (x1, N - x1))
+        + log_binomial_row(N)[x1]
     )
     rel = abs(lhs - rhs) / abs(rhs)
     violation = rel - IDENTITY_RTOL
@@ -443,27 +445,41 @@ def lemma8_check(alpha: float, beta: float, eps: float) -> LemmaReport:
     only: it needs theta^(alpha-1) >= eps^(alpha-1) on [eps, 1], and e.g.
     (alpha, beta, eps) = (0.05, 1, 1/2) violates it outright.
     """
-    if not 0.0 <= eps < 1.0:
-        raise DomainError("need eps in [0, 1)")
-    log_den = log_beta_segment(alpha, beta, eps, 1.0)
-    ratio = math.exp(log_beta_segment(alpha + 1.0, beta, eps, 1.0) - log_den)
-    if eps == 0.0:
-        boundary = 0.0
-    else:
-        boundary = math.exp(
-            alpha * math.log(eps) + beta * math.log1p(-eps) - log_den
-        ) / (alpha + beta)
-    identity_rhs = alpha / (alpha + beta) + boundary
-    rel = abs(ratio - identity_rhs) / abs(identity_rhs)
-    bound_rhs = (1.0 - eps) * alpha / (alpha + beta) + eps
-    slack = SLACK_FACTOR * 1e-12 * (ratio + bound_rhs)
-    violation = max(rel - IDENTITY_RTOL, ratio - bound_rhs - slack)
-    return LemmaReport(
-        8, 1, violation,
-        {"alpha": alpha, "beta": beta, "eps": eps, "ratio": ratio,
-         "identity_rhs": identity_rhs, "bound_rhs": bound_rhs, "rel_diff": rel},
-        None, {"identity_rtol": IDENTITY_RTOL, "slack_factor": SLACK_FACTOR},
-    )
+    return _lemma8_reports([(alpha, beta, eps)])[0]
+
+
+def _lemma8_reports(draws: list) -> list:
+    """lemma8_check for each (alpha, beta, eps) of draws, with every
+    upper-tail Beta segment from one numkernel.log_beta_segment call."""
+    segments = []
+    for alpha, beta, eps in draws:
+        if not 0.0 <= eps < 1.0:
+            raise DomainError("need eps in [0, 1)")
+        segments += [(alpha, beta, eps), (alpha + 1.0, beta, eps)]
+    logs = log_beta_segment(*np.array(segments, dtype=float).T, 1.0).tolist()
+    reports = []
+    for j, (alpha, beta, eps) in enumerate(draws):
+        log_den = logs[2 * j]
+        ratio = math.exp(logs[2 * j + 1] - log_den)
+        if eps == 0.0:
+            boundary = 0.0
+        else:
+            boundary = math.exp(
+                alpha * math.log(eps) + beta * math.log1p(-eps) - log_den
+            ) / (alpha + beta)
+        identity_rhs = alpha / (alpha + beta) + boundary
+        rel = abs(ratio - identity_rhs) / abs(identity_rhs)
+        bound_rhs = (1.0 - eps) * alpha / (alpha + beta) + eps
+        slack = SLACK_FACTOR * 1e-12 * (ratio + bound_rhs)
+        violation = max(rel - IDENTITY_RTOL, ratio - bound_rhs - slack)
+        reports.append(LemmaReport(
+            8, 1, violation,
+            {"alpha": alpha, "beta": beta, "eps": eps, "ratio": ratio,
+             "identity_rhs": identity_rhs, "bound_rhs": bound_rhs,
+             "rel_diff": rel},
+            None, {"identity_rtol": IDENTITY_RTOL, "slack_factor": SLACK_FACTOR},
+        ))
+    return reports
 
 
 def _draw_lemma1(rng) -> tuple:
@@ -515,7 +531,7 @@ _SUITES = {
     5: (_draw_lemma5, _lemma5_reports),
     6: (_draw_simplex, _lemma6_reports),
     7: (_draw_lemma7, _each(lemma7_check)),
-    8: (_draw_lemma8, _each(lemma8_check)),
+    8: (_draw_lemma8, _lemma8_reports),
 }
 
 

@@ -18,7 +18,6 @@ from minimax_multinom import (
     DomainError,
     IntegrationError,
     log_beta_segment,
-    log_multinomial,
     log_multivariate_beta,
     stable_sum,
 )
@@ -51,40 +50,6 @@ class TestLogMultivariateBeta:
             log_multivariate_beta((1.0,))
         with pytest.raises(DomainError):
             log_multivariate_beta((1.0, 0.0))
-
-
-class TestLogMultinomial:
-    def test_factorizes_into_binomials(self):
-        # C(N; x1, x2, x3) = C(N, x1) * C(N - x1, x2)
-        lhs = log_multinomial(10, (3, 5, 2))
-        rhs = math.log(math.comb(10, 3)) + math.log(math.comb(7, 5))
-        assert lhs == pytest.approx(rhs, rel=1e-14, abs=0)
-
-    def test_binomial_trivial_values(self):
-        assert log_multinomial(5, (0, 5)) == 0.0
-        assert log_multinomial(4, (2, 2)) == pytest.approx(math.log(6), rel=1e-15, abs=0)
-
-    def test_binomial_exact_bigint_oracle(self):
-        """ln C(100, 50) against the exact integer binomial."""
-        exact = math.log(math.comb(100, 50))
-        assert log_multinomial(100, (50, 50)) == pytest.approx(exact, rel=1e-14, abs=0)
-        assert exact == pytest.approx(66.78384165201743, rel=1e-12, abs=0)
-
-    def test_binomial_gammaln_path_matches_exact(self):
-        # N above the exact-integer cutoff
-        got = log_multinomial(15000, (7500, 7500))
-        exact = math.log(math.comb(15000, 7500))
-        assert got == pytest.approx(exact, rel=1e-13, abs=0)
-
-    def test_binomial_domain(self):
-        with pytest.raises(DomainError):
-            log_multinomial(4, (5, -1))
-        with pytest.raises(DomainError):
-            log_multinomial(-1, (0, -1))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_multinomial(5, (3, 3))
 
 
 _EXACT_ROW_N = [0, 1, 2, 63, 64, 1040, 4096, 10000]
@@ -179,19 +144,60 @@ class TestBetaSegment:
             log_beta_segment(0.0, 1, 0.0, 1.0)
 
 
+#: (alpha, beta, s, t) of a batch that takes every route of
+#: log_beta_segment: head segments from s = 0 and s > 0, upper tails at
+#: s = 0 and s > 0, a sliver around 1/2 and a deep-tail slice that fail the
+#: cancellation guard, and a tail past betaincc's underflow
+_MIXED_SEGMENTS = [
+    (3.983550058931567, 1.1423609267641315, 1e-3, 1 - 1e-3),
+    (3.983550058931567, 1.1423609267641315, 0.0, 0.7),
+    (2.5, 3.5, 0.0, 1.0),
+    (2.5, 3.5, 0.3, 1.0),
+    (1.9738166521794576, 9.46658612880907, 0.9048047988252217, 1.0),
+    (3.983550058931567, 1.1423609267641315, 0.4999999, 0.5000001),
+    (2.0, 40.0, 0.6, 0.62),
+    (1.5, 400.0, 0.9, 1.0),
+]
+
+
 class TestBetaSegments:
     def test_matches_scalar_segments(self):
-        """The array route against log_beta_segment pair by pair: within
-        rounding where the betainc difference is taken, and the scalar's
-        own float where it is not (a sliver around 1/2 that fails the
-        cancellation guard, and an upper end of 1)."""
-        a, b = 3.983550058931567, 1.1423609267641315
-        s = np.array([1e-3, 0.1, 0.3, 0.4999999, 0.25])
-        t = np.array([1 - 1e-3, 0.9, 0.7, 0.5000001, 1.0])
-        got = numkernel.log_beta_segments(a, b, s, t)
-        want = [log_beta_segment(a, b, sj, tj) for sj, tj in zip(s, t)]
-        assert got[:3].tolist() == pytest.approx(want[:3], rel=1e-15, abs=0)
-        assert got[3:].tolist() == want[3:]
+        """An array call gives every segment the float of its own scalar
+        call, on a batch that mixes every route (_MIXED_SEGMENTS), and on
+        the same segments broadcast from a column of shapes against a row
+        of ends."""
+        cases = np.array(_MIXED_SEGMENTS)
+        a, b, s, t = cases.T
+        upper = numkernel._betainc(a, b, t)
+        thin = upper - numkernel._betainc(a, b, s) <= numkernel._SEGMENT_GUARD * upper
+        assert np.flatnonzero(thin & (t < 1.0)).tolist() == [5, 6]
+        assert numkernel._betaincc(1.5, 400.0, 0.9) == 0.0
+        got = log_beta_segment(*cases.T)
+        assert got.tolist() == [log_beta_segment(*c) for c in _MIXED_SEGMENTS]
+        grid = log_beta_segment(cases[:, :1], cases[:, 1:2], s, t)
+        assert grid.shape == (len(cases), len(cases))
+        assert grid.tolist() == [
+            [log_beta_segment(ai, bi, s, t) for _, _, s, t in _MIXED_SEGMENTS]
+            for ai, bi, _, _ in _MIXED_SEGMENTS]
+
+    def test_scalar_input_returns_float(self):
+        for case in _MIXED_SEGMENTS:
+            assert type(log_beta_segment(*case)) is float
+        assert type(log_beta_segment(np.float64(2.0), 3, np.array(0.25), 0.75)) is float
+        assert log_beta_segment(2.0, 3.0, np.array([0.25]), 0.75).shape == (1,)
+
+    @pytest.mark.parametrize("where", [0, 4, 7])
+    @pytest.mark.parametrize("field, bad", [
+        (0, 0.0), (0, math.nan), (1, -1.0), (2, -0.1), (2, 1.0), (3, 1.5),
+        (3, math.nan),
+    ])
+    def test_one_bad_element_raises(self, where, field, bad):
+        """One element outside the domain, anywhere in the batch, raises
+        DomainError for the whole call."""
+        cases = np.array(_MIXED_SEGMENTS)
+        cases[where, field] = bad
+        with pytest.raises(DomainError):
+            log_beta_segment(*cases.T)
 
 
 def _thin_slices(n: int) -> list:
@@ -261,12 +267,23 @@ class TestBetaSegmentFallback:
         ref = float(_mp_log_segment(a, b, s, 1.0))
         assert abs(log_beta_segment(a, b, s, 1.0) - ref) <= 4 * math.ulp(ref)
 
-    def test_batch_equals_scalar(self):
-        """One log_beta_segments call takes every thin slice in one
-        gauss_kronrod batch, and each gets the scalar route's float."""
-        cases = np.array([p.values for p in _FALLBACK_PINS] + [(1.5, 400.0, 0.9, 0.999)])
-        got = numkernel.log_beta_segments(*cases.T)
-        assert got.tolist() == [log_beta_segment(*c) for c in cases.tolist()]
+    def test_batch_equals_scalar(self, monkeypatch):
+        """One array call takes every thin slice, and a tail past betaincc's
+        underflow, in one gauss_kronrod batch, and each gets the float of
+        its own scalar call."""
+        cases = [p.values for p in _FALLBACK_PINS] + [(1.5, 400.0, 0.9, 0.999),
+                                                       (1.5, 400.0, 0.9, 1.0)]
+        batches = []
+        real = numkernel._log_segments_by_quadrature
+
+        def spy(*args):
+            batches.append(args[0].size)
+            return real(*args)
+
+        monkeypatch.setattr(numkernel, "_log_segments_by_quadrature", spy)
+        got = log_beta_segment(*np.array(cases).T)
+        assert batches == [len(cases)]
+        assert got.tolist() == [log_beta_segment(*c) for c in cases]
 
     def test_no_quadrature_import(self):
         """A fresh process that takes the fallback loads no scipy.integrate."""
@@ -279,6 +296,37 @@ class TestBetaSegmentFallback:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, env=env, check=True).stdout
         assert out.split() == ["False"]
+
+
+def _suite_tails() -> list:
+    """(alpha, beta, s) of the upper-tail segments [s, 1] that the lemma 6
+    and lemma 8 suites take, for their first 12 draws at seeds 0 and 1."""
+    from minimax_multinom import simplex
+
+    tails = []
+    for seed in (0, 1):
+        rng = seeded_stream(seed, 6)
+        for _ in range(12):
+            alphas, eps = simplex._draw_simplex(rng)
+            rest = stable_sum(alphas[1:])
+            tails += [(alphas[0] + 1.0, rest, eps), (alphas[0], rest, eps)]
+        rng = seeded_stream(seed, 8)
+        for _ in range(12):
+            alpha, beta, eps = simplex._draw_lemma8(rng)
+            tails += [(alpha, beta, eps), (alpha + 1.0, beta, eps)]
+    return tails
+
+
+class TestSuiteTails:
+    def test_against_mpmath(self):
+        """The suites' upper tails, taken in one array call as the suites
+        take them, within 1e-14 in the log of 60-digit values (the worst of
+        these 96 is 5.6e-15 off)."""
+        tails = _suite_tails()
+        got = log_beta_segment(*np.array(tails).T, 1.0).tolist()
+        for (a, b, s), value in zip(tails, got):
+            assert value == pytest.approx(float(_mp_log_segment(a, b, s, 1.0)),
+                                          rel=0, abs=1e-14), (a, b, s)
 
 
 class TestGaussKronrod:

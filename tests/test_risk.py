@@ -5,6 +5,7 @@ route in turn feeds every downstream experiment, so the identity between
 them is this suite's backbone.
 """
 
+import functools
 import itertools
 import math
 import time
@@ -33,6 +34,7 @@ from minimax_multinom import (
     TruncatedSimplex,
     bayes_risk,
     compositions,
+    log_i_trunc,
     risk_coordinatewise,
     risk_enumeration,
     sup_risk,
@@ -1147,6 +1149,42 @@ class TestBayesRisk:
         with pytest.raises(SizeError):
             truncation_bayes_gap(SymmetricPrior.uniform(4),
                                  TruncatedSimplex(4, 0.05), ModelSpec(4, 4))
+
+
+class TestTruncatedPredictiveTable:
+    @pytest.mark.parametrize("k, N", [(2, 64), (3, 24)])
+    def test_equals_per_key_log_i_trunc(self, k, N):
+        """Every row's log I(x + alpha) and log ratio equal, bit for bit,
+        the ones per-key log_i_trunc calls give, at the largest N the
+        truncated caps allow."""
+        alpha, eps = ALPHA_MINIMAX, N ** -0.73
+        table = risk_module.TruncatedPredictiveTable(
+            SymmetricPrior(alpha, k), TruncatedSimplex(k, eps), ModelSpec(k, N))
+        log_i = functools.cache(lambda key: log_i_trunc(key, eps))
+        for r, x in enumerate(table.comps.tolist()):
+            post = [v + alpha for v in x]
+            base = log_i(tuple(sorted(post)))
+            assert table._log_i_post[r] == base
+            for i in range(k):
+                bumped = post[:i] + [post[i] + 1.0] + post[i + 1:]
+                assert table.log_ratio[r, i] == log_i(tuple(sorted(bumped))) - base
+
+    def test_one_batch(self, monkeypatch):
+        """The table takes its distinct sorted keys from one
+        _b_trunc_batch call."""
+        calls = []
+        real = risk_module._b_trunc_batch
+
+        def spy(params):
+            calls.append(len(params))
+            return real(params)
+
+        monkeypatch.setattr(risk_module, "_b_trunc_batch", spy)
+        risk_module.TruncatedPredictiveTable(
+            SymmetricPrior.minimax(3), TruncatedSimplex(3, 0.1), ModelSpec(3, 4))
+        # 15 rows and their bumps: the distinct sorted keys are x + alpha
+        # for the partitions x of 4 and of 5 into at most 3 parts (4 and 5)
+        assert calls == [9]
 
 
 class TestTruncationBayesGap:

@@ -1,5 +1,6 @@
 """Truncated Dirichlet integrals and the numbered check suites."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -11,6 +12,7 @@ import minimax_multinom.simplex as simplex_module
 from minimax_multinom import (
     DEFAULT_SEED,
     DomainError,
+    LemmaReport,
     b_trunc,
     lemma1_check,
     lemma4_check,
@@ -483,3 +485,17 @@ class TestSuites:
     def test_unknown_number(self):
         with pytest.raises(DomainError):
             run_lemma_suite(2, 10)
+
+    @pytest.mark.parametrize("seed", [0, 41])
+    @pytest.mark.parametrize("lemma, check", [
+        (4, lemma4_check), (5, lemma5_check), (6, lemma6_check), (8, lemma8_check),
+    ])
+    def test_suite_is_the_merge_of_its_checks(self, lemma, check, seed):
+        """A batched suite reports, bit for bit, the merge of the public
+        per-trial checks on the same draws."""
+        draw = simplex_module._SUITES[lemma][0]
+        rng = simplex_module.seeded_stream(seed, lemma)
+        draws = [draw(rng) for _ in range(100)]
+        merged = functools.reduce(LemmaReport.merge, [check(*d) for d in draws])
+        want = dict(merged.to_dict(), trials=100, seed=seed)
+        assert run_lemma_suite(lemma, 100, seed).to_dict() == want
