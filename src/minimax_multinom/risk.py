@@ -19,10 +19,11 @@ Risks are in nats.  Two independent routes compute the same risk:
 The two must agree to high accuracy; the enumeration route serves as the
 oracle for the fast one throughout the test suite.
 
-Bayes risks average the separable risk under a Dirichlet weight: in closed
-form over the whole simplex, and over a floored simplex at k <= 3 by nested
-lockstep Gauss-Kronrod integrals (numkernel.gauss_kronrod) whose every level
-takes the risk at all its nodes from one CoordinateRiskEvaluator.risk call.
+Bayes risks average the separable risk under a Dirichlet weight floored at
+eps, at k <= 3: the risk is the integrand factor of simplex._recursive_b_log,
+the nested lockstep Gauss-Kronrod quadrature that also takes the weight's
+own integral, and every level takes the risk at all its nodes from one
+CoordinateRiskEvaluator.risk call.
 The truncated-prior predictive's Bayes risk is that of the full predictive
 less an exact finite sum over its table of truncated-integral ratios
 (truncation_bayes_gap).
@@ -49,7 +50,6 @@ from .numkernel import (
     DEFAULT_SEED,
     QUAD_REL_TOL,
     compositions,
-    gauss_kronrod,
     log_binomial_row,
     log_multinomial_rows,
     seeded_stream,
@@ -57,7 +57,7 @@ from .numkernel import (
     stable_sum,
     window_fsums,
 )
-from .simplex import _b_trunc_batch, _checked, b_trunc, log_i_trunc
+from .simplex import _b_trunc_batch, _checked, _recursive_b_log, log_i_trunc
 
 #: default cap on the number of count vectors risk_enumeration will visit
 ENUMERATION_CAP = 2_000_000
@@ -799,129 +799,48 @@ class TruncatedPredictiveTable:
         return stable_sum((m_q_full * (r * np.exp(r) - np.expm1(r))).ravel())
 
 
-def _bayes_numerator(a: tuple, eps: float, risk) -> tuple:
-    """(integral, relative error estimate) of the Dirichlet kernel
-    prod theta_i^(a_i - 1) times the risk over the simplex floored at eps,
-    at k = 2 or 3; risk(points) is the risk at each column of a (k, n)
-    array (CoordinateRiskEvaluator.risk).
-
-    Peels off the first coordinate by stick-breaking, as
-    simplex._recursive_b_log does: with theta_1 = v, the remaining
-    coordinates are (1 - v) phi with phi on the (k-1)-simplex floored at
-    eps/(1 - v), so the integral is one over v of
-    v^(a_1 - 1) (1 - v)^(a_2 + ... + a_k - 1) against the inner value.  At
-    k = 2 that is the risk at (v, 1 - v); at k = 3 it is the integral over
-    phi_1 = w of w^(a_2 - 1) (1 - w)^(a_3 - 1) times the risk at
-    (v, (1 - v) w, 1 - v - (1 - v) w), and the inner integrals of all the
-    outer nodes of a level are one lockstep numkernel.gauss_kronrod batch.
-    So each level of either integral makes one risk call for all its
-    nodes, and every level runs at QUAD_REL_TOL.  The relative error is
-    the outer integral's plus the worst inner integral's.  eps must be
-    positive: the whole simplex has a closed form
-    (_bayes_risk_whole_simplex).
-    """
-    e1, e2 = a[0] - 1.0, stable_sum(a[1:]) - 1.0
-    inner_err = 0.0
-
-    def inner(v: np.ndarray) -> np.ndarray:
-        # the inner value at each outer node v
-        nonlocal inner_err
-        if len(a) == 2:
-            return risk(np.stack([v, 1.0 - v]))
-        c2, c3 = a[1] - 1.0, a[2] - 1.0
-        e = eps / (1.0 - v)
-        # the inner simplex is empty from e = 1/2 on, which rounding can
-        # reach at nodes next to the upper end
-        live = np.flatnonzero(e < 0.5)
-
-        def g(w: np.ndarray, j: np.ndarray) -> np.ndarray:
-            t1 = v[live[j]]
-            t2 = (1.0 - t1) * w
-            return (np.exp(c2 * np.log(w) + c3 * np.log1p(-w))
-                    * risk(np.stack([t1, t2, 1.0 - (t1 + t2)])))
-
-        vals, errs = gauss_kronrod(g, e[live], 1.0 - e[live])
-        inner_err = max([inner_err] + [d / x for d, x in zip(errs, vals)])
-        out = np.zeros(v.size)
-        out[live] = vals
-        return out
-
-    def f(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.exp(e1 * np.log(v) + e2 * np.log1p(-v)) * inner(v)
-
-    (val,), (err,) = gauss_kronrod(f, eps, 1.0 - (len(a) - 1) * eps)
-    return val, err / val + inner_err
-
-
-def _bayes_risk_whole_simplex(a: tuple, N: int) -> float:
-    """Bayes risk of the Dirichlet(a) predictive under the Dirichlet(a)
-    weight over the whole simplex, in O(N k).
-
-    In the separable form R(theta) = log(N + A) + sum_i theta_i
-    [log theta_i - E log(X_i + a_i)], X_i ~ Bin(N, theta_i).  Under
-    Dirichlet(a), E[theta_i log theta_i] = (a_i/A) [psi(a_i + 1) - psi(A + 1)]
-    and E[theta_i g(X_i)] = (a_i/A) E g(Y_i), Y_i beta-binomial
-    (N, a_i + 1, A - a_i).
-    """
-    special = special_functions()
-    betaln, digamma = special.betaln, special.digamma
-    A = stable_sum(a)
-    x = np.arange(N + 1, dtype=float)
-    log_binom = log_binomial_row(N)
-    parts = []
-    for i, a_i in enumerate(a):
-        b_i = stable_sum(a[:i] + a[i + 1:])
-        pmf = np.exp(log_binom + betaln(x + a_i + 1.0, N - x + b_i)
-                     - betaln(a_i + 1.0, b_i))
-        terms = [digamma(a_i + 1.0), -digamma(A + 1.0), math.log(N + A)]
-        terms.extend((-pmf * np.log(x + a_i)).tolist())
-        parts.append(a_i / A * stable_sum(terms))
-    return stable_sum(parts)
-
-
 def bayes_risk(
-    weight,
+    weight: SymmetricPrior,
     model: ModelSpec,
-    trunc: TruncatedSimplex | None = None,
+    trunc: TruncatedSimplex,
 ) -> float:
     """Bayes risk of the weight's own predictive: its risk averaged under
-    the weight.
+    the weight renormalized over the floored simplex.
 
-    weight is a PriorSpec or a SymmetricPrior; with trunc it is
-    renormalized over the floored simplex, without it it weighs the whole
-    simplex.  The whole simplex has a closed form for every k
-    (_bayes_risk_whole_simplex); a floored weight takes nested lockstep
-    Gauss-Kronrod integrals at k <= 3 (_bayes_numerator, over b_trunc) and
-    raises SizeError above.  Integrals that do not converge, or whose
-    summed relative error estimate exceeds 1e3 QUAD_REL_TOL, raise
-    IntegrationError.  The truncated-prior predictive's Bayes risk is this
-    one's less truncation_bayes_gap.
+    A ratio of two floored-simplex integrals of the weight's kernel, both
+    by simplex._recursive_b_log's nested lockstep Gauss-Kronrod quadrature:
+    the numerator carries the risk as the integrand factor, every level
+    taking it at all its nodes from one CoordinateRiskEvaluator.risk call,
+    and the denominator the factor 1.  Both logs carry the same midpoint
+    scale, and the ratio is taken from them, so a tiny kernel cannot
+    underflow.  At k >= 4 it raises SizeError.  Integrals that do not
+    converge, or whose summed relative error estimate exceeds
+    1e3 QUAD_REL_TOL, raise IntegrationError.  The truncated-prior
+    predictive's Bayes risk is this one's less truncation_bayes_gap.
     """
-    if isinstance(weight, SymmetricPrior):
-        weight_prior = weight.expand()
-    elif isinstance(weight, PriorSpec):
-        weight_prior = weight
-    else:
+    if not isinstance(weight, SymmetricPrior):
         raise DomainError(f"unsupported weight {weight!r}")
-    if trunc is not None and trunc.k != weight_prior.k:
-        raise DomainError("weight and truncation disagree on k")
-    if weight_prior.k != model.k:
-        raise DomainError("weight and model disagree on k")
-    if trunc is None:
-        return _bayes_risk_whole_simplex(weight_prior.a, model.N)
+    if not weight.k == trunc.k == model.k:
+        raise DomainError("weight, truncation and model disagree on k")
     if model.k > 3:
         raise SizeError(f"floored Bayes risks support k <= 3, got k={model.k}")
 
-    a = weight_prior.a
-    num, rel = _bayes_numerator(
-        a, trunc.eps, CoordinateRiskEvaluator(weight_prior, model).risk)
-    den = b_trunc(a, trunc.eps)
-    rel += den.error_estimate
+    prior = weight.expand()
+    risk = CoordinateRiskEvaluator(prior, model).risk
+    a, eps = np.array([prior.a]), np.array([trunc.eps])
+    (log_num,), (rel_num,) = _recursive_b_log(
+        a, eps, lambda thetas, idx: risk(thetas))
+    # the weight's own integral by the same rule, not b_trunc: b_trunc's
+    # closed form carries scipy's betaln error, 1.5e-12 in the log at
+    # alpha = 700
+    (log_den,), (rel_den,) = _recursive_b_log(
+        a, eps, lambda thetas, idx: np.ones(idx.size))
+    rel = rel_num + rel_den
     if rel > 1e3 * QUAD_REL_TOL:
         raise IntegrationError(
             "Bayes-risk quadrature did not converge", achieved=rel
         )
-    return num / math.exp(den.value_log)
+    return math.exp(log_num - log_den)
 
 
 def truncation_bayes_gap(

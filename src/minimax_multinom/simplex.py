@@ -16,7 +16,9 @@ for larger k the same integral nests k - 2 deep, down to the k = 3 one,
 each level one batch.  A batch of such integrals (_b_trunc_batch, which
 the check suites and risk.TruncatedPredictiveTable call) runs in lockstep,
 one array pass per level for all of them, and each gets the floats of its
-run alone.
+run alone.  The same nested integral (_recursive_b_log) takes an optional
+integrand factor g of the point, as risk.bayes_risk's numerator needs;
+then it nests down to a k = 2 quadrature of the kernel times g.
 
 The module also hosts the numbered inequality/identity checks (the "lemma"
 suite exposed by the CLI); see the README for the catalogue of what each
@@ -68,18 +70,21 @@ class TruncatedDirichletIntegral:
 _SEGMENT_REL_ERR = 1e-13
 
 
-def _outer_integrand(alphas: np.ndarray, eps: np.ndarray) -> tuple:
+def _outer_integrand(alphas: np.ndarray, eps: np.ndarray, g=None) -> tuple:
     """(f, lo, hi, scale, inner_err) of the outer integrals of
-    _recursive_b_log for a batch: row j of alphas (one row of k >= 3 shape
-    parameters per integral) floored at eps[j].
+    _recursive_b_log for a batch: row j of alphas (one row of k shape
+    parameters per integral) floored at eps[j], times g if given.
 
     f(t1, idx) is the integrand of integral idx at theta_1 = t1, divided by
-    exp(scale[idx]), its magnitude at the midpoint of [lo, hi], which keeps
-    the rule in a comfortable floating range.  At k = 3 the inner values
-    are Beta segments, taken for every node (and every midpoint) at once
-    by numkernel.log_beta_segment; above it they are one batch of
-    _recursive_b_log over the nodes, whose worst relative error estimate
-    per integral f keeps in inner_err.
+    exp(scale[idx]), the bare kernel's magnitude at the midpoint of
+    [lo, hi], which keeps the rule in a comfortable floating range.  At
+    k = 2 (with g only) the integrand is the kernel times g at
+    (t1, 1 - t1).  At k = 3 without g the inner values are Beta segments,
+    taken for every node (and every midpoint) at once by
+    numkernel.log_beta_segment; otherwise they are one batch of
+    _recursive_b_log over the nodes, with g composed with the node's
+    theta_1, whose worst relative error estimate per integral f keeps in
+    inner_err.
     """
     k = alphas.shape[1]
     rest = alphas[:, 1:]
@@ -87,7 +92,9 @@ def _outer_integrand(alphas: np.ndarray, eps: np.ndarray) -> tuple:
     hi = [1.0 - (k - 1) * e for e in lo]
     mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
     mid_eps = np.array([e / (1.0 - m) for e, m in zip(lo, mid)])
-    if k == 3:
+    if k == 2:
+        mid_inner = [0.0] * eps.size
+    elif k == 3:
         mid_inner = log_beta_segment(rest[:, 0], rest[:, 1], mid_eps,
                                      1.0 - mid_eps).tolist()
     else:
@@ -97,14 +104,20 @@ def _outer_integrand(alphas: np.ndarray, eps: np.ndarray) -> tuple:
         e1.append(row[0] - 1)
         e2.append(stable_sum(row[1:]) - 1)
         scale.append(e1[-1] * math.log(m) + e2[-1] * math.log1p(-m) + inner)
-    # one array of per-integral rows, the last updated by f at k >= 4
+    # one array of per-integral rows, the last updated by f above k = 3
+    # and with g
+    segments = k == 3 and g is None
     e1, e2, scale_at, inner_err = np.array(
-        e1 + e2 + scale + [_SEGMENT_REL_ERR if k == 3 else 0.0] * eps.size
+        e1 + e2 + scale + [_SEGMENT_REL_ERR if segments else 0.0] * eps.size
     ).reshape(4, eps.size)
 
     def f(t1: np.ndarray, idx: np.ndarray) -> np.ndarray:
         # a batch of one broadcasts its parameters instead of gathering them
         at = idx if eps.size > 1 else slice(None)
+        if k == 2:
+            return (np.exp(e1[at] * np.log(t1) + e2[at] * np.log1p(-t1)
+                           - scale_at[at])
+                    * g(np.stack([t1, 1.0 - t1]), idx))
         inner_eps = eps[at] / (1.0 - t1)
         # the inner simplex is empty from inner_eps = 1/(k-1) on
         live = inner_eps < 1.0 / (k - 1)
@@ -112,11 +125,14 @@ def _outer_integrand(alphas: np.ndarray, eps: np.ndarray) -> tuple:
             out = np.zeros(t1.size)
             out[live] = f(t1[live], idx[live])
             return out
-        if k == 3:
+        if segments:
             inner = log_beta_segment(rest[at, 0], rest[at, 1], inner_eps,
                                      1.0 - inner_eps)
         else:
-            inner, ierr = _recursive_b_log(rest[idx], inner_eps)
+            # node j's inner points phi sit at theta = (t1, (1 - t1) phi)
+            inner_g = None if g is None else (lambda phi, j: g(
+                np.vstack([t1[j], (1.0 - t1[j]) * phi]), idx[j]))
+            inner, ierr = _recursive_b_log(rest[idx], inner_eps, inner_g)
             np.maximum.at(inner_err, idx, ierr)
         return np.exp(e1[at] * np.log(t1) + e2[at] * np.log1p(-t1) + inner
                       - scale_at[at])
@@ -124,10 +140,16 @@ def _outer_integrand(alphas: np.ndarray, eps: np.ndarray) -> tuple:
     return f, lo, hi, scale, inner_err
 
 
-def _recursive_b_log(alphas: np.ndarray, eps: np.ndarray) -> tuple:
+def _recursive_b_log(alphas: np.ndarray, eps: np.ndarray, g=None) -> tuple:
     """(log values, relative error estimates), as lists, of a batch of
     floored-simplex integrals by nested quadrature: row j of alphas floored
-    at eps[j], all rows of one k >= 3.
+    at eps[j], all rows of one k, k >= 3 (k >= 2 with g).
+
+    With g, each integrand is the Dirichlet kernel times g(thetas, idx),
+    which maps a (k, n) array of points, and the index of the integral
+    each column belongs to, to positive values elementwise (as
+    risk.CoordinateRiskEvaluator.risk does), so the value is the log of
+    the integral of kernel times g.
 
     Peels off the first coordinate: conditionally on theta_1, the remaining
     coordinates rescaled by 1/(1 - theta_1) fill a (k-1)-simplex floored at
@@ -137,7 +159,7 @@ def _recursive_b_log(alphas: np.ndarray, eps: np.ndarray) -> tuple:
     so each level is one integrand call for the whole batch, and every
     integral gets the floats of a batch of one.
     """
-    f, lo, hi, scale, inner_err = _outer_integrand(alphas, eps)
+    f, lo, hi, scale, inner_err = _outer_integrand(alphas, eps, g)
     val, err = gauss_kronrod(f, lo, hi)
     logs, rel = [], []
     for s, v, e, ie, ep in zip(scale, val, err, inner_err.tolist(), lo):

@@ -8,7 +8,6 @@ them is this suite's backbone.
 import functools
 import itertools
 import math
-import time
 import warnings
 from fractions import Fraction
 
@@ -922,8 +921,9 @@ class TestFloorNearCenter:
 def _mp_floored_bayes_k2(alpha: float, N: int, eps: float) -> float:
     """The k = 2 Bayes risk of the symmetric Dirichlet(alpha) predictive
     under its own weight floored at eps, at 30 digits: mpmath quadrature of
-    the kernel (v (1 - v))^(alpha - 1) times the risk, summed over the whole
-    binomial support, over the kernel's own integral."""
+    the kernel (4 v (1 - v))^(alpha - 1) (1 at its peak v = 1/2) times the
+    risk, summed over the whole binomial support, over the kernel's own
+    integral."""
     with mpmath.workdps(30):
         a, e = mpmath.mpf(alpha), mpmath.mpf(eps)
         logs = [mpmath.log(x + a) for x in range(N + 1)]
@@ -937,12 +937,15 @@ def _mp_floored_bayes_k2(alpha: float, N: int, eps: float) -> float:
             return r
 
         def kernel(v):
-            return (v * (1 - v)) ** (a - 1)
+            return (4 * v * (1 - v)) ** (a - 1)
 
-        # the kernel is singular at the vertices when alpha < 1: panels
-        # that shrink geometrically toward the floors
-        ends = [e] + [e + (mpmath.mpf(1) / 2 - e) * mpmath.mpf(4) ** -j
-                      for j in range(16, -1, -1)]
+        # the kernel is singular at the vertices when alpha < 1, and at a
+        # large alpha a peak of width about alpha^-1/2 at 1/2: panels that
+        # shrink geometrically toward the floors and toward 1/2
+        half = mpmath.mpf(1) / 2
+        ends = [e] + [e + (half - e) * mpmath.mpf(4) ** -j for j in range(16, 0, -1)]
+        ends += [half - (half - e) * mpmath.mpf(2) ** -j for j in range(2, 12)]
+        ends.append(half)
         ends += [1 - x for x in reversed(ends[:-1])]
         num = mpmath.quad(lambda v: kernel(v) * risk(v), ends)
         return float(num / mpmath.quad(kernel, ends))
@@ -950,32 +953,25 @@ def _mp_floored_bayes_k2(alpha: float, N: int, eps: float) -> float:
 
 class TestBayesRisk:
     def test_k2_floored_quadrature_vs_whole_simplex(self):
-        """k = 2, N = 8, floor eps = 1e-9: the nested quadrature against the
-        whole-simplex closed form.  The floor cuts the uniform weight's mass
-        2 eps at the two vertices, where the risk tends to R0 = log((N + 2)
-        / (N + 1)), which moves the Bayes risk by 2 eps (whole - R0) to
-        first order (-1.19e-10); the rest is 6e-16 relative.  The minimax
-        weight's cut mass is O(eps^1.41), and the two differ by 2.2e-12
-        relative, inside the quadrature's 1e-10."""
-        eps, N = 1e-9, 8
-        model, trunc = ModelSpec(2, N), TruncatedSimplex(2, eps)
-        w = SymmetricPrior.uniform(2)
-        whole = bayes_risk(w, model)
-        cut = whole + 2 * eps * (whole - math.log((N + 2) / (N + 1)))
-        assert bayes_risk(w, model, trunc) == pytest.approx(cut, rel=1e-13, abs=0)
-        w = SymmetricPrior.minimax(2)
-        assert bayes_risk(w, model, trunc) == pytest.approx(
-            bayes_risk(w, model), rel=1e-11, abs=0)
+        """k = 2, N = 8, a floor of eps = 1e-9, which leaves the weight all
+        but O(eps^alpha) of the whole simplex, against the 30-digit value,
+        with the risk's t log t behaviour at both vertices.  The uniform
+        weight's value is also within 4e-16 of the whole-simplex beta
+        integrals plus the floor's first-order term
+        2 eps (whole - log((N + 2)/(N + 1))).  The quadrature is 5.6e-14
+        (uniform) and 1.7e-14 (minimax) relative off."""
+        model, trunc = ModelSpec(2, 8), TruncatedSimplex(2, 1e-9)
+        for w in (SymmetricPrior.uniform(2), SymmetricPrior.minimax(2)):
+            want = _mp_floored_bayes_k2(w.alpha, 8, 1e-9)
+            assert bayes_risk(w, model, trunc) == pytest.approx(
+                want, rel=1e-13, abs=0)
 
-    def test_prior_spec_weight_honours_truncation(self):
-        """The same weight as a PriorSpec or a SymmetricPrior gives the
-        same floored Bayes risk."""
-        w = SymmetricPrior.uniform(2)
-        model = ModelSpec(2, 8)
-        trunc = TruncatedSimplex(2, 0.2)
-        spec = bayes_risk(w.expand(), model, trunc)
-        assert spec == bayes_risk(w, model, trunc)
-        assert spec != bayes_risk(w.expand(), model)
+    def test_prior_spec_weight_is_a_domain_error(self):
+        """The one weight bayes_risk takes is a SymmetricPrior: the same
+        weight as a PriorSpec raises DomainError."""
+        with pytest.raises(DomainError):
+            bayes_risk(SymmetricPrior.uniform(2).expand(), ModelSpec(2, 8),
+                       TruncatedSimplex(2, 0.2))
 
     def test_aitchison_optimality(self):
         """Under the floored weight, the floored-prior predictive is the
@@ -1010,12 +1006,6 @@ class TestBayesRisk:
         )
         assert abs(bayes - center) <= spread + 1e-12
 
-    def test_full_simplex_weight_with_singular_kernel(self):
-        # Jeffreys weight has integrable endpoint singularities
-        w = SymmetricPrior.jeffreys(2)
-        val = bayes_risk(w, ModelSpec(2, 4))
-        assert 0.0 < val < 1.0
-
     def test_k3_quadrature(self):
         """k = 3, N = 4, uniform weight floored at 0.08, against a 40 x 40
         Gauss-Legendre product rule over the floored triangle (theta_1, then
@@ -1045,29 +1035,27 @@ class TestBayesRisk:
         (ALPHA_MINIMAX, 2, 14, True, "truncated", 0.023650372263742926),
         (ALPHA_MINIMAX, 3, 22, True, "full", 0.03458902401221635),
         (ALPHA_MINIMAX, 3, 22, True, "truncated", 0.029786137628711032),
-        (0.5, 2, 4, False, "full", 0.07985430661283156),  # singular kernel
-        (1.0, 2, 4, False, "full", 0.07345958697643606),
     ])
     def test_pinned_quadrature_values(self, alpha, k, N, floored, predictive,
                                       expected):
         """Pins: minimax weight floored at eps = N^-0.73 (the sandwich's
-        lower end), and the whole simplex (eps = 0).  The truncated
-        predictive's Bayes risk is the full one's less the gap.  The
-        floored k = 2 full row is the 30-digit _mp_floored_bayes_k2 value;
+        lower end; every row is floored, the column keeps the rows' ids).
+        The truncated predictive's Bayes risk is the full one's less the
+        gap.  The k = 2 full row is the 30-digit _mp_floored_bayes_k2 value;
         the other rows are regression pins of earlier outputs."""
-        trunc = TruncatedSimplex(k, N ** -0.73) if floored else None
+        assert floored
+        trunc = TruncatedSimplex(k, N ** -0.73)
         w, model = SymmetricPrior(alpha, k), ModelSpec(k, N)
         val = bayes_risk(w, model, trunc)
         if predictive == "truncated":
             val -= truncation_bayes_gap(w, trunc, model)
-        assert val == pytest.approx(expected, rel=1e-12 if floored else 1e-9,
-                                    abs=0)
+        assert val == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_floored_k2_against_30_digits(self):
         """k = 2, minimax weight, N = 31, eps = 0.0798...: scipy's quad,
         which took this integral before, was 1.11e-12 relative off the
         30-digit value 0.014141477854019121796; the lockstep Gauss-Kronrod
-        integral is 1.1e-15 off."""
+        integrals are 1.3e-15 off."""
         eps = 0.07983781766389819
         want = _mp_floored_bayes_k2(ALPHA_MINIMAX, 31, eps)
         assert want == pytest.approx(0.014141477854019121796, rel=1e-15, abs=0)
@@ -1102,45 +1090,48 @@ class TestBayesRisk:
         want = _mp_floored_bayes_k2(0.5, N, 1e-9)
         assert got == pytest.approx(want, rel=1e-10, abs=0)
 
-    @pytest.mark.parametrize("weight, N, expected", [
-        (SymmetricPrior.uniform(3), 4, 0.12485588733277497),
-        (PriorSpec((1.2, 1.5, 2.0)), 3, 0.11647457536402676),
-    ], ids=["uniform", "asymmetric"])
-    def test_whole_simplex_closed_form_matches_quadrature(self, weight, N,
-                                                          expected):
-        """k = 3 over the whole simplex: the closed form against values the
-        nested quadrature it replaced gave."""
-        val = bayes_risk(weight, ModelSpec(3, N))
-        assert val == pytest.approx(expected, rel=1e-12, abs=0)
+    @pytest.mark.parametrize("alpha", [200.0, 400.0, 700.0])
+    def test_large_weight_k2_against_30_digits(self, alpha):
+        """k = 2, N = 8, eps = 0.1: a weight this concentrated makes the
+        unscaled kernel about 1e-120 (alpha = 200), below the absolute
+        tolerance, and scipy's betaln, b_trunc's closed form, is 1.5e-12
+        off in the log at alpha = 700.  The scaled kernel and a denominator
+        by the same rule keep the ratio within 1e-13 of the 30-digit
+        value (measured: 2.7e-14, 1.6e-14 and 9.1e-14)."""
+        got = bayes_risk(SymmetricPrior(alpha, 2), ModelSpec(2, 8),
+                         TruncatedSimplex(2, 0.1))
+        assert got == pytest.approx(_mp_floored_bayes_k2(alpha, 8, 0.1),
+                                    rel=1e-13, abs=0)
 
-    def test_whole_simplex_jeffreys_k3_is_fast_and_matches_mpmath(self):
-        """The Jeffreys weight's boundary singularities once cost nested
-        quadrature about a minute here.  At N = 1 the Bayes risk is
-        E[sum_i theta_i log theta_i] - sum_x m(x) sum_i q_i(x) log q_i(x),
-        over the k outcomes x = e_j with m(e_j) = a_j / A and q_i(e_j) =
-        (a_i + [i = j]) / (1 + A); the closed form matches that at 30
-        digits."""
-        w, model = SymmetricPrior.jeffreys(3), ModelSpec(3, 1)
-        start = time.perf_counter()
-        exact = bayes_risk(w, model)
-        assert time.perf_counter() - start < 1.0
-        with mpmath.workdps(30):
-            a, k = mpmath.mpf(w.alpha), w.k
-            A = k * a
-            want = k * a / A * (mpmath.digamma(a + 1) - mpmath.digamma(A + 1))
-            for j in range(k):
-                for i in range(k):
-                    q = (a + (i == j)) / (1 + A)
-                    want -= a / A * q * mpmath.log(q)
-        assert exact == pytest.approx(float(want), rel=1e-13, abs=0)
+    @pytest.mark.parametrize("alpha", [200.0, 400.0, 700.0])
+    def test_large_weight_k3_against_product_rule(self, alpha):
+        """k = 3, N = 8, eps = 0.1, against a 300 x 300 Gauss-Legendre
+        product rule over the floored triangle (theta_1, then theta_2 on
+        [eps, 1 - theta_1 - eps]) of the kernel scaled by its value at the
+        centre, (27 theta_1 theta_2 theta_3)^(alpha - 1), times the risk,
+        over the same rule of the scaled kernel alone.  Measured agreement:
+        3.3e-14, 1.2e-13 and 5.7e-15."""
+        eps, model = 0.1, ModelSpec(3, 8)
+        w = SymmetricPrior(alpha, 3)
+        x, wx = np.polynomial.legendre.leggauss(300)
+        t1 = eps + (1.0 - 3 * eps) * (x + 1) / 2
+        width = 1.0 - t1 - 2 * eps
+        t2 = eps + width[:, None] * (x + 1) / 2
+        t3 = 1.0 - t1[:, None] - t2
+        weights = (wx[:, None] * wx * width[:, None]
+                   * np.exp((alpha - 1) * np.log(27 * t1[:, None] * t2 * t3)))
+        thetas = np.stack([np.broadcast_to(t1[:, None], t2.shape), t2, t3])
+        risks = risk_module.CoordinateRiskEvaluator(w.expand(), model).risk(
+            thetas.reshape(3, -1))
+        want = (weights.ravel() * risks).sum() / weights.sum()
+        got = bayes_risk(w, model, TruncatedSimplex(3, eps))
+        assert got == pytest.approx(want, rel=1e-11, abs=0)
 
     def test_floored_k4_is_a_size_error(self):
-        """Floored Bayes risks stop at k = 3; the whole simplex has its
-        closed form at every k."""
+        """Floored Bayes risks stop at k = 3."""
         w, model = SymmetricPrior.minimax(4), ModelSpec(4, 4)
         with pytest.raises(SizeError):
             bayes_risk(w, model, TruncatedSimplex(4, 0.05))
-        assert bayes_risk(w, model) > 0.0
 
     def test_caps(self):
         w = SymmetricPrior.uniform(2)

@@ -10,6 +10,7 @@ import pytest
 
 import minimax_multinom.simplex as simplex_module
 from minimax_multinom import (
+    ALPHA_MINIMAX,
     DEFAULT_SEED,
     DomainError,
     LemmaReport,
@@ -104,6 +105,26 @@ class TestTruncatedIntegrals:
                 assert abs(log_i_trunc((1.0,) * k, eps) - want) <= 1e-12
                 assert abs(b_trunc((1.0,) * k, eps).value_log
                            - (want - math.lgamma(k))) <= 1e-12
+
+    @pytest.mark.parametrize("cases", [
+        [((0.8, 5.2), 1e-3), ((4.34177325, 1.03935045), 1.0091448500285252e-3),
+         ((5.20427487, 6.54403426), 6.240211916556266e-3), ((2.5, 2.5), 0.3)],
+        [((0.8, 2.0, 5.0), 1e-3), ((ALPHA_MINIMAX,) * 3, 0.2),
+         ((3.0, 1.1, 7.5), 0.05)],
+        [((ALPHA_MINIMAX,) * 4, 0.05), ((0.9, 2.0, 3.0, 6.0), 0.1)],
+    ], ids=["k2", "k3", "k4"])
+    def test_unit_factor_equals_b_trunc(self, cases):
+        """With g = 1 the integrals are b_trunc's, within 1e-13 in the log:
+        at k = 2 a quadrature of the Beta kernel that no b_trunc call takes
+        (b_trunc has the closed form), above it the inner integrals nested
+        down to k = 2 in place of Beta segments.  The worst case measured
+        is 7.7e-14, the second k = 2 one."""
+        alphas = np.array([a for a, _ in cases])
+        eps = np.array([e for _, e in cases])
+        logs, _ = simplex_module._recursive_b_log(
+            alphas, eps, lambda thetas, idx: np.ones(idx.size))
+        for value_log, (a, e) in zip(logs, cases):
+            assert abs(value_log - b_trunc(a, e).value_log) <= 1e-13
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -232,12 +253,26 @@ class TestLockstepBatch:
             assert (values[m], errors[m]) == (value, error), (k, j)
         assert len(depths) >= 3
 
-    @pytest.mark.parametrize("k", [3, 4])
-    def test_recursive_batch_equals_singles(self, k):
+    @staticmethod
+    def _factor(c: np.ndarray):
+        """An integrand factor g(thetas, idx) = c[idx] (1.5 + sum_i theta_i
+        log theta_i), positive, elementwise, and different per integral."""
+        return lambda thetas, idx: c[idx] * (1.5 + (thetas * np.log(thetas)).sum(axis=0))
+
+    @pytest.mark.parametrize("k, with_g", [(3, False), (4, False), (3, True)],
+                             ids=["3", "4", "3-g"])
+    def test_recursive_batch_equals_singles(self, k, with_g):
+        """With an integrand factor g, integral j of the batch carries
+        c_j h(theta) and its run alone c_j h(theta): g reaches the k = 2
+        base case through the inner batches with the outer index."""
         alphas, eps = self._draws(7, k, 10 if k == 3 else 3)
-        logs, rel = simplex_module._recursive_b_log(alphas, eps)
+        c = 1.0 + np.arange(eps.size) / eps.size
+        logs, rel = simplex_module._recursive_b_log(
+            alphas, eps, self._factor(c) if with_g else None)
         for j in range(eps.size):
-            (log1,), (rel1,) = simplex_module._recursive_b_log(alphas[j:j + 1], eps[j:j + 1])
+            (log1,), (rel1,) = simplex_module._recursive_b_log(
+                alphas[j:j + 1], eps[j:j + 1],
+                self._factor(c[j:j + 1]) if with_g else None)
             assert (logs[j], rel[j]) == (log1, rel1)
 
     def test_b_trunc_batch_equals_b_trunc(self):
