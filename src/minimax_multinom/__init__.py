@@ -75,12 +75,7 @@ from .simplex import (
     SLACK_FACTOR,
     TruncatedDirichletIntegral,
     b_trunc,
-    lemma1_check,
-    lemma4_check,
-    lemma5_check,
-    lemma6_check,
-    lemma7_check,
-    lemma8_check,
+    check_lemma,
     log_i_trunc,
     run_lemma_suite,
 )

@@ -361,10 +361,7 @@ def _cmd_moments(args, config: RunConfig) -> int:
         row = {"order": poly.order, "pretty": poly.pretty()}
         if args.N is not None:
             row["value"] = float(poly.evaluate(args.N, args.theta))
-            if poly.order <= 8:
-                row["closed_form"] = moment_closed_form(poly.order, args.N, args.theta)
-            else:
-                row["closed_form"] = row["value"]
+            row["closed_form"] = moment_closed_form(poly.order, args.N, args.theta)
         rows.append(row)
     columns = list(rows[0].keys())
     _write_output(config, columns, rows)

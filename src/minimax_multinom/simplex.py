@@ -22,8 +22,9 @@ then it nests down to a k = 2 quadrature of the kernel times g.
 
 The module also hosts the numbered inequality/identity checks (the "lemma"
 suite exposed by the CLI); see the README for the catalogue of what each
-number asserts.  Checks 4, 5, 6 and 8 are each a batch of one of the code
-their randomized suite runs on every trial at once.
+number asserts.  Each check is one batch function over a list of
+instances; check_lemma reports any list, and a randomized suite is its
+seeded draws plus one check_lemma call.
 """
 
 from __future__ import annotations
@@ -170,14 +171,22 @@ def _recursive_b_log(alphas: np.ndarray, eps: np.ndarray, g=None) -> tuple:
     return logs, rel
 
 
+def _shapes(alphas) -> tuple:
+    """alphas as a tuple of floats: at least two, each finite and positive,
+    with a finite total."""
+    alphas = tuple(float(v) for v in alphas)
+    if len(alphas) < 2:
+        raise DomainError("need at least two categories")
+    if not (all(0.0 < v < math.inf for v in alphas) and sum(alphas) < math.inf):
+        raise DomainError("shape parameters must be finite and positive, "
+                          "with a finite total")
+    return alphas
+
+
 def _checked(alphas, eps: float) -> tuple:
     """alphas as a tuple of floats, once b_trunc's domain checks pass."""
-    alphas = tuple(float(v) for v in alphas)
+    alphas = _shapes(alphas)
     k = len(alphas)
-    if k < 2:
-        raise DomainError("need at least two categories")
-    if any(v <= 0 for v in alphas):
-        raise DomainError("Dirichlet parameters must be positive")
     if not (0.0 < eps < 1.0 / k):
         raise DomainError(f"need 0 < eps < 1/k, got eps={eps!r}, k={k}")
     return alphas
@@ -238,7 +247,7 @@ IDENTITY_RTOL = 1e-10
 
 @dataclass
 class LemmaReport:
-    """Outcome of one check (or one randomized suite of a check).
+    """Outcome of one numbered check on a list of instances.
 
     max_violation <= 0 means every instance held within tolerance; the
     witness records the worst instance either way.
@@ -258,76 +267,54 @@ class LemmaReport:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def merge(self, other: "LemmaReport") -> "LemmaReport":
-        if other.max_violation > self.max_violation:
-            worst = other
-        else:
-            worst = self
-        return LemmaReport(
-            lemma=self.lemma,
-            trials=self.trials + other.trials,
-            max_violation=worst.max_violation,
-            witness=worst.witness,
-            seed=self.seed,
-            tolerances=self.tolerances,
-        )
 
-
-def lemma1_check(m: int, x_grid) -> LemmaReport:
-    """Alternating-series envelope of log(1+x).
+def _lemma1(instances: list) -> list:
+    """Alternating-series envelope of log(1+x), at each (m, x).
 
     For every nonnegative integer m and x > -1 the partial sum of degree
     2m+1 overshoots log(1+x), while the degree-2m partial sum plus the
     closing term x^(2m+1)/((2m+1)(1+x)) undershoots it, with equality only
     at x = 0.
     """
-    if m < 0:
-        raise DomainError("m must be a nonnegative integer")
-    xs = [float(x) for x in x_grid]
-    worst = -math.inf
-    witness = None
-    for x in xs:
-        if x <= -1.0:
-            raise DomainError("grid points must satisfy x > -1")
+    out = []
+    for m, x in instances:
+        if m < 0:
+            raise DomainError("m must be a nonnegative integer")
+        x = float(x)
+        if not -1.0 < x < math.inf:
+            raise DomainError("need a finite x > -1")
         powers = [(-1) ** (i - 1) * x**i / i for i in range(1, 2 * m + 2)]
         upper = stable_sum(powers)
         lower = stable_sum(powers[:-1]) + x ** (2 * m + 1) / ((2 * m + 1) * (1 + x))
         ref = math.log1p(x)
         slack = 8 * math.ulp(1.0) * (abs(x) + abs(ref) + 1.0)
-        violation = max(lower - ref, ref - upper) - slack
-        if violation > worst:
-            worst, witness = violation, {"m": m, "x": x, "lower": lower,
-                                         "log1p": ref, "upper": upper}
-    return LemmaReport(1, len(xs), worst, witness, None,
-                       {"slack": "8*ulp*(|x|+|log1p(x)|+1)"})
+        out.append((max(lower - ref, ref - upper) - slack,
+                    {"m": m, "x": x, "lower": lower, "log1p": ref, "upper": upper}))
+    return out
 
 
-def lemma4_check(alphas, eps: float) -> LemmaReport:
-    """Increment bound for the retained-mass fraction.
+def _bumped_integrals(instances: list) -> list:
+    """(alphas, eps, b0, b1, ln B(alphas), ln B(bumped)) for each (alphas,
+    eps) of instances, checked: b0 is b_trunc(alphas, eps) and b1 the same
+    with the first shape parameter raised by one, all from one
+    _b_trunc_batch."""
+    instances = [(_checked(alphas, eps), eps) for alphas, eps in instances]
+    bumped = [((alphas[0] + 1.0,) + alphas[1:], eps) for alphas, eps in instances]
+    ints, log_full = _b_trunc_batch(instances + bumped)
+    n = len(instances)
+    return [(alphas, eps, ints[j], ints[n + j], log_full[j], log_full[n + j])
+            for j, (alphas, eps) in enumerate(instances)]
+
+
+def _lemma4(instances: list) -> list:
+    """Increment bound for the retained-mass fraction, at each (alphas, eps).
 
     Raising the first shape parameter by one changes the retained fraction
     by at most Gamma(sum alpha) / (Gamma(alpha_1 + 1) Gamma(sum rest)) *
     eps^alpha_1 (1 - eps)^(sum rest).
     """
-    return _lemma4_reports([(alphas, eps)])[0]
-
-
-def _bumped_integrals(draws: list) -> list:
-    """(alphas, eps, b0, b1, ln B(alphas), ln B(bumped)) for each (alphas,
-    eps) of draws, checked: b0 is b_trunc(alphas, eps) and b1 the same with
-    the first shape parameter raised by one, all from one _b_trunc_batch."""
-    draws = [(_checked(alphas, eps), eps) for alphas, eps in draws]
-    bumped = [((alphas[0] + 1.0,) + alphas[1:], eps) for alphas, eps in draws]
-    ints, log_full = _b_trunc_batch(draws + bumped)
-    n = len(draws)
-    return [(alphas, eps, ints[j], ints[n + j], log_full[j], log_full[n + j])
-            for j, (alphas, eps) in enumerate(draws)]
-
-
-def _lemma4_reports(draws: list) -> list:
-    """lemma4_check for each (alphas, eps) of draws."""
-    reports = []
-    for alphas, eps, b0, b1, full0, full1 in _bumped_integrals(draws):
+    out = []
+    for alphas, eps, b0, b1, full0, full1 in _bumped_integrals(instances):
         rest_sum = stable_sum(alphas[1:])
         i0 = math.exp(b0.value_log - full0)
         i1 = math.exp(b1.value_log - full1)
@@ -340,147 +327,123 @@ def _lemma4_reports(draws: list) -> list:
             + rest_sum * math.log1p(-eps)
         )
         slack = SLACK_FACTOR * (b0.error_estimate * i0 + b1.error_estimate * i1)
-        reports.append(LemmaReport(
-            4, 1, lhs - rhs - slack,
-            {"alphas": list(alphas), "eps": eps, "lhs": lhs, "rhs": rhs,
-             "slack": slack},
-            None, {"slack_factor": SLACK_FACTOR},
-        ))
-    return reports
+        out.append((lhs - rhs - slack,
+                    {"alphas": list(alphas), "eps": eps, "lhs": lhs, "rhs": rhs,
+                     "slack": slack}))
+    return out
 
 
-def lemma5_check(
-    alpha: float, beta: float, s: float, t: float, u: float, v: float,
-) -> LemmaReport:
-    """Monotonicity of the Beta-segment mean ratio under interval shifts.
+def _lemma5(instances: list) -> list:
+    """Monotonicity of the Beta-segment mean ratio under interval shifts, at
+    each (alpha, beta, s, t, u, v).
 
     If [s, t] and [u, v] are admissible with s <= u and t <= v, the ratio
     of the (alpha+1, beta) segment to the (alpha, beta) segment cannot
-    decrease when moving from [s, t] to [u, v].
+    decrease when moving from [s, t] to [u, v].  Every Beta segment comes
+    from one numkernel.log_beta_segment call.
     """
-    return _lemma5_reports([(alpha, beta, s, t, u, v)])[0]
-
-
-def _lemma5_reports(draws: list) -> list:
-    """lemma5_check for each (alpha, beta, s, t, u, v) of draws, with every
-    Beta segment from one numkernel.log_beta_segment call."""
     segments = []
-    for alpha, beta, s, t, u, v in draws:
+    for alpha, beta, s, t, u, v in instances:
         if not (0 <= s < t <= 1 and 0 <= u < v <= 1 and s <= u and t <= v):
             raise DomainError("need admissible ordered intervals")
-        if not (alpha > 0 and beta > 0):
-            raise DomainError("shape parameters must be positive")
+        _shapes((alpha, beta))
         segments += [(alpha + 1, beta, s, t), (alpha, beta, s, t),
                      (alpha + 1, beta, u, v), (alpha, beta, u, v)]
     logs = log_beta_segment(*np.array(segments, dtype=float).T).tolist()
-    reports = []
-    for j, (alpha, beta, s, t, u, v) in enumerate(draws):
+    out = []
+    for j, (alpha, beta, s, t, u, v) in enumerate(instances):
         lhs = math.exp(logs[4 * j] - logs[4 * j + 1])
         rhs = math.exp(logs[4 * j + 2] - logs[4 * j + 3])
         slack = SLACK_FACTOR * 1e-12 * (lhs + rhs)
-        reports.append(LemmaReport(
-            5, 1, lhs - rhs - slack,
-            {"alpha": alpha, "beta": beta, "s": s, "t": t, "u": u, "v": v,
-             "lhs": lhs, "rhs": rhs},
-            None, {"slack_factor": SLACK_FACTOR},
-        ))
-    return reports
+        out.append((lhs - rhs - slack,
+                    {"alpha": alpha, "beta": beta, "s": s, "t": t, "u": u,
+                     "v": v, "lhs": lhs, "rhs": rhs}))
+    return out
 
 
-def lemma6_check(alphas, eps: float) -> LemmaReport:
-    """Simplex-to-interval domination of first-coordinate mean ratios.
+def _lemma6(instances: list) -> list:
+    """Simplex-to-interval domination of first-coordinate mean ratios, at
+    each (alphas, eps).
 
     The ratio of floored-simplex integrals after bumping the first shape
     parameter is bounded by the corresponding one-dimensional segment ratio
-    on [eps, 1] with the remaining parameters pooled.
+    on [eps, 1] with the remaining parameters pooled.  Every upper-tail
+    Beta segment comes from one numkernel.log_beta_segment call.
     """
-    return _lemma6_reports([(alphas, eps)])[0]
-
-
-def _lemma6_reports(draws: list) -> list:
-    """lemma6_check for each (alphas, eps) of draws, with every upper-tail
-    Beta segment from one numkernel.log_beta_segment call."""
-    integrals = _bumped_integrals(draws)
+    integrals = _bumped_integrals(instances)
     segments = []
     for alphas, eps, *_ in integrals:
         rest_sum = stable_sum(alphas[1:])
         segments += [(alphas[0] + 1.0, rest_sum, eps), (alphas[0], rest_sum, eps)]
     logs = log_beta_segment(*np.array(segments).T, 1.0).tolist()
-    reports = []
+    out = []
     for j, (alphas, eps, b0, b1, _, _) in enumerate(integrals):
         lhs = math.exp(b1.value_log - b0.value_log)
         rhs = math.exp(logs[2 * j] - logs[2 * j + 1])
         slack = (SLACK_FACTOR * (b0.error_estimate + b1.error_estimate + 2e-12)
                  * (lhs + rhs))
-        reports.append(LemmaReport(
-            6, 1, lhs - rhs - slack,
-            {"alphas": list(alphas), "eps": eps, "lhs": lhs, "rhs": rhs},
-            None, {"slack_factor": SLACK_FACTOR},
-        ))
-    return reports
+        out.append((lhs - rhs - slack,
+                    {"alphas": list(alphas), "eps": eps, "lhs": lhs, "rhs": rhs}))
+    return out
 
 
-def lemma7_check(alphas, N: int, x1: int) -> LemmaReport:
-    """Aggregation identity for Dirichlet-multinomial marginals.
+def _lemma7(instances: list) -> list:
+    """Aggregation identity for Dirichlet-multinomial marginals, at each
+    (alphas, N, x1).
 
     Summing the joint Dirichlet-multinomial mass over every split of the
     remaining N - x_1 counts equals the two-cell mass with the tail
     parameters pooled.  Both sides are assembled in the log domain and must
     agree to IDENTITY_RTOL.
     """
-    alphas = tuple(float(v) for v in alphas)
-    k = len(alphas)
-    if not 0 <= x1 <= N:
-        raise DomainError("x1 must lie in 0..N")
     gammaln = special_functions().gammaln
-    rest = compositions(N - x1, k - 1)
-    x = np.hstack([np.full((len(rest), 1), x1), rest])
-    # ln B(x + alpha) - ln B(alpha) + ln N!/(x_1! ... x_k!) for every x:
-    # x + alpha sums to N + A on each row, so only the per-cell log-gammas
-    # vary, and one gammaln pass gives them all
-    lg = gammaln(np.stack([x + np.array(alphas), x + 1.0]))
-    const = (float(gammaln(N + 1.0)) - float(gammaln(N + stable_sum(alphas)))
-             - log_multivariate_beta(alphas))
-    lhs = stable_sum(np.exp((lg[0] - lg[1]).sum(axis=1) + const))
-    rest_sum = stable_sum(alphas[1:])
-    rhs = math.exp(
-        log_multivariate_beta([x1 + alphas[0], N - x1 + rest_sum])
-        - log_multivariate_beta([alphas[0], rest_sum])
-        + log_binomial_row(N)[x1]
-    )
-    rel = abs(lhs - rhs) / abs(rhs)
-    violation = rel - IDENTITY_RTOL
-    return LemmaReport(
-        7, 1, violation,
-        {"alphas": list(alphas), "N": N, "x1": x1, "lhs": lhs, "rhs": rhs,
-         "rel_diff": rel},
-        None, {"identity_rtol": IDENTITY_RTOL},
-    )
+    out = []
+    for alphas, N, x1 in instances:
+        alphas = _shapes(alphas)
+        if not 0 <= x1 <= N:
+            raise DomainError("x1 must lie in 0..N")
+        rest = compositions(N - x1, len(alphas) - 1)
+        x = np.hstack([np.full((len(rest), 1), x1), rest])
+        # ln B(x + alpha) - ln B(alpha) + ln N!/(x_1! ... x_k!) for every x:
+        # x + alpha sums to N + A on each row, so only the per-cell
+        # log-gammas vary, and one gammaln pass gives them all
+        lg = gammaln(np.stack([x + np.array(alphas), x + 1.0]))
+        const = (float(gammaln(N + 1.0)) - float(gammaln(N + stable_sum(alphas)))
+                 - log_multivariate_beta(alphas))
+        lhs = stable_sum(np.exp((lg[0] - lg[1]).sum(axis=1) + const))
+        rest_sum = stable_sum(alphas[1:])
+        rhs = math.exp(
+            log_multivariate_beta([x1 + alphas[0], N - x1 + rest_sum])
+            - log_multivariate_beta([alphas[0], rest_sum])
+            + log_binomial_row(N)[x1]
+        )
+        rel = abs(lhs - rhs) / abs(rhs)
+        out.append((rel - IDENTITY_RTOL,
+                    {"alphas": list(alphas), "N": N, "x1": x1, "lhs": lhs,
+                     "rhs": rhs, "rel_diff": rel}))
+    return out
 
 
-def lemma8_check(alpha: float, beta: float, eps: float) -> LemmaReport:
-    """Exact mean-ratio identity on [eps, 1], plus its linear bound.
+def _lemma8(instances: list) -> list:
+    """Exact mean-ratio identity on [eps, 1], plus its linear bound, at each
+    (alpha, beta, eps).
 
     The segment ratio equals alpha/(alpha+beta) plus an explicit boundary
     correction (an identity valid for all alpha, beta > 0), and is bounded
     by (1-eps) alpha/(alpha+beta) + eps.  The bound holds for alpha >= 1
     only: it needs theta^(alpha-1) >= eps^(alpha-1) on [eps, 1], and e.g.
-    (alpha, beta, eps) = (0.05, 1, 1/2) violates it outright.
+    (alpha, beta, eps) = (0.05, 1, 1/2) violates it outright.  Every
+    upper-tail Beta segment comes from one numkernel.log_beta_segment call.
     """
-    return _lemma8_reports([(alpha, beta, eps)])[0]
-
-
-def _lemma8_reports(draws: list) -> list:
-    """lemma8_check for each (alpha, beta, eps) of draws, with every
-    upper-tail Beta segment from one numkernel.log_beta_segment call."""
     segments = []
-    for alpha, beta, eps in draws:
+    for alpha, beta, eps in instances:
         if not 0.0 <= eps < 1.0:
             raise DomainError("need eps in [0, 1)")
+        _shapes((alpha, beta))
         segments += [(alpha, beta, eps), (alpha + 1.0, beta, eps)]
     logs = log_beta_segment(*np.array(segments, dtype=float).T, 1.0).tolist()
-    reports = []
-    for j, (alpha, beta, eps) in enumerate(draws):
+    out = []
+    for j, (alpha, beta, eps) in enumerate(instances):
         log_den = logs[2 * j]
         ratio = math.exp(logs[2 * j + 1] - log_den)
         if eps == 0.0:
@@ -493,23 +456,19 @@ def _lemma8_reports(draws: list) -> list:
         rel = abs(ratio - identity_rhs) / abs(identity_rhs)
         bound_rhs = (1.0 - eps) * alpha / (alpha + beta) + eps
         slack = SLACK_FACTOR * 1e-12 * (ratio + bound_rhs)
-        violation = max(rel - IDENTITY_RTOL, ratio - bound_rhs - slack)
-        reports.append(LemmaReport(
-            8, 1, violation,
-            {"alpha": alpha, "beta": beta, "eps": eps, "ratio": ratio,
-             "identity_rhs": identity_rhs, "bound_rhs": bound_rhs,
-             "rel_diff": rel},
-            None, {"identity_rtol": IDENTITY_RTOL, "slack_factor": SLACK_FACTOR},
-        ))
-    return reports
+        out.append((max(rel - IDENTITY_RTOL, ratio - bound_rhs - slack),
+                    {"alpha": alpha, "beta": beta, "eps": eps, "ratio": ratio,
+                     "identity_rhs": identity_rhs, "bound_rhs": bound_rhs,
+                     "rel_diff": rel}))
+    return out
 
 
 def _draw_lemma1(rng) -> tuple:
-    return int(rng.integers(0, 6)), [float(rng.uniform(-0.99, 10.0))]
+    return int(rng.integers(0, 6)), float(rng.uniform(-0.99, 10.0))
 
 
 def _draw_simplex(rng) -> tuple:
-    # the lemma 4 and 6 suites: k = 2 or 3, shape parameters log-uniform
+    # checks 4 and 6: k = 2 or 3, shape parameters log-uniform
     k = 2 if rng.random() < 0.7 else 3
     alphas = np.exp(rng.uniform(math.log(0.2), math.log(8.0), size=k))
     return tuple(alphas), float(rng.uniform(1e-3, 0.95 / k))
@@ -534,27 +493,49 @@ def _draw_lemma7(rng) -> tuple:
 
 def _draw_lemma8(rng) -> tuple:
     # the linear bound is provably false for alpha < 1 (see the README and
-    # lemma8_check docstring), so the suite samples the bound's domain of
+    # _lemma8's docstring), so the suite samples the bound's domain of
     # validity; the identity part is universal
     alpha = float(np.exp(rng.uniform(0.0, math.log(20.0))))
     beta = float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
     return alpha, beta, float(rng.uniform(0.0, 0.95))
 
 
-def _each(check):
-    return lambda draws: [check(*d) for d in draws]
-
-
-#: per suite: one trial's draw from the stream, and the checks of a list of
-#: draws
-_SUITES = {
-    1: (_draw_lemma1, _each(lemma1_check)),
-    4: (_draw_simplex, _lemma4_reports),
-    5: (_draw_lemma5, _lemma5_reports),
-    6: (_draw_simplex, _lemma6_reports),
-    7: (_draw_lemma7, _each(lemma7_check)),
-    8: (_draw_lemma8, _lemma8_reports),
+#: per numbered check: one instance's draw from a suite's stream, the
+#: (violation, witness) of each instance of a list, and the tolerances its
+#: reports carry
+_CHECKS = {
+    1: (_draw_lemma1, _lemma1, {"slack": "8*ulp*(|x|+|log1p(x)|+1)"}),
+    4: (_draw_simplex, _lemma4, {"slack_factor": SLACK_FACTOR}),
+    5: (_draw_lemma5, _lemma5, {"slack_factor": SLACK_FACTOR}),
+    6: (_draw_simplex, _lemma6, {"slack_factor": SLACK_FACTOR}),
+    7: (_draw_lemma7, _lemma7, {"identity_rtol": IDENTITY_RTOL}),
+    8: (_draw_lemma8, _lemma8,
+        {"identity_rtol": IDENTITY_RTOL, "slack_factor": SLACK_FACTOR}),
 }
+
+
+def _check(lemma: int) -> tuple:
+    if lemma not in _CHECKS:
+        raise DomainError(f"no numbered check {lemma}")
+    return _CHECKS[lemma]
+
+
+def check_lemma(lemma: int, instances: list, seed: int | None = None) -> LemmaReport:
+    """Numbered check `lemma` on every instance of a nonempty list (the
+    instance tuples are in the README's check catalogue).
+
+    The report carries the first instance with the largest violation as its
+    witness, trials = len(instances), and seed as given.  Each instance's
+    violation is the one it gets alone: checks 4 and 6 take all their
+    floored-simplex integrals in one lockstep batch, and checks 5, 6 and 8
+    their Beta segments in one array pass.
+    """
+    _, check, tolerances = _check(lemma)
+    if not instances:
+        raise DomainError("need at least one instance")
+    violation, witness = max(check(instances), key=lambda pair: pair[0])
+    return LemmaReport(lemma, len(instances), violation, witness, seed,
+                       dict(tolerances))
 
 
 def run_lemma_suite(
@@ -567,22 +548,10 @@ def run_lemma_suite(
     Draws are taken from a single counter-based stream keyed on
     (seed, lemma number), so reports are reproducible and independent of
     any parallelism in the caller.  Every trial is drawn first, in stream
-    order; the checks then run on the whole list, so the lemma 4 and 6
-    suites integrate all their k = 3 integrals in one lockstep batch and
-    the lemma 5 suite takes its Beta segments from one array pass.  Every
-    trial's report is the one its check gives alone, and the reports are
-    merged in trial order.
+    order; check_lemma then runs on the whole list.
     """
     if trials < 1:
         raise DomainError(f"trials must be a positive integer, got {trials}")
     rng = seeded_stream(seed, lemma)
-    if lemma not in _SUITES:
-        raise DomainError(f"no randomized suite for lemma {lemma}")
-    draw, checks = _SUITES[lemma]
-    reports = checks([draw(rng) for _ in range(trials)])
-    report = reports[0]
-    for r in reports[1:]:
-        report = report.merge(r)
-    report.trials = trials
-    report.seed = seed
-    return report
+    draw = _check(lemma)[0]
+    return check_lemma(lemma, [draw(rng) for _ in range(trials)], seed)

@@ -1,6 +1,5 @@
 """Truncated Dirichlet integrals and the numbered check suites."""
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -13,14 +12,8 @@ from minimax_multinom import (
     ALPHA_MINIMAX,
     DEFAULT_SEED,
     DomainError,
-    LemmaReport,
     b_trunc,
-    lemma1_check,
-    lemma4_check,
-    lemma5_check,
-    lemma6_check,
-    lemma7_check,
-    lemma8_check,
+    check_lemma,
     log_i_trunc,
     log_multivariate_beta,
     run_lemma_suite,
@@ -133,6 +126,14 @@ class TestTruncatedIntegrals:
             b_trunc((1.0, -1.0), 0.1)
         with pytest.raises(DomainError):
             b_trunc((1.0, 1.0, 1.0, 1.0), 0.25)
+
+    def test_infinite_shape(self):
+        with pytest.raises(DomainError):
+            b_trunc((math.inf, 1.0), 0.1)
+
+    def test_shape_total_overflows(self):
+        with pytest.raises(DomainError):
+            log_i_trunc((1e308, 1e308), 0.1)
 
 
 def _k3_suite_draws():
@@ -291,12 +292,12 @@ class TestLemma1:
     """Alternating-envelope bounds for log(1+x)."""
 
     def test_equality_at_zero(self):
-        rep = lemma1_check(2, [0.0])
+        rep = check_lemma(1, [(2, 0.0)])
         assert rep.max_violation <= 0.0
 
     def test_m_zero_hand_values(self):
         # x/(1+x) <= log(1+x) <= x at x = 1
-        rep = lemma1_check(0, [1.0])
+        rep = check_lemma(1, [(0, 1.0)])
         assert rep.passed
         assert rep.witness["lower"] == pytest.approx(0.5, rel=1e-15, abs=0)
         assert rep.witness["upper"] == pytest.approx(1.0, rel=1e-15, abs=0)
@@ -308,20 +309,29 @@ class TestLemma1:
             np.linspace(-0.99, -0.01, 200),
             np.linspace(0.01, 10.0, 400),
         ])
-        assert lemma1_check(m, grid).passed
+        assert check_lemma(1, [(m, x) for x in grid]).passed
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            lemma1_check(-1, [0.5])
+            check_lemma(1, [(-1, 0.5)])
         with pytest.raises(DomainError):
-            lemma1_check(0, [-1.0])
+            check_lemma(1, [(0, -1.0)])
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_x(self, x):
+        """A NaN or infinite x is outside the domain, alone or among
+        finite instances."""
+        with pytest.raises(DomainError):
+            check_lemma(1, [(0, x)])
+        with pytest.raises(DomainError):
+            check_lemma(1, [(0, 0.5), (0, x)])
 
 
 class TestLemma4:
     """Retained-fraction increment bound."""
 
     def test_k2_hand_case(self):
-        rep = lemma4_check((1.0, 1.0), 0.1)
+        rep = check_lemma(4, [((1.0, 1.0), 0.1)])
         assert rep.passed
         # I(2,1) - I(1,1): retained fractions of Beta(2,1) and Beta(1,1)
         lhs = rep.witness["lhs"]
@@ -329,7 +339,7 @@ class TestLemma4:
         assert lhs == pytest.approx(expect, rel=1e-10, abs=1e-10)
 
     def test_vanishing_floor(self):
-        rep = lemma4_check((1.5, 2.0), 1e-8)
+        rep = check_lemma(4, [((1.5, 2.0), 1e-8)])
         assert rep.passed
         assert abs(rep.witness["lhs"]) < 1e-6
         assert rep.witness["rhs"] < 1e-6
@@ -339,42 +349,46 @@ class TestLemma4:
         for _ in range(10):
             alphas = tuple(np.exp(rng.uniform(-1, 1.5, size=3)))
             eps = float(rng.uniform(1e-3, 0.3))
-            assert lemma4_check(alphas, eps).passed
+            assert check_lemma(4, [(alphas, eps)]).passed
 
 
 class TestLemma5:
     """Interval-shift monotonicity of segment mean ratios."""
 
     def test_equal_intervals(self):
-        rep = lemma5_check(1.3, 2.1, 0.1, 0.6, 0.1, 0.6)
+        rep = check_lemma(5, [(1.3, 2.1, 0.1, 0.6, 0.1, 0.6)])
         assert rep.max_violation <= 0.0
         assert rep.witness["lhs"] == pytest.approx(rep.witness["rhs"], rel=1e-12, abs=0)
 
     def test_uniform_halves(self):
         # means of the uniform density on [0, 1/2] and [1/2, 1]
-        rep = lemma5_check(1.0, 1.0, 0.0, 0.5, 0.5, 1.0)
+        rep = check_lemma(5, [(1.0, 1.0, 0.0, 0.5, 0.5, 1.0)])
         assert rep.passed
         assert rep.witness["lhs"] == pytest.approx(0.25, rel=1e-12, abs=0)
         assert rep.witness["rhs"] == pytest.approx(0.75, rel=1e-12, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            lemma5_check(1.0, 1.0, 0.5, 0.4, 0.6, 0.7)
+            check_lemma(5, [(1.0, 1.0, 0.5, 0.4, 0.6, 0.7)])
         with pytest.raises(DomainError):
-            lemma5_check(1.0, 1.0, 0.3, 0.6, 0.2, 0.7)
+            check_lemma(5, [(1.0, 1.0, 0.3, 0.6, 0.2, 0.7)])
+
+    def test_infinite_shape(self):
+        with pytest.raises(DomainError):
+            check_lemma(5, [(math.inf, 1.0, 0.1, 0.5, 0.2, 0.6)])
 
 
 class TestLemma6:
     """Simplex-to-interval domination of the bumped-integral ratio."""
 
     def test_k2_strict(self):
-        rep = lemma6_check((1.2, 0.9), 0.1)
+        rep = check_lemma(6, [((1.2, 0.9), 0.1)])
         assert rep.passed
         assert rep.witness["lhs"] < rep.witness["rhs"]
 
     def test_vanishing_floor_reduces_to_dirichlet_mean(self):
         alphas = (1.4, 2.2, 0.9)
-        rep = lemma6_check(alphas, 1e-7)
+        rep = check_lemma(6, [(alphas, 1e-7)])
         mean = alphas[0] / sum(alphas)
         assert rep.witness["lhs"] == pytest.approx(mean, rel=1e-4, abs=0)
         assert rep.witness["rhs"] == pytest.approx(mean, rel=1e-4, abs=0)
@@ -384,7 +398,7 @@ class TestLemma6:
         for _ in range(10):
             alphas = tuple(np.exp(rng.uniform(-1, 1.5, size=3)))
             eps = float(rng.uniform(1e-3, 0.3))
-            assert lemma6_check(alphas, eps).passed
+            assert check_lemma(6, [(alphas, eps)]).passed
 
 
 def _b_exact(v) -> Fraction:
@@ -397,7 +411,7 @@ class TestLemma7:
     """Aggregation identity for Dirichlet-multinomial marginals."""
 
     def test_k2_trivially_equal(self):
-        rep = lemma7_check((1.3, 0.8), 9, 4)
+        rep = check_lemma(7, [((1.3, 0.8), 9, 4)])
         assert rep.witness["rel_diff"] < 1e-13
 
     def test_k3_exact_rational(self):
@@ -417,7 +431,7 @@ class TestLemma7:
             * Fraction(math.comb(N, x1))
         )
         assert lhs == rhs
-        rep = lemma7_check(alphas, N, x1)
+        rep = check_lemma(7, [(alphas, N, x1)])
         assert rep.passed
         assert rep.witness["lhs"] == pytest.approx(float(lhs), rel=1e-12, abs=0)
 
@@ -439,7 +453,7 @@ class TestLemma7:
         rhs = (_b_exact((x1 + alphas[0], N - x1 + pooled))
                / _b_exact((alphas[0], pooled)) * math.comb(N, x1))
         assert lhs == rhs
-        rep = lemma7_check(alphas, N, x1)
+        rep = check_lemma(7, [(alphas, N, x1)])
         assert rep.passed
         assert rep.witness["lhs"] == pytest.approx(float(lhs), rel=1e-12, abs=0)
         assert rep.witness["rhs"] == pytest.approx(float(rhs), rel=1e-12, abs=0)
@@ -450,25 +464,37 @@ class TestLemma7:
             alphas = tuple(np.exp(rng.uniform(-1, 1.5, size=4)))
             N = int(rng.integers(1, 13))
             x1 = int(rng.integers(0, N + 1))
-            assert lemma7_check(alphas, N, x1).passed
+            assert check_lemma(7, [(alphas, N, x1)]).passed
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            lemma7_check((1.0, 1.0), 5, 6)
+            check_lemma(7, [((1.0, 1.0), 5, 6)])
+
+    @pytest.mark.parametrize("alphas", [
+        (math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (1e308, 1e308, 1.0),
+    ])
+    def test_bad_shapes(self, alphas):
+        """Shape parameters that are not finite and positive, or whose total
+        is not finite, are outside the domain, alone or among finite
+        instances."""
+        with pytest.raises(DomainError):
+            check_lemma(7, [(alphas, 5, 2)])
+        with pytest.raises(DomainError):
+            check_lemma(7, [((1.0, 1.0), 5, 2), (alphas, 5, 2)])
 
 
 class TestLemma8:
     """Segment mean-ratio identity and its linear bound."""
 
     def test_no_floor_gives_beta_mean(self):
-        rep = lemma8_check(2.5, 3.5, 0.0)
+        rep = check_lemma(8, [(2.5, 3.5, 0.0)])
         assert rep.passed
         assert rep.witness["ratio"] == pytest.approx(2.5 / 6.0, rel=1e-12, abs=0)
 
     def test_uniform_half_hand_value(self):
         """alpha = beta = 1, eps = 1/2: conditional mean 3/4; the identity
         right side is 1/2 + (1/2 * 1/2)/(2 * 1/2) = 3/4."""
-        rep = lemma8_check(1.0, 1.0, 0.5)
+        rep = check_lemma(8, [(1.0, 1.0, 0.5)])
         assert rep.passed
         assert rep.witness["ratio"] == pytest.approx(0.75, rel=1e-12, abs=0)
         assert rep.witness["identity_rhs"] == pytest.approx(0.75, rel=1e-12, abs=0)
@@ -478,21 +504,28 @@ class TestLemma8:
             _beta_seg_exact(3, 2, Fraction(1, 5), Fraction(1))
             / _beta_seg_exact(2, 2, Fraction(1, 5), Fraction(1))
         )
-        rep = lemma8_check(2.0, 2.0, 0.2)
+        rep = check_lemma(8, [(2.0, 2.0, 0.2)])
         assert rep.witness["ratio"] == pytest.approx(ratio, rel=1e-11, abs=0)
 
     def test_bound_fails_below_alpha_one(self):
         """The linear bound genuinely breaks for alpha < 1: at
         (alpha, beta, eps) = (0.05, 1, 1/2) the conditional mean is ~0.72
         but the claimed bound is ~0.52.  The identity still holds."""
-        rep = lemma8_check(0.05, 1.0, 0.5)
+        rep = check_lemma(8, [(0.05, 1.0, 0.5)])
         assert rep.witness["rel_diff"] <= 1e-10          # identity fine
         assert rep.witness["ratio"] > rep.witness["bound_rhs"] + 0.1
         assert rep.max_violation > 0.0                   # bound violated
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            lemma8_check(1.0, 1.0, 1.0)
+            check_lemma(8, [(1.0, 1.0, 1.0)])
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.inf, 1.0), (1.0, math.nan), (-1.0, 1.0),
+    ])
+    def test_bad_shapes(self, alpha, beta):
+        with pytest.raises(DomainError):
+            check_lemma(8, [(2.0, 2.0, 0.2), (alpha, beta, 0.2)])
 
 
 class TestSuites:
@@ -522,15 +555,35 @@ class TestSuites:
             run_lemma_suite(2, 10)
 
     @pytest.mark.parametrize("seed", [0, 41])
-    @pytest.mark.parametrize("lemma, check", [
-        (4, lemma4_check), (5, lemma5_check), (6, lemma6_check), (8, lemma8_check),
-    ])
-    def test_suite_is_the_merge_of_its_checks(self, lemma, check, seed):
-        """A batched suite reports, bit for bit, the merge of the public
-        per-trial checks on the same draws."""
-        draw = simplex_module._SUITES[lemma][0]
+    @pytest.mark.parametrize("lemma", [1, 4, 5, 6, 7, 8])
+    def test_suite_is_the_worst_single_check(self, lemma, seed):
+        """A suite reports, bit for bit, the first worst of check_lemma on
+        each of its draws alone."""
+        draw = simplex_module._CHECKS[lemma][0]
         rng = simplex_module.seeded_stream(seed, lemma)
         draws = [draw(rng) for _ in range(100)]
-        merged = functools.reduce(LemmaReport.merge, [check(*d) for d in draws])
-        want = dict(merged.to_dict(), trials=100, seed=seed)
+        worst = check_lemma(lemma, draws[:1])
+        for d in draws[1:]:
+            rep = check_lemma(lemma, [d])
+            if rep.max_violation > worst.max_violation:
+                worst = rep
+        want = dict(worst.to_dict(), trials=100, seed=seed)
         assert run_lemma_suite(lemma, 100, seed).to_dict() == want
+
+
+class TestCheckLemma:
+    def test_report(self):
+        rep = check_lemma(8, [(2.5, 3.5, 0.0), (0.05, 1.0, 0.5), (1.0, 1.0, 0.5)],
+                          seed=7)
+        assert (rep.lemma, rep.trials, rep.seed) == (8, 3, 7)
+        assert rep.witness["alpha"] == 0.05
+        assert not rep.passed
+
+    def test_empty_list(self):
+        with pytest.raises(DomainError):
+            check_lemma(4, [])
+
+    @pytest.mark.parametrize("lemma", [0, 2, 3, 9])
+    def test_unknown_number(self, lemma):
+        with pytest.raises(DomainError):
+            check_lemma(lemma, [(0, 0.5)])
