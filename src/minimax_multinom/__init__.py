@@ -22,11 +22,8 @@ from .expansion import (
     IdentityReport,
     ProfileRow,
     expansion_error_profile,
-    jeffreys_excess_lower_bound,
-    jeffreys_witness_theta,
     minimax_alpha_identities,
     minimax_excess_coefficient,
-    minimax_prior_expansion,
     risk_expansion,
 )
 from .model import (
@@ -43,13 +40,8 @@ from .model import (
     TruncatedSimplex,
 )
 from .moments import (
-    BoundReport,
     MomentPoly,
-    lemma3_bound_check,
     moment_closed_form,
-    moment_pmf_oracle,
-    moment_pmf_oracle_exact,
-    moment_ratio_bound_check,
     moment_recurrence,
 )
 from .numkernel import (

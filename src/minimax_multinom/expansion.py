@@ -8,9 +8,11 @@ of the Dirichlet-prior predictive admits
 
 where each T_o is a sum over coordinates of polynomial(a_i) / theta_i^p
 terms plus a constant in (A, k).  All polynomial coefficients live in one
-table below; the symmetric-minimax specialization re-derives the same
-numbers from closed-form constants, giving double-entry protection against
-transcription typos in either place.
+table below.  At the minimax concentration they collapse to closed-form
+constants: minimax_alpha_identities checks the identities behind that
+collapse, and the tests hold a second entry of the symmetric-minimax
+expansion, written from those constants, that must match the table term by
+term, so a transcription typo in either place shows.
 """
 
 from __future__ import annotations
@@ -132,61 +134,10 @@ def risk_expansion(
     return ExpansionTerms(*terms)
 
 
-def minimax_prior_expansion(k: int, N: int, theta: ThetaPoint) -> ExpansionTerms:
-    """Expansion terms for the symmetric prior with concentration
-    1 + 1/sqrt(6), written from its closed-form constants.
-
-    The per-coordinate numerator polynomials collapse at this concentration:
-    the order-2 coefficient vanishes identically (so t2 is the pure constant
-    -(k-1)(1 + (7 + 2 sqrt 6) k)/12 / N^2), the order-3 one equals
-    -sqrt(6)/9, and the order-4 one equals -(20 sqrt 6 - 11)/6.  The (A, k)
-    constant tails of orders three and four are kept so that the result
-    agrees with risk_expansion term by term (they are o(N^-2)-irrelevant in
-    every sup statement that uses these terms).
-    """
-    if theta.k != k:
-        raise DomainError("theta and k disagree")
-    if N < 1:
-        raise DomainError("the expansion needs N >= 1")
-    Nf = float(N)
-    A_hat = k * ALPHA_MINIMAX
-    inv2 = stable_sum(t**-2 for t in theta.theta)
-    inv3 = stable_sum(t**-3 for t in theta.theta)
-    t2 = -((k - 1) / 12.0) * (1.0 + (7.0 + 2.0 * SQRT6) * k) / Nf**2
-    t3 = (
-        (-SQRT6 / 9.0) / 12.0 * inv2
-        + (A_hat**3 / 3.0 - A_hat + 0.5 * k)
-    ) / Nf**3
-    t4 = (
-        -((20.0 * SQRT6 - 11.0) / 6.0) / 120.0 * inv3
-        + (SQRT6 / 9.0) / 2.0 * inv2
-        + (-0.25 * A_hat**4 + A_hat - 0.5 * k - 1.0 / 120.0)
-    ) / Nf**4
-    return ExpansionTerms((k - 1) / (2.0 * Nf), t2, t3, t4)
-
-
 def minimax_excess_coefficient(k: int) -> float:
     """The N^-2 coefficient -(k-1)(1 + (7 + 2 sqrt 6) k)/12 of the
     minimax-prior risk beyond the leading (k-1)/(2N)."""
     return -((k - 1) / 12.0) * (1.0 + (7.0 + 2.0 * SQRT6) * k)
-
-
-def jeffreys_excess_lower_bound(k: int, N: int, eps: float) -> float:
-    """Divergence witness for the Jeffreys prior.
-
-    At the point with one coordinate at the floor and the rest equal, the
-    risk exceeds (k-1)/(2N) by at least 1/(24 N^2 eps) up to lower-order
-    terms, so the Jeffreys predictive cannot be asymptotically minimax.
-    """
-    if not (0.0 < eps < 1.0 / k):
-        raise DomainError("need 0 < eps < 1/k")
-    return 1.0 / (24.0 * N * N * eps)
-
-
-def jeffreys_witness_theta(k: int, eps: float) -> ThetaPoint:
-    """One coordinate at the floor, remaining mass split evenly."""
-    rest = (1.0 - eps) / (k - 1)
-    return ThetaPoint.complete([eps] + [rest] * (k - 2))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError
 # DEFAULT_SEED is re-exported as part of the model API
@@ -54,7 +54,7 @@ class PriorSpec:
     """
 
     a: tuple
-    A: float = None  # type: ignore[assignment]
+    A: float = field(init=False)
 
     def __post_init__(self):
         a = tuple(float(v) for v in self.a)

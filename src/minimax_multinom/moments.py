@@ -11,24 +11,23 @@ by the differential recurrence
 
     mu_{m+1} = theta (1 - theta) * (N m mu_{m-1} + d mu_m / d theta),
 
-carried out exactly over the integers, which keeps the bounded-ratio checks
-below free of transcription error: closed forms through order eight are
-evaluated against the recurrence, and the recurrence against brute-force
-probability-mass summation.
+carried out exactly over the integers.  moment_closed_form writes orders
+up to eight out explicitly, taking the lower (N theta)-powers of orders six
+to eight from the recurrence.  The tests check the closed forms against the
+recurrence, the recurrence against exact rational probability-mass
+summation, and the scaled moments' boundedness along a floor schedule;
+those oracles and scans live under tests/.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .model import EpsilonSchedule
-from .numkernel import log_binomial_row
 
 # --- integer polynomial helpers (coefficient tuples, ascending powers) -----
 
@@ -108,13 +107,6 @@ def _peval(c: tuple, t):
     return _horner(c, t)
 
 
-def _peval_exact(c: tuple, t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for v in reversed(c):
-        acc = acc * t + v
-    return acc
-
-
 @dataclass(frozen=True)
 class MomentPoly:
     """mu_m in the (N theta)-power basis: coeffs maps i -> f_{m,i} tuple."""
@@ -137,13 +129,6 @@ class MomentPoly:
         if np.ndim(theta) == 0:
             return float(total)
         return np.asarray(total, dtype=float)
-
-    def evaluate_exact(self, N: int, theta: Fraction) -> Fraction:
-        nt = N * theta
-        total = Fraction(0)
-        for i, poly in sorted(self.coeffs.items()):
-            total += _peval_exact(poly, theta) * nt**i
-        return total
 
     def pretty(self) -> str:
         """Render in the (N theta)^i basis, ascending powers of theta inside."""
@@ -249,119 +234,3 @@ def moment_closed_form(m: int, N: float, theta: float) -> float:
     phi82 = _peval(polys[8].coeffs[2], t)
     phi83 = _peval(polys[8].coeffs[3], t)
     return 105 * v**4 + nt**3 * phi83 + nt**2 * phi82 + nt * phi81
-
-
-def moment_pmf_oracle(m: int, N: int, theta) -> float:
-    """Brute-force E[(X - N theta)^m] by summing the binomial mass."""
-    x = np.arange(N + 1)
-    lt, l1t = math.log(theta), math.log1p(-theta)
-    logpmf = log_binomial_row(N) + x * lt + (N - x) * l1t
-    return float(np.sum(np.exp(logpmf) * (x - N * theta) ** m))
-
-
-def moment_pmf_oracle_exact(m: int, N: int, theta: Fraction) -> Fraction:
-    """Exact rational version of the brute-force moment."""
-    total = Fraction(0)
-    for x in range(N + 1):
-        pmf = math.comb(N, x) * theta**x * (1 - theta) ** (N - x)
-        total += pmf * (x - N * theta) ** m
-    return total
-
-
-@dataclass
-class BoundReport:
-    """Per-N suprema of a scaled moment quantity, with a no-growth verdict.
-
-    passed means the last supremum does not exceed 1.05x the largest
-    supremum seen over the first half of the sweep, i.e. no growth trend.
-    """
-
-    label: str
-    rows: list
-    passed: bool
-    criterion: str = "final <= 1.05 * max(first half)"
-
-
-def _theta_grid(eps: float, points: int) -> np.ndarray:
-    """Log-spaced grid on [eps, 1]: dense near the floor where the extremal
-    values of the moment ratios sit."""
-    grid = eps * np.exp(np.linspace(0.0, math.log(1.0 / eps), points))
-    return np.minimum(grid, 1.0)
-
-
-def _trend_passed(sups: list) -> bool:
-    half = max(1, len(sups) // 2)
-    return sups[-1] <= 1.05 * max(sups[:half])
-
-
-def moment_ratio_bound_check(
-    l: int,
-    eps_schedule: EpsilonSchedule,
-    N_list,
-    grid_points: int = 2048,
-) -> tuple:
-    """Empirical boundedness of |mu_{2l-1}|/(N theta)^(l-1) and
-    |mu_{2l}|/(N theta)^l over theta in [eps_N, 1] across a sweep of N.
-
-    Returns a pair of BoundReports (odd-order, even-order).
-    """
-    if l < 1:
-        raise DomainError("l must be a positive integer")
-    polys = _recurrence_upto(2 * l)
-    odd_rows, even_rows = [], []
-    for N in N_list:
-        eps = eps_schedule.eps(N)
-        grid = _theta_grid(eps, grid_points)
-        nt = N * grid
-        odd = np.abs(polys[2 * l - 1].evaluate(N, grid)) / nt ** (l - 1)
-        even = np.abs(polys[2 * l].evaluate(N, grid)) / nt**l
-        odd_rows.append((N, eps, float(odd.max())))
-        even_rows.append((N, eps, float(even.max())))
-    return (
-        BoundReport(f"|mu_{2*l-1}|/(N theta)^{l-1}", odd_rows,
-                    _trend_passed([r[2] for r in odd_rows])),
-        BoundReport(f"|mu_{2*l}|/(N theta)^{l}", even_rows,
-                    _trend_passed([r[2] for r in even_rows])),
-    )
-
-
-def lemma3_bound_check(
-    l: int,
-    a: float,
-    eps_schedule: EpsilonSchedule,
-    N_list,
-    grid_points: int = 2048,
-) -> BoundReport:
-    """Empirical boundedness of (N theta)^l * E[-w^(2l+1)/(1+w)] where
-    w = (x - N theta)/(N theta + a), x binomial(N, theta).
-
-    The expectation is computed by direct mass summation; the scan runs over
-    theta in [eps_N, 1] for each N and asserts the same no-growth trend as
-    the moment-ratio check.
-    """
-    if l < 0:
-        raise DomainError("l must be nonnegative")
-    if a <= 0:
-        raise DomainError("a must be positive")
-    rows = []
-    for N in N_list:
-        eps = eps_schedule.eps(N)
-        grid = _theta_grid(eps, grid_points)
-        x = np.arange(N + 1)
-        lg = log_binomial_row(N)
-        sup = -math.inf
-        for th in grid:
-            if th >= 1.0:
-                # degenerate: x = N surely, w = 0, expectation 0
-                val = 0.0
-            else:
-                logpmf = lg + x * math.log(th) + (N - x) * math.log1p(-th)
-                w = (x - N * th) / (N * th + a)
-                val = float(np.sum(np.exp(logpmf) * (-(w ** (2 * l + 1)) / (1 + w))))
-                val *= (N * th) ** l
-            sup = max(sup, val)
-        rows.append((N, eps, sup))
-    return BoundReport(
-        f"(N theta)^{l} * E[-w^{2*l+1}/(1+w)], a={a:g}",
-        rows, _trend_passed([r[2] for r in rows]),
-    )

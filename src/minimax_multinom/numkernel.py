@@ -197,16 +197,27 @@ def seeded_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+_SHAPES_MESSAGE = ("shape parameters must be finite and positive, "
+                   "with a finite total")
+
+
+def check_shapes(alphas) -> tuple:
+    """alphas as a tuple of floats: at least two, each finite and positive,
+    with a finite total."""
+    alphas = tuple(float(v) for v in alphas)
+    if len(alphas) < 2:
+        raise DomainError("need at least two categories")
+    if not (all(0.0 < v < math.inf for v in alphas) and sum(alphas) < math.inf):
+        raise DomainError(_SHAPES_MESSAGE)
+    return alphas
+
+
 def log_multivariate_beta(a) -> float:
     """ln B(a_1, ..., a_k) = ln[Gamma(a_1)...Gamma(a_k) / Gamma(sum a_i)].
 
-    Requires k >= 2 and every a_i > 0.
+    The shapes must pass check_shapes.
     """
-    a = tuple(float(v) for v in a)
-    if len(a) < 2:
-        raise DomainError("log_multivariate_beta needs at least two parameters")
-    if any(v <= 0 for v in a):
-        raise DomainError("all parameters must be positive")
+    a = check_shapes(a)
     if _gammaln is None:
         special_functions()
     return stable_sum([_gammaln(v) for v in a]) - float(_gammaln(stable_sum(a)))
@@ -299,15 +310,18 @@ def log_beta_segment(alpha, beta, s, t):
     significant digits, i.e. a thin slice in a region of negligible mass,
     or a tail past betaincc's underflow) are redone together by one
     gauss_kronrod batch (_log_segments_by_quadrature), so each gets the
-    float it gets alone.  Any element with a shape parameter <= 0 or
-    outside 0 <= s < t <= 1 raises DomainError.
+    float it gets alone.  Any element whose shapes fail check_shapes's test
+    (positive, with a finite alpha + beta) or outside 0 <= s < t <= 1
+    raises DomainError.
     """
     alpha, beta, s, t = (np.asarray(v, dtype=float) for v in (alpha, beta, s, t))
     shape = np.broadcast_shapes(alpha.shape, beta.shape, s.shape, t.shape)
     alpha, beta, s, t = (np.broadcast_to(v, shape).ravel()
                          for v in (alpha, beta, s, t))
-    if not ((alpha > 0) & (beta > 0)).all():
-        raise DomainError("shape parameters must be positive")
+    with np.errstate(over="ignore"):
+        total = alpha + beta
+    if not ((alpha > 0) & (beta > 0) & (total < np.inf)).all():
+        raise DomainError(_SHAPES_MESSAGE)
     bad = np.flatnonzero(~((0.0 <= s) & (s < t) & (t <= 1.0)))
     if bad.size:
         j = bad[0]

@@ -59,7 +59,7 @@ from .numkernel import (
 )
 from .simplex import _b_trunc_batch, _checked, _recursive_b_log, log_i_trunc
 
-#: default cap on the number of count vectors risk_enumeration will visit
+#: cap on the number of count vectors risk_enumeration will visit
 ENUMERATION_CAP = 2_000_000
 
 #: caps on N for the truncated-predictive table, which holds a row of
@@ -138,7 +138,6 @@ def risk_enumeration(
     prior: PriorSpec,
     model: ModelSpec,
     theta: ThetaPoint,
-    cap: int = ENUMERATION_CAP,
 ) -> RiskReport:
     """Risk by full enumeration over count vectors and outcomes.
 
@@ -147,9 +146,9 @@ def risk_enumeration(
     """
     _check_kabc(prior, model, theta)
     n_comp = math.comb(model.N + model.k - 1, model.k - 1)
-    if n_comp > cap:
+    if n_comp > ENUMERATION_CAP:
         raise SizeError(
-            f"{n_comp} count vectors exceed the cap {cap}; "
+            f"{n_comp} count vectors exceed the cap {ENUMERATION_CAP}; "
             "use risk_coordinatewise"
         )
     comps = compositions(model.N, model.k)
@@ -355,7 +354,11 @@ def _check_kabc(prior: PriorSpec, model: ModelSpec, theta: ThetaPoint) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _golden_max(f, lo, hi, iters: int = 60) -> tuple:
+#: iteration limit of every golden-section search
+_GOLDEN_ITERS = 60
+
+
+def _golden_max(f, lo, hi) -> tuple:
     """Golden-section local maximization over a batch of intervals.
 
     Row r searches [lo[r], hi[r]].  f(rows, t) returns the objective of each
@@ -378,7 +381,7 @@ def _golden_max(f, lo, hi, iters: int = 60) -> tuple:
     rows = np.arange(a.size)
     both = f(np.concatenate([rows, rows]), np.concatenate([c, d]))
     fc, fd = both[:a.size], both[a.size:]
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         rows = rows[~(b[rows] - a[rows] < width_tol[rows])]
         if rows.size == 0:
             break

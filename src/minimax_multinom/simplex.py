@@ -38,6 +38,7 @@ import numpy as np
 from .errors import DomainError
 from .numkernel import (
     DEFAULT_SEED,
+    check_shapes,
     compositions,
     gauss_kronrod,
     log_beta_segment,
@@ -171,21 +172,9 @@ def _recursive_b_log(alphas: np.ndarray, eps: np.ndarray, g=None) -> tuple:
     return logs, rel
 
 
-def _shapes(alphas) -> tuple:
-    """alphas as a tuple of floats: at least two, each finite and positive,
-    with a finite total."""
-    alphas = tuple(float(v) for v in alphas)
-    if len(alphas) < 2:
-        raise DomainError("need at least two categories")
-    if not (all(0.0 < v < math.inf for v in alphas) and sum(alphas) < math.inf):
-        raise DomainError("shape parameters must be finite and positive, "
-                          "with a finite total")
-    return alphas
-
-
 def _checked(alphas, eps: float) -> tuple:
     """alphas as a tuple of floats, once b_trunc's domain checks pass."""
-    alphas = _shapes(alphas)
+    alphas = check_shapes(alphas)
     k = len(alphas)
     if not (0.0 < eps < 1.0 / k):
         raise DomainError(f"need 0 < eps < 1/k, got eps={eps!r}, k={k}")
@@ -346,7 +335,7 @@ def _lemma5(instances: list) -> list:
     for alpha, beta, s, t, u, v in instances:
         if not (0 <= s < t <= 1 and 0 <= u < v <= 1 and s <= u and t <= v):
             raise DomainError("need admissible ordered intervals")
-        _shapes((alpha, beta))
+        check_shapes((alpha, beta))
         segments += [(alpha + 1, beta, s, t), (alpha, beta, s, t),
                      (alpha + 1, beta, u, v), (alpha, beta, u, v)]
     logs = log_beta_segment(*np.array(segments, dtype=float).T).tolist()
@@ -399,7 +388,7 @@ def _lemma7(instances: list) -> list:
     gammaln = special_functions().gammaln
     out = []
     for alphas, N, x1 in instances:
-        alphas = _shapes(alphas)
+        alphas = check_shapes(alphas)
         if not 0 <= x1 <= N:
             raise DomainError("x1 must lie in 0..N")
         rest = compositions(N - x1, len(alphas) - 1)
@@ -439,7 +428,7 @@ def _lemma8(instances: list) -> list:
     for alpha, beta, eps in instances:
         if not 0.0 <= eps < 1.0:
             raise DomainError("need eps in [0, 1)")
-        _shapes((alpha, beta))
+        check_shapes((alpha, beta))
         segments += [(alpha, beta, eps), (alpha + 1.0, beta, eps)]
     logs = log_beta_segment(*np.array(segments, dtype=float).T, 1.0).tolist()
     out = []

@@ -20,6 +20,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import record_verdict
+from reference_checks import (
+    evaluate_exact,
+    minimax_prior_expansion,
+    moment_pmf_oracle_exact,
+)
 
 from minimax_multinom import (
     ALPHA_MINIMAX,
@@ -32,10 +37,8 @@ from minimax_multinom import (
     ThetaPoint,
     compare_priors,
     minimax_alpha_identities,
-    minimax_prior_expansion,
     minimax_sandwich,
     moment_closed_form,
-    moment_pmf_oracle_exact,
     moment_recurrence,
     risk_coordinatewise,
     risk_enumeration,
@@ -172,7 +175,7 @@ def test_criterion_5_moment_engine():
         N = int(rng.integers(1, 31))
         theta = Fraction(float(rng.uniform(0.05, 0.95))).limit_denominator(2**30)
         exact = moment_pmf_oracle_exact(m, N, theta)
-        assert polys[m].evaluate_exact(N, theta) == exact
+        assert evaluate_exact(polys[m], N, theta) == exact
         rel = abs(float(polys[m].evaluate(N, float(theta))) - float(exact))
         rel /= max(abs(float(exact)), 1e-300)
         worst_pmf = max(worst_pmf, rel)

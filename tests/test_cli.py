@@ -460,6 +460,66 @@ def test_no_module_imports_scipy_integrate():
     assert _quadrature_imports() == []
 
 
+#: definitions in src/ that nothing in src/ or perfbench/ calls, each with
+#: the reason it stays
+_UNREACHED_KEPT = {
+    # the README's floored Dirichlet integral; the package itself takes it
+    # through the batch behind it (_b_trunc_batch)
+    "simplex.b_trunc",
+}
+
+
+def _unreached_definitions() -> list:
+    """module.qualname of every function and class defined in src/ that no
+    live code in src/ or perfbench/ names.
+
+    A definition is named by a Name or an Attribute outside its own body.
+    Code inside an unreached definition names nothing, so a helper that
+    only an unreached check calls is unreached too (the search repeats
+    until nothing changes).  Dunder methods are called by Python itself and
+    are left out.
+    """
+    root = Path(__file__).resolve().parents[1]
+    defs, refs = [], {}
+
+    def visit(node, chain, qual, in_src):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if in_src and not node.name.startswith("__"):
+                defs.append((node, ".".join(qual + [node.name])))
+            chain, qual = chain + (node,), qual + [node.name]
+        elif isinstance(node, ast.Name):
+            refs.setdefault(node.id, []).append(chain)
+        elif isinstance(node, ast.Attribute):
+            refs.setdefault(node.attr, []).append(chain)
+        for child in ast.iter_child_nodes(node):
+            visit(child, chain, qual, in_src)
+
+    for sub in ("src/minimax_multinom", "perfbench"):
+        for path in sorted((root / sub).glob("*.py")):
+            visit(ast.parse(path.read_text()), (), [path.stem],
+                  sub.startswith("src"))
+    dead = set()
+    changed = True
+    while changed:
+        changed = False
+        for node, _ in defs:
+            if node not in dead and not any(
+                    node not in chain and dead.isdisjoint(chain)
+                    for chain in refs.get(node.name, ())):
+                dead.add(node)
+                changed = True
+    return sorted(qual for node, qual in defs if node in dead)
+
+
+def test_every_definition_is_reached():
+    """Every function and class of the package is called by a command, by
+    another part of the package or by the benchmark (perfbench/oracle.py is
+    what reaches risk_expansion).  Checks and oracles that only the tests
+    use live under tests/ (reference_checks.py), not in the package."""
+    assert sorted(set(_unreached_definitions()) - _UNREACHED_KEPT) == []
+    assert _UNREACHED_KEPT <= set(_unreached_definitions())
+
+
 class TestImportIsolation:
     """No run imports scipy.integrate: every integral, the floored Bayes
     risks and the Beta segments' fallback for thin slices included, runs on

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from reference_checks import minimax_prior_expansion
 
 import minimax_multinom.expansion as expansion_module
 from minimax_multinom import (
@@ -18,11 +19,8 @@ from minimax_multinom import (
     SymmetricPrior,
     ThetaPoint,
     expansion_error_profile,
-    jeffreys_excess_lower_bound,
-    jeffreys_witness_theta,
     minimax_alpha_identities,
     minimax_excess_coefficient,
-    minimax_prior_expansion,
     risk_coordinatewise,
     risk_expansion,
 )
@@ -128,26 +126,6 @@ class TestCoefficientTable:
                            ThetaPoint(tuple(theta.theta[p] for p in perm)))
         for name in ("t1", "t2", "t3", "t4"):
             assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-14, abs=0)
-
-
-class TestJeffreysLowerBound:
-    def test_formula(self):
-        assert jeffreys_excess_lower_bound(2, 1000, 0.01) == pytest.approx(
-            1.0 / (24 * 1e6 * 0.01), rel=1e-15, abs=0)
-
-    def test_scaling_in_n(self):
-        a = jeffreys_excess_lower_bound(3, 500, 0.02)
-        b = jeffreys_excess_lower_bound(3, 1000, 0.02)
-        assert a == pytest.approx(4 * b, rel=1e-14, abs=0)
-
-    def test_witness_point(self):
-        w = jeffreys_witness_theta(3, 0.05)
-        assert w.theta[0] == 0.05
-        assert w.theta[1] == pytest.approx(0.475, rel=1e-14, abs=0)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            jeffreys_excess_lower_bound(2, 100, 0.6)
 
 
 class TestSecondOrderConvergence:

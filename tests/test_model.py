@@ -43,6 +43,14 @@ class TestTypes:
         with pytest.raises(DomainError):
             SymmetricPrior(1e308, 2)
 
+    def test_prior_total_not_settable(self):
+        """A is always the compensated total of a: a passed A raises rather
+        than being silently replaced."""
+        with pytest.raises(TypeError):
+            PriorSpec((1.0, 2.0), 5.0)
+        with pytest.raises(TypeError):
+            PriorSpec((1.0, 2.0), A=3.0)
+
     def test_symmetric_constants(self):
         assert SymmetricPrior.jeffreys(3).alpha == 0.5
         assert SymmetricPrior.uniform(3).alpha == 1.0

@@ -51,6 +51,14 @@ class TestLogMultivariateBeta:
         with pytest.raises(DomainError):
             log_multivariate_beta((1.0, 0.0))
 
+    @pytest.mark.parametrize("a", [(math.nan, 1.0), (math.inf, 1.0),
+                                   (1e308, 1e308)])
+    def test_bad_shapes(self, a):
+        """A NaN or infinite shape, or finite shapes whose total overflows,
+        is outside the domain: not a NaN or an OverflowError."""
+        with pytest.raises(DomainError):
+            log_multivariate_beta(a)
+
 
 _EXACT_ROW_N = [0, 1, 2, 63, 64, 1040, 4096, 10000]
 
@@ -142,6 +150,13 @@ class TestBetaSegment:
             log_beta_segment(1, 1, 0.7, 0.2)
         with pytest.raises(DomainError):
             log_beta_segment(0.0, 1, 0.0, 1.0)
+
+    @pytest.mark.parametrize("alpha, beta", [(math.inf, 1.0), (1e308, 1e308)])
+    def test_bad_shapes(self, alpha, beta):
+        """An infinite shape, or finite shapes whose total overflows, is
+        outside the domain: not an IntegrationError."""
+        with pytest.raises(DomainError):
+            log_beta_segment(alpha, beta, 0.1, 0.5)
 
 
 #: (alpha, beta, s, t) of a batch that takes every route of
