@@ -65,8 +65,6 @@ from .risk import (
 from .simplex import (
     LemmaReport,
     SLACK_FACTOR,
-    TruncatedDirichletIntegral,
-    b_trunc,
     check_lemma,
     log_i_trunc,
     run_lemma_suite,

@@ -57,6 +57,9 @@ LN2 = math.log(2.0)
 
 _EPILOG = "Risks and Bayes risks are in nats; pass --bits to rescale by 1/ln 2."
 
+#: most points an --alpha-grid may hold (the default grid has 41)
+ALPHA_GRID_CAP = 10_000
+
 #: the symmetric priors known by name
 _NAMED_PRIORS = {
     "jeffreys": SymmetricPrior.jeffreys,
@@ -376,9 +379,14 @@ def _cmd_optimal_alpha(args, config: RunConfig) -> int:
         valid = False
     if not valid:
         raise DomainError("--alpha-grid needs finite start:stop:step with step > 0")
+    top = hi + 1e-12
+    # a float step moves every grid value if it moves both ends
+    if lo + step == lo or top + step == top or (top - lo) // step >= ALPHA_GRID_CAP:
+        raise DomainError(f"--alpha-grid {args.alpha_grid} does not reach its "
+                          f"stop within {ALPHA_GRID_CAP} points")
     grid = []
     v = lo
-    while v <= hi + 1e-12:
+    while v <= top:
         grid.append(round(v, 10))
         v += step
     if not grid:

@@ -184,6 +184,10 @@ def minimax_alpha_identities(rtol: float = 1e-13) -> IdentityReport:
     return IdentityReport(tuple(rows))
 
 
+#: starts of expansion_error_profile's multi-start ascent (k >= 3)
+_PROFILE_ASCENT_STARTS = 8
+
+
 @dataclass(frozen=True)
 class ProfileRow:
     N: int
@@ -201,7 +205,6 @@ def expansion_error_profile(
     variant: str = "full",
     grid_size: int = 128,
     seed: int = DEFAULT_SEED,
-    ascent_starts: int = 8,
 ) -> list:
     """Sup over the floored simplex of |exact risk - truncated expansion|.
 
@@ -256,7 +259,7 @@ def expansion_error_profile(
             transform=abs,
             symmetric=prior.is_symmetric,
             seed=seed,
-            ascent_starts=ascent_starts,
+            ascent_starts=_PROFILE_ASCENT_STARTS,
         )
         sup_val, theta, _ = maximizer.maximize(grid_size)
         if truncation_order == 4 and variant == "full":

@@ -10,6 +10,7 @@ errors raised for out-of-domain input instead of NaN propagation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -17,24 +18,13 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError
 
-# scipy.special's functions, bound by special_functions on first use:
-# importing scipy.special takes about 0.25 s, and the k = 2 risk commands
-# never call it
-_gammaln = _betaln = _betainc = _betaincc = None
-
-
+@functools.cache
 def special_functions():
-    """The scipy.special module, imported on first use.
-
-    No module of the package imports scipy.special at its top; the
-    functions that need it call this, which also binds gammaln, betaln,
-    betainc and betaincc into this module's globals for its hot functions.
-    """
-    global _gammaln, _betaln, _betainc, _betaincc
+    """The scipy.special module, imported on first use: no module of the
+    package imports it at its top, since that takes about 0.25 s and the
+    k = 2 risk commands never need it."""
     from scipy import special
 
-    _gammaln, _betaln = special.gammaln, special.betaln
-    _betainc, _betaincc = special.betainc, special.betaincc
     return special
 
 
@@ -218,9 +208,8 @@ def log_multivariate_beta(a) -> float:
     The shapes must pass check_shapes.
     """
     a = check_shapes(a)
-    if _gammaln is None:
-        special_functions()
-    return stable_sum([_gammaln(v) for v in a]) - float(_gammaln(stable_sum(a)))
+    gammaln = special_functions().gammaln
+    return stable_sum([gammaln(v) for v in a]) - float(gammaln(stable_sum(a)))
 
 
 def compositions(N: int, k: int) -> np.ndarray:
@@ -251,10 +240,9 @@ def log_binomial_row(N: int) -> np.ndarray:
     """
     N = int(N)
     if N > _EXACT_COMB_LIMIT:
-        if _gammaln is None:
-            special_functions()
+        gammaln = special_functions().gammaln
         x = np.arange(N + 1, dtype=float)
-        return _gammaln(N + 1) - _gammaln(x + 1) - _gammaln(N - x + 1)
+        return gammaln(N + 1) - gammaln(x + 1) - gammaln(N - x + 1)
     half, c = [0.0], 1
     for x in range(N // 2):
         c = c * (N - x) // (x + 1)
@@ -265,9 +253,8 @@ def log_binomial_row(N: int) -> np.ndarray:
 def log_multinomial_rows(N: int, comps: np.ndarray) -> np.ndarray:
     """ln N! / (x_1! ... x_k!) for every row x of an (n, k) count array,
     from log-gamma differences."""
-    if _gammaln is None:
-        special_functions()
-    return _gammaln(N + 1) - _gammaln(comps + 1.0).sum(axis=1)
+    gammaln = special_functions().gammaln
+    return gammaln(N + 1) - gammaln(comps + 1.0).sum(axis=1)
 
 
 def _log_beta_integrand_max(alpha: float, beta: float, s: float, t: float) -> float:
@@ -327,20 +314,19 @@ def log_beta_segment(alpha, beta, s, t):
         j = bad[0]
         raise DomainError(f"need 0 <= s < t <= 1, got s={float(s[j])!r}, "
                           f"t={float(t[j])!r}")
-    if _betaln is None:
-        special_functions()
-    upper = _betainc(alpha, beta, t)
-    diff = upper - _betainc(alpha, beta, s)
+    special = special_functions()
+    upper = special.betainc(alpha, beta, t)
+    diff = upper - special.betainc(alpha, beta, s)
     ok = diff > _SEGMENT_GUARD * np.maximum(upper, 1e-300)
     tail = np.flatnonzero(t == 1.0)
     if tail.size:
-        diff[tail] = _betaincc(alpha[tail], beta[tail], s[tail])
+        diff[tail] = special.betaincc(alpha[tail], beta[tail], s[tail])
         ok[tail] = diff[tail] > 0.0
     if ok.all():
-        out = _betaln(alpha, beta) + np.log(diff)
+        out = special.betaln(alpha, beta) + np.log(diff)
     else:
         out = np.empty(diff.shape)
-        out[ok] = _betaln(alpha[ok], beta[ok]) + np.log(diff[ok])
+        out[ok] = special.betaln(alpha[ok], beta[ok]) + np.log(diff[ok])
         thin = ~ok
         out[thin] = _log_segments_by_quadrature(alpha[thin], beta[thin],
                                                 s[thin], t[thin])

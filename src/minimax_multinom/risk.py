@@ -57,7 +57,7 @@ from .numkernel import (
     stable_sum,
     window_fsums,
 )
-from .simplex import _b_trunc_batch, _checked, _recursive_b_log, log_i_trunc
+from .simplex import _b_trunc_batch, _recursive_b_log, log_i_trunc
 
 #: cap on the number of count vectors risk_enumeration will visit
 ENUMERATION_CAP = 2_000_000
@@ -357,6 +357,12 @@ def _check_kabc(prior: PriorSpec, model: ModelSpec, theta: ThetaPoint) -> None:
 #: iteration limit of every golden-section search
 _GOLDEN_ITERS = 60
 
+#: sweep limit of each start of the multi-start ascent
+_ASCENT_SWEEPS = 60
+
+#: starts of sup_risk's multi-start ascent (k >= 3)
+_SUP_ASCENT_STARTS = 32
+
 
 def _golden_max(f, lo, hi) -> tuple:
     """Golden-section local maximization over a batch of intervals.
@@ -430,7 +436,7 @@ class SeparableMaximizer:
         transform=None,       # applied to the separable sum (e.g. abs)
         symmetric: bool = True,
         seed: int = DEFAULT_SEED,
-        ascent_starts: int = 32,
+        ascent_starts: int = _SUP_ASCENT_STARTS,
     ):
         if not (0.0 < eps < 1.0 / k):
             raise DomainError("floor must satisfy 0 < eps < 1/k")
@@ -535,7 +541,7 @@ class SeparableMaximizer:
             )
         return out
 
-    def _ascent(self, starts, sweeps: int = 60) -> list:
+    def _ascent(self, starts) -> list:
         """Projected coordinate ascent from every listed start, in lockstep.
 
         Start s draws its point from seeded_stream(seed, 1000 + s).  Each
@@ -558,7 +564,7 @@ class SeparableMaximizer:
             theta[:, r] = eps + (1.0 - k * eps) * raw
         value = np.array(self._objectives(theta))
         running = np.ones(n, dtype=bool)
-        for _ in range(sweeps):
+        for _ in range(_ASCENT_SWEEPS):
             if not running.any():
                 break
             improved = np.zeros(n, dtype=bool)
@@ -697,15 +703,14 @@ def sup_risk(
     trunc: TruncatedSimplex,
     grid_size: int = 256,
     seed: int = DEFAULT_SEED,
-    ascent_starts: int = 32,
 ) -> SupRiskReport:
     """Maximize the prediction risk over the floored simplex.
 
     The risk is separable across coordinates, which the search exploits; for
-    k >= 3 its multi-start ascent advances all ascent_starts starts together,
-    one kernel call per stage of a step.  The returned trace lists every
-    configuration family and, for k >= 3, every ascent start with the value
-    it achieved, so a suspect supremum can be diagnosed.
+    k >= 3 its multi-start ascent advances all _SUP_ASCENT_STARTS starts
+    together, one kernel call per stage of a step.  The returned trace
+    lists every configuration family and, for k >= 3, every ascent start
+    with the value it achieved, so a suspect supremum can be diagnosed.
     """
     if prior.k != model.k or trunc.k != model.k:
         raise DomainError("prior, model and truncation disagree on k")
@@ -716,7 +721,7 @@ def sup_risk(
         trunc.eps,
         symmetric=prior.is_symmetric,
         seed=seed,
-        ascent_starts=ascent_starts,
+        ascent_starts=_SUP_ASCENT_STARTS,
     )
     value, theta, trace = maximizer.maximize(grid_size)
     return SupRiskReport(value, theta, trace)
@@ -772,10 +777,9 @@ class TruncatedPredictiveTable:
             [post[:, None, :], post[:, None, :] + np.eye(k)], axis=1), axis=2)
         distinct, where = np.unique(keys.reshape(-1, k), axis=0,
                                     return_inverse=True)
-        ints, log_full = _b_trunc_batch(
-            [(_checked(key, self.eps), self.eps) for key in distinct.tolist()])
-        log_i = np.array([b.value_log - full for b, full in zip(ints, log_full)])
-        log_i = log_i[where].reshape(n, k + 1)
+        log_b, _, log_full = _b_trunc_batch(
+            [(key, self.eps) for key in distinct.tolist()])
+        log_i = (log_b - log_full)[where].reshape(n, k + 1)
         # log I(x + alpha) per row, the base of that row's ratios
         self._log_i_post = log_i[:, 0]
         self.log_ratio = log_i[:, 1:] - log_i[:, :1]
@@ -833,8 +837,8 @@ def bayes_risk(
     a, eps = np.array([prior.a]), np.array([trunc.eps])
     (log_num,), (rel_num,) = _recursive_b_log(
         a, eps, lambda thetas, idx: risk(thetas))
-    # the weight's own integral by the same rule, not b_trunc: b_trunc's
-    # closed form carries scipy's betaln error, 1.5e-12 in the log at
+    # the weight's own integral by the same rule, not _b_trunc_batch: its
+    # k = 2 closed form carries scipy's betaln error, 1.5e-12 in the log at
     # alpha = 700
     (log_den,), (rel_den,) = _recursive_b_log(
         a, eps, lambda thetas, idx: np.ones(idx.size))

@@ -2,21 +2,22 @@
 
 The central objects are
 
-    b_trunc(alphas, eps)  = integral of the Dirichlet kernel
+    B_eps(alphas)         = integral of the Dirichlet kernel
                             prod theta_i^(alpha_i - 1) over the simplex with
                             every coordinate floored at eps, and
     log_i_trunc           = ln of that integral over the full multivariate
-                            Beta value, i.e. of the retained mass fraction.
+                            Beta value B, i.e. of the retained mass fraction.
 
 Each k has one route.  For k = 2 the integral is a Beta-kernel segment and
 is evaluated in closed form.  For k = 3 it is one adaptive Gauss-Kronrod
 integral over theta_1 (numkernel.gauss_kronrod) of Beta segments, each
 level's nodes evaluated in one array call of numkernel.log_beta_segment;
 for larger k the same integral nests k - 2 deep, down to the k = 3 one,
-each level one batch.  A batch of such integrals (_b_trunc_batch, which
-the check suites and risk.TruncatedPredictiveTable call) runs in lockstep,
-one array pass per level for all of them, and each gets the floats of its
-run alone.  The same nested integral (_recursive_b_log) takes an optional
+each level one batch.  One function takes B_eps: _b_trunc_batch, for a
+list of (alphas, eps) pairs, which log_i_trunc, the check suites and
+risk.TruncatedPredictiveTable call; its integrals run in lockstep, one
+array pass per level for all of them, and each gets the floats of its run
+alone.  The same nested integral (_recursive_b_log) takes an optional
 integrand factor g of the point, as risk.bayes_risk's numerator needs;
 then it nests down to a k = 2 quadrature of the kernel times g.
 
@@ -50,43 +51,37 @@ from .numkernel import (
 )
 
 
-@dataclass(frozen=True)
-class TruncatedDirichletIntegral:
-    """Result of a floored-simplex Dirichlet integral, on the log scale.
-
-    error_estimate is relative: the integrator's own estimate, or the
-    credit of a Beta segment at k = 2.
-    """
-
-    alphas: tuple
-    eps: float
-    value_log: float
-    error_estimate: float
-
-    @property
-    def value(self) -> float:
-        return math.exp(self.value_log)
-
-
 #: relative error credited to a Beta segment taken from betainc
 _SEGMENT_REL_ERR = 1e-13
 
 
-def _outer_integrand(alphas: np.ndarray, eps: np.ndarray, g=None) -> tuple:
-    """(f, lo, hi, scale, inner_err) of the outer integrals of
-    _recursive_b_log for a batch: row j of alphas (one row of k shape
-    parameters per integral) floored at eps[j], times g if given.
+def _recursive_b_log(alphas: np.ndarray, eps: np.ndarray, g=None) -> tuple:
+    """(log values, relative error estimates), as lists, of a batch of
+    floored-simplex integrals by nested quadrature: row j of alphas floored
+    at eps[j], all rows of one k, k >= 3 (k >= 2 with g).
 
-    f(t1, idx) is the integrand of integral idx at theta_1 = t1, divided by
-    exp(scale[idx]), the bare kernel's magnitude at the midpoint of
-    [lo, hi], which keeps the rule in a comfortable floating range.  At
-    k = 2 (with g only) the integrand is the kernel times g at
+    With g, each integrand is the Dirichlet kernel times g(thetas, idx),
+    which maps a (k, n) array of points, and the index of the integral
+    each column belongs to, to positive values elementwise (as
+    risk.CoordinateRiskEvaluator.risk does), so the value is the log of
+    the integral of kernel times g.
+
+    Peels off the first coordinate: conditionally on theta_1, the remaining
+    coordinates rescaled by 1/(1 - theta_1) fill a (k-1)-simplex floored at
+    eps/(1 - theta_1), so the integral factorizes into a one-dimensional
+    outer integral against a recursively computed inner value.  The outer
+    integrand of integral idx at theta_1 = t1 is divided by
+    exp(scale[idx]), the bare kernel's magnitude at the midpoint of the
+    outer interval, which keeps the rule in a comfortable floating range.
+    At k = 2 (with g only) the integrand is the kernel times g at
     (t1, 1 - t1).  At k = 3 without g the inner values are Beta segments,
     taken for every node (and every midpoint) at once by
     numkernel.log_beta_segment; otherwise they are one batch of
     _recursive_b_log over the nodes, with g composed with the node's
-    theta_1, whose worst relative error estimate per integral f keeps in
-    inner_err.
+    theta_1, whose worst relative error estimate per integral adds to that
+    integral's own.  The outer integrals of the batch are one lockstep
+    numkernel.gauss_kronrod batch, so each level is one integrand call for
+    the whole batch, and every integral gets the floats of a batch of one.
     """
     k = alphas.shape[1]
     rest = alphas[:, 1:]
@@ -139,29 +134,6 @@ def _outer_integrand(alphas: np.ndarray, eps: np.ndarray, g=None) -> tuple:
         return np.exp(e1[at] * np.log(t1) + e2[at] * np.log1p(-t1) + inner
                       - scale_at[at])
 
-    return f, lo, hi, scale, inner_err
-
-
-def _recursive_b_log(alphas: np.ndarray, eps: np.ndarray, g=None) -> tuple:
-    """(log values, relative error estimates), as lists, of a batch of
-    floored-simplex integrals by nested quadrature: row j of alphas floored
-    at eps[j], all rows of one k, k >= 3 (k >= 2 with g).
-
-    With g, each integrand is the Dirichlet kernel times g(thetas, idx),
-    which maps a (k, n) array of points, and the index of the integral
-    each column belongs to, to positive values elementwise (as
-    risk.CoordinateRiskEvaluator.risk does), so the value is the log of
-    the integral of kernel times g.
-
-    Peels off the first coordinate: conditionally on theta_1, the remaining
-    coordinates rescaled by 1/(1 - theta_1) fill a (k-1)-simplex floored at
-    eps/(1 - theta_1), so the integral factorizes into a one-dimensional
-    outer integral against a recursively computed inner value.  The outer
-    integrals of the batch are one lockstep numkernel.gauss_kronrod batch,
-    so each level is one integrand call for the whole batch, and every
-    integral gets the floats of a batch of one.
-    """
-    f, lo, hi, scale, inner_err = _outer_integrand(alphas, eps, g)
     val, err = gauss_kronrod(f, lo, hi)
     logs, rel = [], []
     for s, v, e, ie, ep in zip(scale, val, err, inner_err.tolist(), lo):
@@ -172,55 +144,40 @@ def _recursive_b_log(alphas: np.ndarray, eps: np.ndarray, g=None) -> tuple:
     return logs, rel
 
 
-def _checked(alphas, eps: float) -> tuple:
-    """alphas as a tuple of floats, once b_trunc's domain checks pass."""
-    alphas = check_shapes(alphas)
-    k = len(alphas)
-    if not (0.0 < eps < 1.0 / k):
-        raise DomainError(f"need 0 < eps < 1/k, got eps={eps!r}, k={k}")
-    return alphas
-
-
 def _b_trunc_batch(params: list) -> tuple:
-    """(b_trunc(alphas, eps), ln B(alphas)) for each checked (alphas, eps)
-    of params: every k = 2 integral, a Beta segment over [eps, 1 - eps],
-    from one log_beta_segment call, and the integrals of each k >= 3 in one
-    lockstep _recursive_b_log batch; b_trunc is a batch of one, and each
-    result is the one it gives alone."""
-    log_full = [log_multivariate_beta(alphas) for alphas, _ in params]
-    out = [None] * len(params)
-    for k in sorted({len(alphas) for alphas, _ in params}):
-        rows = [j for j, (alphas, _) in enumerate(params) if len(alphas) == k]
-        alphas = np.array([params[j][0] for j in rows])
+    """(ln B_eps, relative error estimate, ln B) as float arrays, one entry
+    per (alphas, eps) of params, each the one its pair gets alone.
+
+    Each alphas must pass check_shapes and each eps lie in (0, 1/k), or it
+    raises DomainError.  The k = 2 integrals are Beta segments over
+    [eps, 1 - eps] from one log_beta_segment call, credited
+    _SEGMENT_REL_ERR; those of each k >= 3 are one _recursive_b_log batch.
+    """
+    shapes = []
+    for alphas, eps in params:
+        alphas = check_shapes(alphas)
+        if not 0.0 < eps < 1.0 / len(alphas):
+            raise DomainError(f"need 0 < eps < 1/k, got eps={eps!r}, k={len(alphas)}")
+        shapes.append(alphas)
+    log_full = np.array([log_multivariate_beta(alphas) for alphas in shapes])
+    logs, errs = np.empty(len(params)), np.empty(len(params))
+    for k in sorted({len(alphas) for alphas in shapes}):
+        rows = [j for j, alphas in enumerate(shapes) if len(alphas) == k]
+        alphas = np.array([shapes[j] for j in rows])
         eps = np.array([params[j][1] for j in rows])
         if k == 2:
-            logs = log_beta_segment(alphas[:, 0], alphas[:, 1], eps,
-                                    1.0 - eps).tolist()
-            errs = [_SEGMENT_REL_ERR] * eps.size
+            logs[rows] = log_beta_segment(*alphas.T, eps, 1.0 - eps)
+            errs[rows] = _SEGMENT_REL_ERR
         else:
-            logs, errs = _recursive_b_log(alphas, eps)
-        for j, value_log, err in zip(rows, logs, errs):
-            # truncation can only shrink the integral; clamp rounding
-            # overshoot
-            out[j] = TruncatedDirichletIntegral(
-                *params[j], min(value_log, log_full[j]), err)
-    return out, log_full
-
-
-def b_trunc(alphas, eps: float) -> TruncatedDirichletIntegral:
-    """Dirichlet-kernel integral over the simplex floored at eps.
-
-    Closed form for k = 2, one vectorized Gauss-Kronrod integral of Beta
-    segments for k = 3, and that integral nested k - 2 deep above.
-    Quadrature that does not converge raises IntegrationError.
-    """
-    return _b_trunc_batch([(_checked(alphas, eps), eps)])[0][0]
+            logs[rows], errs[rows] = _recursive_b_log(alphas, eps)
+    # truncation can only shrink the integral; clamp rounding overshoot
+    return np.minimum(logs, log_full), errs, log_full
 
 
 def log_i_trunc(alphas, eps: float) -> float:
-    """ln of the retained mass fraction; always <= 0."""
-    (b,), (log_full,) = _b_trunc_batch([(_checked(alphas, eps), eps)])
-    return b.value_log - log_full
+    """ln B_eps/B, the retained mass fraction (see _b_trunc_batch); <= 0."""
+    (log_b,), _, (log_full,) = _b_trunc_batch([(alphas, eps)])
+    return float(log_b - log_full)
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +239,17 @@ def _lemma1(instances: list) -> list:
     return out
 
 
-def _bumped_integrals(instances: list) -> list:
-    """(alphas, eps, b0, b1, ln B(alphas), ln B(bumped)) for each (alphas,
-    eps) of instances, checked: b0 is b_trunc(alphas, eps) and b1 the same
-    with the first shape parameter raised by one, all from one
-    _b_trunc_batch."""
-    instances = [(_checked(alphas, eps), eps) for alphas, eps in instances]
-    bumped = [((alphas[0] + 1.0,) + alphas[1:], eps) for alphas, eps in instances]
-    ints, log_full = _b_trunc_batch(instances + bumped)
-    n = len(instances)
-    return [(alphas, eps, ints[j], ints[n + j], log_full[j], log_full[n + j])
-            for j, (alphas, eps) in enumerate(instances)]
+def _bumped_integrals(instances: list) -> tuple:
+    """(instances with float shapes, ln B_eps, its relative error, ln B),
+    the last three one (at alphas, at bumped) pair per (alphas, eps) of
+    instances, where bumped is alphas with its first shape parameter raised
+    by one: all from one _b_trunc_batch."""
+    instances = [(tuple(float(v) for v in alphas), eps) for alphas, eps in instances]
+    # no indexing, so a short alphas reaches the batch's DomainError
+    bumped = [(tuple(v + 1.0 if i == 0 else v for i, v in enumerate(alphas)), eps)
+              for alphas, eps in instances]
+    return (instances, *(v.reshape(2, -1).T.tolist()
+                         for v in _b_trunc_batch(instances + bumped)))
 
 
 def _lemma4(instances: list) -> list:
@@ -303,10 +260,12 @@ def _lemma4(instances: list) -> list:
     eps^alpha_1 (1 - eps)^(sum rest).
     """
     out = []
-    for alphas, eps, b0, b1, full0, full1 in _bumped_integrals(instances):
+    instances, log_b, err, log_full = _bumped_integrals(instances)
+    for (alphas, eps), (b0, b1), (err0, err1), (full0, full1) in zip(
+            instances, log_b, err, log_full):
         rest_sum = stable_sum(alphas[1:])
-        i0 = math.exp(b0.value_log - full0)
-        i1 = math.exp(b1.value_log - full1)
+        i0 = math.exp(b0 - full0)
+        i1 = math.exp(b1 - full1)
         lhs = i1 - i0
         rhs = math.exp(
             math.lgamma(stable_sum(alphas))
@@ -315,7 +274,7 @@ def _lemma4(instances: list) -> list:
             + alphas[0] * math.log(eps)
             + rest_sum * math.log1p(-eps)
         )
-        slack = SLACK_FACTOR * (b0.error_estimate * i0 + b1.error_estimate * i1)
+        slack = SLACK_FACTOR * (err0 * i0 + err1 * i1)
         out.append((lhs - rhs - slack,
                     {"alphas": list(alphas), "eps": eps, "lhs": lhs, "rhs": rhs,
                      "slack": slack}))
@@ -359,18 +318,18 @@ def _lemma6(instances: list) -> list:
     on [eps, 1] with the remaining parameters pooled.  Every upper-tail
     Beta segment comes from one numkernel.log_beta_segment call.
     """
-    integrals = _bumped_integrals(instances)
+    instances, log_b, err, _ = _bumped_integrals(instances)
     segments = []
-    for alphas, eps, *_ in integrals:
+    for alphas, eps in instances:
         rest_sum = stable_sum(alphas[1:])
         segments += [(alphas[0] + 1.0, rest_sum, eps), (alphas[0], rest_sum, eps)]
     logs = log_beta_segment(*np.array(segments).T, 1.0).tolist()
     out = []
-    for j, (alphas, eps, b0, b1, _, _) in enumerate(integrals):
-        lhs = math.exp(b1.value_log - b0.value_log)
+    for j, ((alphas, eps), (b0, b1), (err0, err1)) in enumerate(
+            zip(instances, log_b, err)):
+        lhs = math.exp(b1 - b0)
         rhs = math.exp(logs[2 * j] - logs[2 * j + 1])
-        slack = (SLACK_FACTOR * (b0.error_estimate + b1.error_estimate + 2e-12)
-                 * (lhs + rhs))
+        slack = SLACK_FACTOR * (err0 + err1 + 2e-12) * (lhs + rhs)
         out.append((lhs - rhs - slack,
                     {"alphas": list(alphas), "eps": eps, "lhs": lhs, "rhs": rhs}))
     return out

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import minimax_multinom
+import minimax_multinom.cli as cli_module
 import minimax_multinom.risk as risk_module
 from minimax_multinom import LemmaReport
 from minimax_multinom.cli import main
@@ -229,6 +230,16 @@ class TestErrorHandling:
                      id="alpha-step-negative"),
         pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
                       "--alpha-grid", "0.5:inf:0.1"], {}, id="alpha-stop-inf"),
+        pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
+                      "--alpha-grid", "1:2:1e-300"], {},
+                     id="alpha-step-below-ulp"),
+        # the step moves 2^20 - ulp but not 2^20, the grid's last value
+        pytest.param(["optimal-alpha", "--k", "2", "--N", "8", "--alpha-grid",
+                      f"{2.0**20 - 2.0**-33!r}:{2.0**20!r}:{0.75 * 2.0**-33!r}"],
+                     {}, id="alpha-step-stalls-past-start"),
+        # ends, but only after 10^12 points
+        pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
+                      "--alpha-grid", "1:1e6:1e-6"], {}, id="alpha-grid-over-cap"),
         # malformed grids report the same DomainError, not float()'s message
         pytest.param(["optimal-alpha", "--k", "2", "--N", "8",
                       "--alpha-grid", "1,1"], {}, id="alpha-grid-comma"),
@@ -300,6 +311,18 @@ class TestErrorHandling:
         assert code == 2
         message = json.loads(err)["error"]["message"]
         assert message.startswith("--alpha-grid ") and "empty" in message
+
+    def test_alpha_grid_cap_is_inclusive(self, capsys, monkeypatch):
+        """A grid of ALPHA_GRID_CAP points runs; one more point exits 2."""
+        monkeypatch.setattr(cli_module, "ALPHA_GRID_CAP", 3)
+        code, out, _ = run_cli(capsys, "optimal-alpha", "--k", "2", "--N", "8",
+                               "--alpha-grid", "1:1.2:0.1", "--format", "json")
+        assert code == 0
+        assert [row["alpha"] for row in json.loads(out)["results"]] == [1.0, 1.1, 1.2]
+        code, _, err = run_cli(capsys, "optimal-alpha", "--k", "2", "--N", "8",
+                               "--alpha-grid", "1:1.3:0.1")
+        assert code == 2
+        assert "within 3 points" in json.loads(err)["error"]["message"]
 
     @pytest.mark.parametrize("argv, field", [
         (["risk", "--k", "2", "--N", "64", "--a", "1e-17,1", "--theta", "0.05"],
@@ -460,15 +483,6 @@ def test_no_module_imports_scipy_integrate():
     assert _quadrature_imports() == []
 
 
-#: definitions in src/ that nothing in src/ or perfbench/ calls, each with
-#: the reason it stays
-_UNREACHED_KEPT = {
-    # the README's floored Dirichlet integral; the package itself takes it
-    # through the batch behind it (_b_trunc_batch)
-    "simplex.b_trunc",
-}
-
-
 def _unreached_definitions() -> list:
     """module.qualname of every function and class defined in src/ that no
     live code in src/ or perfbench/ names.
@@ -516,8 +530,7 @@ def test_every_definition_is_reached():
     another part of the package or by the benchmark (perfbench/oracle.py is
     what reaches risk_expansion).  Checks and oracles that only the tests
     use live under tests/ (reference_checks.py), not in the package."""
-    assert sorted(set(_unreached_definitions()) - _UNREACHED_KEPT) == []
-    assert _UNREACHED_KEPT <= set(_unreached_definitions())
+    assert _unreached_definitions() == []
 
 
 class TestImportIsolation:

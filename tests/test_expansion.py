@@ -166,8 +166,7 @@ class TestErrorProfile:
         prior = SymmetricPrior.jeffreys(2).expand()
         sched = EpsilonSchedule(1.0, 0.73, ScheduleMode.MINIMAX)
         (row,) = expansion_error_profile(prior, sched, [1024],
-                                         truncation_order=1, grid_size=64,
-                                         ascent_starts=4)
+                                         truncation_order=1, grid_size=64)
         terms = risk_expansion(prior, ModelSpec(2, 1024),
                                ThetaPoint(row.argmax_theta))
         ratio = row.scaled_residual / abs(terms.t2 * 1024.0**2)
@@ -182,7 +181,7 @@ class TestErrorProfile:
         prior = SymmetricPrior.minimax(2).expand()
         rows = expansion_error_profile(prior, sched, [256, 1024, 4096],
                                        truncation_order=4, variant="reduced",
-                                       grid_size=96, ascent_starts=6)
+                                       grid_size=96)
         scaled = [r.scaled_residual for r in rows]
         assert scaled[1] < 0.6 * scaled[0]
         assert scaled[2] < 0.6 * scaled[1]
@@ -193,8 +192,7 @@ class TestErrorProfile:
         sched = EpsilonSchedule(1.0, 0.73, ScheduleMode.MINIMAX)
         prior = SymmetricPrior.minimax(2).expand()
         rows = expansion_error_profile(prior, sched, [64, 128, 256],
-                                       truncation_order=4, grid_size=96,
-                                       ascent_starts=6)
+                                       truncation_order=4, grid_size=96)
         scaled = [r.scaled_residual for r in rows]
         assert scaled[-1] <= 1.05 * scaled[0]
 
@@ -207,8 +205,7 @@ class TestErrorProfile:
         sched = EpsilonSchedule(1.0, 0.6, ScheduleMode.SECOND_ORDER)
         prior = PriorSpec(a)
         rows = expansion_error_profile(prior, sched, [48, 96],
-                                       truncation_order=order, grid_size=32,
-                                       ascent_starts=2)
+                                       truncation_order=order, grid_size=32)
         for row in rows:
             model = ModelSpec(prior.k, row.N)
             theta = ThetaPoint(row.argmax_theta)
@@ -226,12 +223,6 @@ class TestErrorProfile:
             expansion_error_profile(prior, sched, [32], variant="bogus")
         with pytest.raises(DomainError):
             expansion_error_profile(prior, sched, [32], truncation_order=5)
-
-    def test_negative_ascent_starts_rejected(self):
-        sched = EpsilonSchedule(1.0, 0.6, ScheduleMode.SECOND_ORDER)
-        prior = SymmetricPrior.uniform(2).expand()
-        with pytest.raises(DomainError, match="ascent_starts"):
-            expansion_error_profile(prior, sched, [32], ascent_starts=-5)
 
 
 def _per_coordinate_residual(prior, N, order, variant, i, t):

@@ -183,10 +183,11 @@ class TestBetaSegments:
         of ends."""
         cases = np.array(_MIXED_SEGMENTS)
         a, b, s, t = cases.T
-        upper = numkernel._betainc(a, b, t)
-        thin = upper - numkernel._betainc(a, b, s) <= numkernel._SEGMENT_GUARD * upper
+        special = numkernel.special_functions()
+        upper = special.betainc(a, b, t)
+        thin = upper - special.betainc(a, b, s) <= numkernel._SEGMENT_GUARD * upper
         assert np.flatnonzero(thin & (t < 1.0)).tolist() == [5, 6]
-        assert numkernel._betaincc(1.5, 400.0, 0.9) == 0.0
+        assert special.betaincc(1.5, 400.0, 0.9) == 0.0
         got = log_beta_segment(*cases.T)
         assert got.tolist() == [log_beta_segment(*c) for c in _MIXED_SEGMENTS]
         grid = log_beta_segment(cases[:, :1], cases[:, 1:2], s, t)
@@ -220,14 +221,15 @@ def _thin_slices(n: int) -> list:
     suite draws them that fail the cancellation guard, and so are
     integrated by quadrature."""
     rng = seeded_stream(20, 5)
+    betainc = numkernel.special_functions().betainc
     found = []
     while len(found) < n:
         alpha, beta = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=2))
         s = rng.uniform(0.0, 0.8)
         t = rng.uniform(s + 0.01, 1.0)
         for a in (alpha, alpha + 1):
-            upper = numkernel._betainc(a, beta, t)
-            if upper - numkernel._betainc(a, beta, s) <= numkernel._SEGMENT_GUARD * upper:
+            upper = betainc(a, beta, t)
+            if upper - betainc(a, beta, s) <= numkernel._SEGMENT_GUARD * upper:
                 found.append((float(a), float(beta), float(s), float(t)))
     return found[:n]
 
@@ -240,9 +242,6 @@ def _mp_log_segment(a, b, s, t):
         if t == 1.0:
             return mpmath.log(mpmath.betainc(b, a, 0, 1 - mpmath.mpf(s)))
         return mpmath.log(mpmath.betainc(a, b, s, t))
-
-
-numkernel.special_functions()
 
 #: thin slices the suites integrate by quadrature, and the one of 2,619
 #: (seeds 0-19 of the lemma 4, 5, 6 and 8 suites) where gauss_kronrod and
@@ -302,8 +301,9 @@ class TestBetaSegmentFallback:
 
     def test_no_quadrature_import(self):
         """A fresh process that takes the fallback loads no scipy.integrate."""
-        upper = numkernel._betainc(2.0, 40.0, 0.62)
-        assert upper - numkernel._betainc(2.0, 40.0, 0.6) < numkernel._SEGMENT_GUARD * upper
+        betainc = numkernel.special_functions().betainc
+        upper = betainc(2.0, 40.0, 0.62)
+        assert upper - betainc(2.0, 40.0, 0.6) < numkernel._SEGMENT_GUARD * upper
         code = ("import sys; from minimax_multinom.numkernel import "
                 "log_beta_segment; log_beta_segment(2.0, 40.0, 0.6, 0.62); "
                 "print('scipy.integrate' in sys.modules)")

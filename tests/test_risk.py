@@ -760,8 +760,9 @@ class TestAscentKernelCalls:
             return golden_max(counted, lo, hi)
 
         monkeypatch.setattr(risk_module, "_golden_max", counting_golden_max)
+        monkeypatch.setattr(risk_module, "_ASCENT_SWEEPS", 2)
         m = risk_module.SeparableMaximizer(h, k, 0.03)
-        m._ascent(range(8), sweeps=2)
+        m._ascent(range(8))
         pairs = k * (k - 1) // 2
         steps = len(refines)
         assert steps == 2 * pairs
@@ -837,8 +838,8 @@ class TestSupRisk:
         prior = SymmetricPrior.uniform(k).expand()
         model = ModelSpec(k, 16)
         trunc = TruncatedSimplex(k, eps)
-        a = sup_risk(prior, model, trunc, grid_size=64, seed=7, ascent_starts=4)
-        b = sup_risk(prior, model, trunc, grid_size=64, seed=7, ascent_starts=4)
+        a = sup_risk(prior, model, trunc, grid_size=64, seed=7)
+        b = sup_risk(prior, model, trunc, grid_size=64, seed=7)
         assert a.sup_value == b.sup_value
         assert a.argmax_theta.theta == b.argmax_theta.theta
         assert a.search_trace == b.search_trace
@@ -910,8 +911,7 @@ class TestFloorNearCenter:
                  else PriorSpec(tuple(0.3 + j for j in range(k))))
         model = ModelSpec(k, N)
         eps = 1.0 / k - delta
-        rep = sup_risk(prior, model, TruncatedSimplex(k, eps), grid_size=16,
-                       ascent_starts=2)
+        rep = sup_risk(prior, model, TruncatedSimplex(k, eps), grid_size=16)
         assert math.isfinite(rep.sup_value)
         assert min(rep.argmax_theta.theta) >= eps - 1e-12
         center = risk_coordinatewise(prior, model, ThetaPoint.uniform(k))
@@ -1094,10 +1094,11 @@ class TestBayesRisk:
     def test_large_weight_k2_against_30_digits(self, alpha):
         """k = 2, N = 8, eps = 0.1: a weight this concentrated makes the
         unscaled kernel about 1e-120 (alpha = 200), below the absolute
-        tolerance, and scipy's betaln, b_trunc's closed form, is 1.5e-12
-        off in the log at alpha = 700.  The scaled kernel and a denominator
-        by the same rule keep the ratio within 1e-13 of the 30-digit
-        value (measured: 2.7e-14, 1.6e-14 and 9.1e-14)."""
+        tolerance, and scipy's betaln, the k = 2 closed form of
+        simplex._b_trunc_batch, is 1.5e-12 off in the log at alpha = 700.
+        The scaled kernel and a denominator by the same rule keep the ratio
+        within 1e-13 of the 30-digit value (measured: 2.7e-14, 1.6e-14 and
+        9.1e-14)."""
         got = bayes_risk(SymmetricPrior(alpha, 2), ModelSpec(2, 8),
                          TruncatedSimplex(2, 0.1))
         assert got == pytest.approx(_mp_floored_bayes_k2(alpha, 8, 0.1),
@@ -1162,20 +1163,22 @@ class TestTruncatedPredictiveTable:
 
     def test_one_batch(self, monkeypatch):
         """The table takes its distinct sorted keys from one
-        _b_trunc_batch call."""
+        _b_trunc_batch call, which returns one float array each of ln B_eps,
+        error estimates and ln B."""
         calls = []
         real = risk_module._b_trunc_batch
 
         def spy(params):
-            calls.append(len(params))
-            return real(params)
+            out = real(params)
+            calls.append((len(params), [v.shape for v in out]))
+            return out
 
         monkeypatch.setattr(risk_module, "_b_trunc_batch", spy)
         risk_module.TruncatedPredictiveTable(
             SymmetricPrior.minimax(3), TruncatedSimplex(3, 0.1), ModelSpec(3, 4))
         # 15 rows and their bumps: the distinct sorted keys are x + alpha
         # for the partitions x of 4 and of 5 into at most 3 parts (4 and 5)
-        assert calls == [9]
+        assert calls == [(9, [(9,)] * 3)]
 
 
 class TestTruncationBayesGap:

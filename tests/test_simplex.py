@@ -12,7 +12,6 @@ from minimax_multinom import (
     ALPHA_MINIMAX,
     DEFAULT_SEED,
     DomainError,
-    b_trunc,
     check_lemma,
     log_i_trunc,
     log_multivariate_beta,
@@ -31,18 +30,24 @@ def _beta_seg_exact(a: int, b: int, s: Fraction, t: Fraction) -> Fraction:
     return total
 
 
+def _log_b(alphas, eps) -> float:
+    """ln B_eps(alphas) from a batch of one."""
+    (log_b,), _, _ = simplex_module._b_trunc_batch([(alphas, eps)])
+    return float(log_b)
+
+
 class TestTruncatedIntegrals:
     def test_uniform_k2(self):
         for eps in (0.05, 0.2, 0.4):
-            res = b_trunc((1.0, 1.0), eps)
-            assert res.value == pytest.approx(1 - 2 * eps, rel=1e-12, abs=0)
+            value = math.exp(_log_b((1.0, 1.0), eps))
+            assert value == pytest.approx(1 - 2 * eps, rel=1e-12, abs=0)
             frac = math.exp(log_i_trunc((1.0, 1.0), eps))
             assert frac == pytest.approx(1 - 2 * eps, rel=1e-12, abs=0)
 
     def test_uniform_k3_similar_simplex(self):
         """Flooring the uniform 3-simplex shrinks it by (1 - 3 eps)^2."""
-        res = b_trunc((1.0, 1.0, 1.0), 0.1)
-        assert res.value == pytest.approx(0.7**2 * 0.5, rel=1e-9, abs=0)
+        value = math.exp(_log_b((1.0, 1.0, 1.0), 0.1))
+        assert value == pytest.approx(0.7**2 * 0.5, rel=1e-9, abs=0)
 
     def test_full_simplex_limit(self):
         """At eps = 1e-9 the floor cuts off the mass where some theta_i <
@@ -53,11 +58,11 @@ class TestTruncatedIntegrals:
         eps = 1e-9
         for alphas in ((1.5, 2.5), (0.7, 1.2, 3.0)):
             full = math.exp(log_multivariate_beta(alphas))
-            res = b_trunc(alphas, eps)
+            value = math.exp(_log_b(alphas, eps))
             A = sum(alphas)
             cut = sum(eps**a / (a * math.exp(log_multivariate_beta((a, A - a))))
                       for a in alphas)
-            assert abs(1.0 - res.value / full - cut) <= 1e-12
+            assert abs(1.0 - value / full - cut) <= 1e-12
 
     def test_retained_fraction_bounds(self):
         rng = np.random.default_rng(5)
@@ -85,7 +90,7 @@ class TestTruncatedIntegrals:
             a, b = (int(v) for v in rng.integers(1, 13, size=2))
             eps = float(rng.uniform(1e-3, 0.45))
             exact = _beta_seg_exact(a, b, Fraction(eps), Fraction(1.0 - eps))
-            got = b_trunc((a, b), eps).value_log
+            got = _log_b((a, b), eps)
             assert abs(got - math.log(exact)) <= 1e-14, (a, b, eps)
 
     @pytest.mark.parametrize("k", [4, 5])
@@ -96,7 +101,7 @@ class TestTruncatedIntegrals:
             if eps < 1.0 / k:
                 want = (k - 1) * math.log1p(-k * eps)
                 assert abs(log_i_trunc((1.0,) * k, eps) - want) <= 1e-12
-                assert abs(b_trunc((1.0,) * k, eps).value_log
+                assert abs(_log_b((1.0,) * k, eps)
                            - (want - math.lgamma(k))) <= 1e-12
 
     @pytest.mark.parametrize("cases", [
@@ -107,29 +112,30 @@ class TestTruncatedIntegrals:
         [((ALPHA_MINIMAX,) * 4, 0.05), ((0.9, 2.0, 3.0, 6.0), 0.1)],
     ], ids=["k2", "k3", "k4"])
     def test_unit_factor_equals_b_trunc(self, cases):
-        """With g = 1 the integrals are b_trunc's, within 1e-13 in the log:
-        at k = 2 a quadrature of the Beta kernel that no b_trunc call takes
-        (b_trunc has the closed form), above it the inner integrals nested
-        down to k = 2 in place of Beta segments.  The worst case measured
-        is 7.7e-14, the second k = 2 one."""
+        """With g = 1 the integrals are _b_trunc_batch's, within 1e-13 in
+        the log: at k = 2 a quadrature of the Beta kernel that the batch
+        does not take (it has the closed form), above it the inner
+        integrals nested down to k = 2 in place of Beta segments.  The
+        worst case measured is 7.7e-14, the second k = 2 one."""
         alphas = np.array([a for a, _ in cases])
         eps = np.array([e for _, e in cases])
         logs, _ = simplex_module._recursive_b_log(
             alphas, eps, lambda thetas, idx: np.ones(idx.size))
         for value_log, (a, e) in zip(logs, cases):
-            assert abs(value_log - b_trunc(a, e).value_log) <= 1e-13
+            assert abs(value_log - _log_b(a, e)) <= 1e-13
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            b_trunc((1.0, 1.0), 0.5)
-        with pytest.raises(DomainError):
-            b_trunc((1.0, -1.0), 0.1)
-        with pytest.raises(DomainError):
-            b_trunc((1.0, 1.0, 1.0, 1.0), 0.25)
+        """Every pair of a batch is checked: a floor at or above 1/k or a
+        shape that is not positive raises DomainError."""
+        for params in ([((1.0, 1.0), 0.5)], [((1.0, -1.0), 0.1)],
+                       [((1.0, 1.0, 1.0, 1.0), 0.25)],
+                       [((1.0, 2.0, 3.0), 0.1), ((1.0, 1.0), 0.5)]):
+            with pytest.raises(DomainError):
+                simplex_module._b_trunc_batch(params)
 
     def test_infinite_shape(self):
         with pytest.raises(DomainError):
-            b_trunc((math.inf, 1.0), 0.1)
+            simplex_module._b_trunc_batch([((math.inf, 1.0), 0.1)])
 
     def test_shape_total_overflows(self):
         with pytest.raises(DomainError):
@@ -144,7 +150,7 @@ def _k3_suite_draws():
         yield tuple(alphas.tolist()), float(rng.uniform(1e-3, 0.95 / 3))
 
 
-# ln b_trunc at 30 digits for each of _k3_suite_draws, in order
+# ln B_eps at 30 digits for each of _k3_suite_draws, in order
 _K3_SUITE_REFS = [
     -8.618283196120792, -10.776320074080095, -8.949012504531153,
     -2.6838013036227597, -6.809793304701471, -4.279099837354609,
@@ -162,7 +168,7 @@ _K3_SUITE_REFS = [
     -2.5273396164198134,
 ]
 
-# (N, x, ln b_trunc at 30 digits for alphas = x + 1 + 1/sqrt(6) and for
+# (N, x, ln B_eps at 30 digits for alphas = x + 1 + 1/sqrt(6) and for
 # alphas = x + 1/2), with eps = N^-0.73: parameters of the k = 3
 # truncated-predictive tables
 _K3_TABLE_REFS = [
@@ -185,15 +191,17 @@ class TestK3AgainstMpmath:
 
     def test_suite_draws(self):
         draws = list(_k3_suite_draws())
-        for (alphas, eps), ref in zip(draws, _K3_SUITE_REFS, strict=True):
-            assert abs(b_trunc(alphas, eps).value_log - ref) <= 1e-13, (alphas, eps)
+        logs, _, _ = simplex_module._b_trunc_batch(draws)
+        for (alphas, eps), got, ref in zip(draws, logs, _K3_SUITE_REFS, strict=True):
+            assert abs(got - ref) <= 1e-13, (alphas, eps)
 
     @pytest.mark.parametrize("N, x, ref_minimax, ref_jeffreys", _K3_TABLE_REFS)
     def test_table_parameters(self, N, x, ref_minimax, ref_jeffreys):
-        for base, ref in ((1.0 + 1.0 / math.sqrt(6.0), ref_minimax),
-                          (0.5, ref_jeffreys)):
-            alphas = tuple(xi + base for xi in x)
-            assert abs(b_trunc(alphas, N ** -0.73).value_log - ref) <= 1e-13
+        bases = (1.0 + 1.0 / math.sqrt(6.0), 0.5)
+        logs, _, _ = simplex_module._b_trunc_batch(
+            [(tuple(xi + base for xi in x), N ** -0.73) for base in bases])
+        for got, ref in zip(logs, (ref_minimax, ref_jeffreys), strict=True):
+            assert abs(got - ref) <= 1e-13
 
     @pytest.mark.parametrize("alphas, eps, ref", [
         ((5.836505488890044, 3.983550058931567, 1.1423609267641315),
@@ -204,7 +212,7 @@ class TestK3AgainstMpmath:
         """scipy's quad (QAGS), which took this integral before, is off by
         3.7e-13 at the first case, which a single 21-point panel passes with
         the same error, and by 1.5e-6 at the second."""
-        assert abs(b_trunc(alphas, eps).value_log - ref) <= 1e-13
+        assert abs(_log_b(alphas, eps) - ref) <= 1e-13
 
 
 class TestLockstepBatch:
@@ -218,13 +226,34 @@ class TestLockstepBatch:
         # floors from 1e-7 to near 1/k, for a range of bisection depths
         return alphas, np.exp(rng.uniform(math.log(1e-7), math.log(0.9 / k), size=n))
 
+    @staticmethod
+    def _outer(alphas, eps) -> tuple:
+        """(f, lo, hi) of the outer gauss_kronrod batch of
+        _recursive_b_log(alphas, eps): its last call at the top level, after
+        the midpoint scales' own integrals."""
+        calls, depth = [], [0]
+
+        def spy(f, lo, hi):
+            if depth[0] == 0:
+                calls.append((f, lo, hi))
+            depth[0] += 1
+            try:
+                return gauss_kronrod(f, lo, hi)
+            finally:
+                depth[0] -= 1
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simplex_module, "gauss_kronrod", spy)
+            simplex_module._recursive_b_log(alphas, eps)
+        return calls[-1]
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_mixed_k3_and_nested_k4_batch(self, seed):
         """One gauss_kronrod batch of k = 3 integrals and nested k = 4 ones
         (each level of those is itself a batch of k = 3 integrals), in a
         shuffled order, against each integral run alone."""
         draws = {3: self._draws(seed, 3, 12), 4: self._draws(seed + 10, 4, 4)}
-        parts = {k: simplex_module._outer_integrand(*draws[k])[:3] for k in draws}
+        parts = {k: self._outer(*draws[k]) for k in draws}
         members = [(k, j) for k in draws for j in range(draws[k][1].size)]
         members = [members[p] for p in np.random.default_rng(seed).permutation(16)]
         kind = np.array([k for k, _ in members])
@@ -242,7 +271,7 @@ class TestLockstepBatch:
         depths = set()
         for m, (k, j) in enumerate(members):
             alphas, eps = draws[k]
-            g, lo, hi = simplex_module._outer_integrand(alphas[j:j + 1], eps[j:j + 1])[:3]
+            g, lo, hi = self._outer(alphas[j:j + 1], eps[j:j + 1])
             levels = []
 
             def counted(t, idx):
@@ -276,16 +305,20 @@ class TestLockstepBatch:
                 self._factor(c[j:j + 1]) if with_g else None)
             assert (logs[j], rel[j]) == (log1, rel1)
 
-    def test_b_trunc_batch_equals_b_trunc(self):
-        """A batch of k = 2, 3 and 4 integrals, as the suites take them,
-        returns b_trunc's results bit for bit."""
+    def test_b_trunc_batch_equals_singles(self):
+        """A batch of k = 2, 3 and 4 integrals, interleaved as the suites
+        take them, returns for each pair the floats of its batch of one,
+        bit for bit."""
         params = [(tuple(a), float(e)) for a, e in zip(*self._draws(8, 3, 8))]
         params += [(tuple(a), float(e)) for a, e in zip(*self._draws(9, 2, 8))]
         params += [(tuple(a), float(e)) for a, e in zip(*self._draws(10, 4, 3))]
         params = params[::2] + params[1::2]
-        ints, log_full = simplex_module._b_trunc_batch(params)
-        assert ints == [b_trunc(*p) for p in params]
-        assert log_full == [log_multivariate_beta(a) for a, _ in params]
+        batch = np.array(simplex_module._b_trunc_batch(params)).T.tolist()
+        singles = [np.array(simplex_module._b_trunc_batch([p]))[:, 0].tolist()
+                   for p in params]
+        assert batch == singles
+        assert [log_full for _, _, log_full in batch] == [
+            log_multivariate_beta(a) for a, _ in params]
 
 
 class TestLemma1:
