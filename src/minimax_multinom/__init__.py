@@ -45,6 +45,7 @@ from .moments import (
     moment_recurrence,
 )
 from .numkernel import (
+    compositions,
     log_beta_segment,
     log_multivariate_beta,
     stable_sum,
@@ -56,7 +57,6 @@ from .risk import (
     ThetaPoint,
     TruncatedPredictiveTable,
     bayes_risk,
-    compositions,
     risk_coordinatewise,
     risk_enumeration,
     sup_risk,

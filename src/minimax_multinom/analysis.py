@@ -191,8 +191,8 @@ def optimal_alpha_search(
 ) -> tuple:
     """Grid minimizer of the sup risk among symmetric priors.
 
-    Returns (alpha_star, curve) with the full (alpha, sup risk) curve for
-    plotting.  Ties resolve to the smaller alpha.  The asymptotic optimum is
+    The sweep is compare_priors at the one N.  Returns (alpha_star, curve)
+    with the full (alpha, sup risk) curve for plotting.  Ties resolve to the smaller alpha.  The asymptotic optimum is
     1 + 1/sqrt(6); no finite-N claim is made, so callers treat alpha_star as
     descriptive.
     """
@@ -201,17 +201,11 @@ def optimal_alpha_search(
         raise DomainError("need at least one alpha")
     if any(a <= 0 for a in alpha_grid):
         raise DomainError("alpha grid must be positive")
-    model = ModelSpec(k, N)
-    trunc = schedule.truncation(N, k)
-
-    def one(alpha: float):
-        rep = sup_risk(
-            SymmetricPrior(alpha, k).expand(), model, trunc,
-            grid_size=grid_size, seed=seed,
-        )
-        return alpha, rep.sup_value
-
-    curve = ordered_map(one, alpha_grid)
+    rows = compare_priors(
+        k, [N], schedule, [SymmetricPrior(a, k) for a in alpha_grid],
+        grid_size=grid_size, seed=seed,
+    )
+    curve = [(row.alpha, row.sup_risk) for row in rows]
     alpha_star = min(curve, key=lambda av: (av[1], av[0]))[0]
     if any(not math.isfinite(v) for _, v in curve):
         raise CheckFailure("sup risk curve has non-finite values")

@@ -236,7 +236,8 @@ def expansion_error_profile(
 
     def one_row(N: int) -> ProfileRow:
         model = ModelSpec(k, N)
-        eps = schedule.eps(N)
+        trunc = schedule.truncation(N, k)
+        eps = trunc.eps
         ev = CoordinateRiskEvaluator(prior, model)
         Nf = float(N)
         constant = (k - 1) / (2.0 * Nf) + stable_sum(
@@ -253,8 +254,7 @@ def expansion_error_profile(
 
         maximizer = SeparableMaximizer(
             residual_coord,
-            k,
-            eps,
+            trunc,
             constant=-constant,
             transform=abs,
             symmetric=prior.is_symmetric,

@@ -172,5 +172,14 @@ class EpsilonSchedule:
         return self.c * float(N) ** (-self.r)
 
     def truncation(self, N: int, k: int) -> TruncatedSimplex:
-        """The floor region at sample size N; raises if eps_N >= 1/k."""
-        return TruncatedSimplex(k, self.eps(N))
+        """The floor region at sample size N; raises DomainError, naming N,
+        if eps_N is not below 1/k."""
+        eps = self.eps(N)
+        try:
+            return TruncatedSimplex(k, eps)
+        except DomainError:
+            if k < 2 or eps == 0.0:  # not a sample size too small for k
+                raise
+            raise DomainError(
+                f"at N={N} the floor c*N^-r = {eps!r} is not below 1/k = 1/{k}"
+            ) from None

@@ -305,33 +305,43 @@ class CoordinateRiskEvaluator:
         """The risk at each column of a (k, n) array of points, from one
         coordinate call.
 
-        h is evaluated once per distinct (shape parameter, value) pair:
-        the coordinates that share a shape parameter share their values'
-        np.unique, so a symmetric prior's points cost one h per distinct
-        value.  coordinate gives each point its own float whatever the
-        batch holds, so every column's total is the float
+        The coordinates that share a shape parameter form one group of
+        _separable_values, so a symmetric prior's points cost one h per
+        distinct value.  coordinate gives each point its own float whatever
+        the batch holds, so every column's total is the float
         risk_coordinatewise gives its point, and each passes its finiteness
         and sign check.
         """
         thetas = np.asarray(thetas, dtype=float)
-        k, n = thetas.shape
+        k, _ = thetas.shape
         if k != self.model.k:
             raise DomainError("points and model disagree on k")
         a = self.prior.a
-        # per shape parameter: its coordinates and where each of their
-        # values sits among the distinct values ts
-        groups, idx, ts = [], [], []
-        for a_i in dict.fromkeys(a):
-            rows = [i for i in range(k) if a[i] == a_i]
-            values, at = np.unique(thetas[rows], return_inverse=True)
-            groups.append((rows, len(ts) + at.reshape(len(rows), n)))
-            idx += [rows[0]] * values.size
-            ts += values.tolist()
-        h = self.coordinate(idx, ts)
-        per = np.empty((k, n))
-        for rows, at in groups:
-            per[rows] = h[at]
+        groups = [[i for i in range(k) if a[i] == a_i] for a_i in dict.fromkeys(a)]
+        per = _separable_values(self.coordinate, thetas, groups)
         return np.array([_risk_total(col) for col in per.T.tolist()])
+
+
+def _separable_values(h, thetas: np.ndarray, groups) -> np.ndarray:
+    """h_i at every entry of a (k, n) array of points, row i holding
+    coordinate i's values, from one h(i, t) call.
+
+    The rows of each group share one h_i, so each distinct value of a group
+    is passed once, indexed by the group's first row.
+    """
+    n = thetas.shape[1]
+    # per group: its rows and where each of their values sits among ts
+    places, idx, ts = [], [], []
+    for rows in groups:
+        values, at = np.unique(thetas[rows], return_inverse=True)
+        places.append((rows, len(ts) + at.reshape(len(rows), n)))
+        idx += [rows[0]] * values.size
+        ts += values.tolist()
+    h_vals = h(idx, ts)
+    per = np.empty(thetas.shape)
+    for rows, at in places:
+        per[rows] = h_vals[at]
+    return per
 
 
 def risk_coordinatewise(
@@ -424,27 +434,29 @@ class SeparableMaximizer:
     them all, and each start ends where it would have ended alone.
 
     h(i, t) takes one coordinate index or one per value of t, as
-    CoordinateRiskEvaluator.coordinate does.
+    CoordinateRiskEvaluator.coordinate does, and trunc is the floored
+    simplex searched, whose floor TruncatedSimplex has checked.  symmetric
+    says that every coordinate has the same h, so the search takes one
+    subset per size and each distinct value once; it is required, since
+    with an asymmetric h it gives wrong values.
     """
 
     def __init__(
         self,
         h,                    # h(i, t_array) -> array of per-coordinate values
-        k: int,
-        eps: float,
+        trunc: TruncatedSimplex,
         constant: float = 0.0,
         transform=None,       # applied to the separable sum (e.g. abs)
-        symmetric: bool = True,
+        *,
+        symmetric: bool,
         seed: int = DEFAULT_SEED,
         ascent_starts: int = _SUP_ASCENT_STARTS,
     ):
-        if not (0.0 < eps < 1.0 / k):
-            raise DomainError("floor must satisfy 0 < eps < 1/k")
         if ascent_starts < 0:
             raise DomainError("ascent_starts must be non-negative")
         self.h = h
-        self.k = k
-        self.eps = eps
+        self.k = trunc.k
+        self.eps = trunc.eps
         self.constant = constant
         self.transform = transform or (lambda v: v)
         self.symmetric = symmetric
@@ -453,16 +465,21 @@ class SeparableMaximizer:
 
     # -- plumbing ------------------------------------------------------
 
-    def _objective(self, theta) -> float:
-        return self._objectives(np.array(theta, dtype=float)[:, None])[0]
-
     def _objectives(self, thetas: np.ndarray) -> list:
         """The objective at each column of a (k, n) array, from one h call
-        with a per-point coordinate index."""
-        k, n = thetas.shape
-        vals = self.h(np.repeat(np.arange(k), n), thetas.ravel()).reshape(k, n)
+        (see _separable_values): all coordinates form one group if the
+        search is symmetric, and each is its own otherwise."""
+        k = self.k
+        groups = [list(range(k))] if self.symmetric else [[i] for i in range(k)]
+        vals = _separable_values(self.h, thetas, groups)
         return [self.transform(stable_sum(col) + self.constant)
                 for col in vals.T.tolist()]
+
+    def _family_objectives(self, subset, us) -> np.ndarray:
+        """The objective at the family point of subset for each value in
+        us, from one _objectives call."""
+        points = [self._family_theta(subset, u) for u in us.tolist()]
+        return np.array(self._objectives(np.array(points).T))
 
     def _normalize(self, theta) -> tuple:
         theta = [max(float(v), self.eps) for v in theta]
@@ -496,23 +513,7 @@ class SeparableMaximizer:
         )
         grid = np.unique(np.concatenate([grid, [self.eps, 1.0 / self.k, u_max]]))
         grid = grid[(grid >= self.eps) & (grid <= u_max)]
-
-        h_pin = self.h
-        if self.symmetric:
-            pinned = h_pin(0, grid)
-            free_vals = (1.0 - j * grid) / (self.k - j)
-            free = h_pin(0, free_vals)
-            sums = j * pinned + (self.k - j) * free + self.constant
-            values = np.array([self.transform(v) for v in sums])
-        else:
-            free_idx = [i for i in range(self.k) if i not in subset]
-            free_vals = (1.0 - j * grid) / (self.k - j)
-            sums = self.constant * np.ones_like(grid)
-            for i in subset:
-                sums = sums + h_pin(i, grid)
-            for i in free_idx:
-                sums = sums + h_pin(i, free_vals)
-            values = np.array([self.transform(v) for v in sums])
+        values = self._family_objectives(subset, grid)
 
         out = []
         best_idx = int(np.argmax(values))
@@ -528,11 +529,8 @@ class SeparableMaximizer:
         lo = float(grid[max(0, best_idx - 1)])
         hi = float(grid[min(len(grid) - 1, best_idx + 1)])
         if hi > lo:
-            def f(rows, u) -> np.ndarray:
-                return np.array([self._objective(self._family_theta(subset, v))
-                                 for v in u.tolist()])
-
-            u_star, v_star = _golden_max(f, [lo], [hi])
+            u_star, v_star = _golden_max(
+                lambda rows, u: self._family_objectives(subset, u), [lo], [hi])
             out.append(
                 _Candidate(
                     float(v_star[0]), self._family_theta(subset, float(u_star[0])),
@@ -633,20 +631,16 @@ class SeparableMaximizer:
         """
         if grid_size < 16:
             raise DomainError("grid_size must be at least 16")
-        candidates: list[_Candidate] = []
-
-        uniform = tuple([1.0 / self.k] * self.k)
-        candidates.append(_Candidate(self._objective(uniform), uniform, "uniform"))
-
+        # the uniform point and each floor corner, from one call
+        points = [tuple([1.0 / self.k] * self.k)]
+        labels = ["uniform"]
         for j in range(1, self.k):
-            subset = tuple(range(j))
-            candidates.append(
-                _Candidate(
-                    self._objective(self._family_theta(subset, self.eps)),
-                    self._family_theta(subset, self.eps),
-                    f"floor[j={j}]",
-                )
-            )
+            points.append(self._family_theta(tuple(range(j)), self.eps))
+            labels.append(f"floor[j={j}]")
+        candidates = [
+            _Candidate(value, theta, label) for value, theta, label in
+            zip(self._objectives(np.array(points).T), points, labels)
+        ]
 
         family_results = ordered_map(
             lambda s: self._family_candidates(s, grid_size),
@@ -678,7 +672,7 @@ class SeparableMaximizer:
 
         assert best is not None
         theta_pt = ThetaPoint(best[1])
-        final_value = self._objective(theta_pt.theta)
+        final_value = self._objectives(np.array(theta_pt.theta)[:, None])[0]
         if not math.isfinite(final_value):
             raise DomainError(
                 f"non-finite value {final_value!r} at the winning candidate "
@@ -717,8 +711,7 @@ def sup_risk(
     ev = CoordinateRiskEvaluator(prior, model)
     maximizer = SeparableMaximizer(
         ev.coordinate,
-        model.k,
-        trunc.eps,
+        trunc,
         symmetric=prior.is_symmetric,
         seed=seed,
         ascent_starts=_SUP_ASCENT_STARTS,

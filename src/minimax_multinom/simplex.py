@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .model import TruncatedSimplex
 from .numkernel import (
     DEFAULT_SEED,
     check_shapes,
@@ -148,16 +149,16 @@ def _b_trunc_batch(params: list) -> tuple:
     """(ln B_eps, relative error estimate, ln B) as float arrays, one entry
     per (alphas, eps) of params, each the one its pair gets alone.
 
-    Each alphas must pass check_shapes and each eps lie in (0, 1/k), or it
-    raises DomainError.  The k = 2 integrals are Beta segments over
-    [eps, 1 - eps] from one log_beta_segment call, credited
-    _SEGMENT_REL_ERR; those of each k >= 3 are one _recursive_b_log batch.
+    Each alphas must pass check_shapes and each eps the floor rule of
+    model.TruncatedSimplex, 0 < eps < 1/k, or it raises DomainError.  The
+    k = 2 integrals are Beta segments over [eps, 1 - eps] from one
+    log_beta_segment call, credited _SEGMENT_REL_ERR; those of each k >= 3
+    are one _recursive_b_log batch.
     """
     shapes = []
     for alphas, eps in params:
         alphas = check_shapes(alphas)
-        if not 0.0 < eps < 1.0 / len(alphas):
-            raise DomainError(f"need 0 < eps < 1/k, got eps={eps!r}, k={len(alphas)}")
+        TruncatedSimplex(len(alphas), eps)
         shapes.append(alphas)
     log_full = np.array([log_multivariate_beta(alphas) for alphas in shapes])
     logs, errs = np.empty(len(params)), np.empty(len(params))

@@ -305,6 +305,21 @@ class TestErrorHandling:
         assert out == ""
         assert json.loads(err)["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize("argv", [
+        ["sandwich", "--k", "3", "--N", "4,8"],
+        ["expansion-error", "--k", "3", "--N", "4", "--prior", "minimax"],
+    ], ids=["sandwich", "expansion-error"])
+    def test_floor_above_one_over_k_names_n(self, capsys, argv):
+        """A schedule floor c*N^-r at or above 1/k is reported at its N, not
+        as a floor the caller never passed."""
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert error["message"].startswith("at N=4 the floor c*N^-r = ")
+        assert error["message"].endswith(" is not below 1/k = 1/3")
+
     def test_empty_alpha_grid_names_the_flag(self, capsys):
         code, out, err = run_cli(capsys, "optimal-alpha", "--k", "2", "--N",
                                  "8", "--alpha-grid", "2:1:0.5")

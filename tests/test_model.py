@@ -85,6 +85,18 @@ class TestTypes:
         with pytest.raises(DomainError):
             sched.truncation(16, 2)  # eps = 0.5 not < 1/2
 
+    def test_truncation_names_n(self):
+        """A floor c*N^-r at or above 1/k is reported at its N; a floor that
+        underflows to 0, and k below 2, keep TruncatedSimplex's messages."""
+        sched = EpsilonSchedule(2.0, 0.5, ScheduleMode.SECOND_ORDER)
+        with pytest.raises(DomainError, match=r"^at N=16 the floor c\*N\^-r = "
+                           r"0\.5 is not below 1/k = 1/2$"):
+            sched.truncation(16, 2)
+        with pytest.raises(DomainError, match="got eps=0.0, k=3"):
+            EpsilonSchedule(5e-324, 0.73).truncation(4, 3)
+        with pytest.raises(DomainError, match="at least two categories"):
+            sched.truncation(16, 1)
+
 
 def _predictives(alpha, trunc, model, x) -> tuple:
     """(full, truncated) predictive masses of every category after counts

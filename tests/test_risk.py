@@ -607,7 +607,8 @@ class TestK2SearchCoversAscent:
             objectives.append({"constant": -0.5 / N, "transform": abs})
         for kwargs in objectives:
             m = risk_module.SeparableMaximizer(
-                h, 2, eps, symmetric=spec.is_symmetric, **kwargs)
+                h, TruncatedSimplex(2, eps), symmetric=spec.is_symmetric,
+                **kwargs)
             best_ascent = max(c.value for c in m._ascent(range(32)))
             for grid_size in (16, 128, 512):
                 value = m.maximize(grid_size)[0]
@@ -722,8 +723,9 @@ class TestLockstepAscent:
         ev = risk_module.CoordinateRiskEvaluator(
             _ASCENT_PRIORS[prior](k), ModelSpec(k, N))
         for kwargs in ({}, {"constant": -(k - 1) / (2.0 * N), "transform": abs}):
-            m = risk_module.SeparableMaximizer(_memoized(ev.coordinate), k, eps,
-                                               **kwargs)
+            m = risk_module.SeparableMaximizer(
+                _memoized(ev.coordinate), TruncatedSimplex(k, eps),
+                symmetric=ev.prior.is_symmetric, **kwargs)
             got = {n: [(c.value, c.theta, c.label) for c in m._ascent(range(n))]
                    for n in (8, 1, 0)}
             reference = [_one_start_ascent(m, s) for s in range(8)]
@@ -761,7 +763,8 @@ class TestAscentKernelCalls:
 
         monkeypatch.setattr(risk_module, "_golden_max", counting_golden_max)
         monkeypatch.setattr(risk_module, "_ASCENT_SWEEPS", 2)
-        m = risk_module.SeparableMaximizer(h, k, 0.03)
+        m = risk_module.SeparableMaximizer(h, TruncatedSimplex(k, 0.03),
+                                           symmetric=ev.prior.is_symmetric)
         m._ascent(range(8))
         pairs = k * (k - 1) // 2
         steps = len(refines)
@@ -849,32 +852,70 @@ class TestSupRisk:
         return labels
 
     def test_objectives_make_one_h_call(self):
-        """The objective at a batch of points takes one h call with a
-        per-point coordinate index, and each column sums as it would alone."""
-        ev = risk_module.CoordinateRiskEvaluator(PriorSpec((0.3, 1.2, 2.5)),
-                                                 ModelSpec(3, 40))
-        calls = []
-
-        def h(i, t):
-            calls.append(i)
-            return ev.coordinate(i, t)
-
-        m = risk_module.SeparableMaximizer(h, 3, 0.05, constant=-0.01,
-                                           transform=abs)
+        """The objective at a batch of points takes one h call, and each
+        column sums as it would alone; an asymmetric search passes each
+        coordinate's distinct values with that coordinate's index, a
+        symmetric one each distinct value once."""
         thetas = seeded_stream(4, 0).dirichlet(np.ones(3), size=9).T
-        got = m._objectives(thetas)
-        assert len(calls) == 1
-        assert got == [abs(stable_sum(float(ev.coordinate(i, col[i])[0])
-                                      for i in range(3)) - 0.01)
-                       for col in thetas.T]
+        # a repeated point and a value shared by two coordinates
+        thetas = np.concatenate(
+            [thetas, thetas[:, :1], [[0.25], [0.25], [0.5]]], axis=1)
+        for a in [(0.3, 1.2, 2.5), (1.4, 1.4, 1.4)]:
+            ev = risk_module.CoordinateRiskEvaluator(PriorSpec(a),
+                                                     ModelSpec(3, 40))
+            calls = []
+
+            def h(i, t):
+                calls.append((list(i), list(t)))
+                return ev.coordinate(i, t)
+
+            m = risk_module.SeparableMaximizer(
+                h, TruncatedSimplex(3, 0.05), constant=-0.01, transform=abs,
+                symmetric=ev.prior.is_symmetric)
+            got = m._objectives(thetas)
+            assert got == [abs(stable_sum(float(ev.coordinate(i, col[i])[0])
+                                          for i in range(3)) - 0.01)
+                           for col in thetas.T]
+            ((idx, ts),) = calls
+            if ev.prior.is_symmetric:
+                assert idx == [0] * len(ts)
+                assert ts == np.unique(thetas).tolist()
+            else:
+                assert list(zip(idx, ts)) == [
+                    (i, v) for i in range(3)
+                    for v in np.unique(thetas[i]).tolist()]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_symmetric_family_equals_per_coordinate_family(self, k):
+        """With one h for every coordinate, the deduplicated symmetric
+        objectives and the per-coordinate ones give the same candidates."""
+        ev = risk_module.CoordinateRiskEvaluator(PriorSpec((1.4,) * k),
+                                                 ModelSpec(k, 50))
+        trunc = TruncatedSimplex(k, 0.04)
+        for subset in [tuple(range(j)) for j in range(1, k)]:
+            got = [[(c.value, c.theta, c.label)
+                    for c in risk_module.SeparableMaximizer(
+                        ev.coordinate, trunc, symmetric=symmetric,
+                    )._family_candidates(subset, 64)]
+                   for symmetric in (True, False)]
+            assert got[0] == got[1]
+
+    def test_symmetric_is_required(self):
+        ev = risk_module.CoordinateRiskEvaluator(PriorSpec((1.4, 1.4)),
+                                                 ModelSpec(2, 8))
+        with pytest.raises(TypeError, match="symmetric"):
+            risk_module.SeparableMaximizer(ev.coordinate, TruncatedSimplex(2, 0.1))
 
     def test_negative_ascent_starts_rejected(self):
         def h(i, t):
             return np.zeros_like(np.atleast_1d(t), dtype=float)
 
+        trunc = TruncatedSimplex(3, 0.05)
         with pytest.raises(DomainError, match="ascent_starts"):
-            risk_module.SeparableMaximizer(h, 3, 0.05, ascent_starts=-1)
-        risk_module.SeparableMaximizer(h, 3, 0.05, ascent_starts=0).maximize(32)
+            risk_module.SeparableMaximizer(h, trunc, symmetric=True,
+                                           ascent_starts=-1)
+        risk_module.SeparableMaximizer(h, trunc, symmetric=True,
+                                       ascent_starts=0).maximize(32)
 
     def test_grid_size_validation(self):
         with pytest.raises(DomainError):
@@ -891,10 +932,13 @@ class TestSupRisk:
         def nan_everywhere(i, t):
             return np.full(np.atleast_1d(t).shape, np.nan)
 
+        trunc = TruncatedSimplex(2, 0.05)
         with pytest.raises(DomainError, match=r"candidate pin\[0\]@grid"):
-            risk_module.SeparableMaximizer(nan_near_03, 2, 0.05).maximize(64)
+            risk_module.SeparableMaximizer(nan_near_03, trunc,
+                                           symmetric=True).maximize(64)
         with pytest.raises(DomainError, match="candidate uniform"):
-            risk_module.SeparableMaximizer(nan_everywhere, 2, 0.05).maximize(64)
+            risk_module.SeparableMaximizer(nan_everywhere, trunc,
+                                           symmetric=True).maximize(64)
 
 
 class TestFloorNearCenter:
